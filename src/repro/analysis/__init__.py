@@ -1,101 +1,21 @@
-"""Correctness tooling: determinism lint and the simulation sanitizer.
+"""Correctness tooling: static checkers and the replay sanitizer.
 
 Two layers guard the property every regenerated figure depends on —
-that a seeded simulation replays bit-identically:
+that a seeded simulation replays bit-identically and computes the right
+number:
 
-- :mod:`repro.analysis.lint` — an AST linter (``python -m repro lint``)
-  for the hazard patterns that have actually broken replay here
-  (wall-clock reads, global RNGs, ``id()``-derived keys, process-global
-  counters, unordered iteration feeding artifacts);
-- :mod:`repro.analysis.semcheck` — an AST *semantic* checker
-  (``python -m repro semcheck``) for hazards that replay perfectly and
-  compute the wrong number: mixed time/energy units (inferred from
-  ``_us``/``_ms``/``_ns`` name suffixes, see
-  :mod:`repro.analysis.unit_types`) and broken resource
-  request/release protocol across yields and exception edges;
-- :mod:`repro.analysis.sanitize` — a runtime sanitizer
-  (``REPRO_SANITIZE=1`` / ``--sanitize``) that checks engine invariants
-  while a simulation runs, plus a dual-run sha256 digest mode that
-  replays a scenario twice and pinpoints the first divergent event.
+- four AST checkers, listed once in :mod:`repro.analysis.registry` and
+  run together by ``python -m repro check``:
+  :mod:`repro.analysis.lint` (determinism hazards),
+  :mod:`repro.analysis.semcheck` (unit consistency and the resource
+  request/release protocol), :mod:`repro.analysis.archcheck` (layering
+  and cross-process safety) and :mod:`repro.analysis.racecheck`
+  (yield-point atomicity and locksets);
+- :mod:`repro.analysis.sanitize` — the dual-run driver over the runtime
+  sanitizer (:mod:`repro.sim.sanitizer`, ``REPRO_SANITIZE=1`` /
+  ``--sanitize``): it replays a scenario twice and pinpoints the first
+  divergent event.
 
-``docs/determinism.md`` catalogues the hazard classes and the
-suppression workflow.
+``docs/analysis.md`` and ``docs/determinism.md`` catalogue the rules
+and the suppression workflow.
 """
-
-from repro.analysis.baseline import (
-    BASELINE_NAME,
-    SEMCHECK_BASELINE_NAME,
-    BaselineEntry,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.lint import (
-    DEFAULT_CONFIG,
-    RULES,
-    RULES_BY_ID,
-    Finding,
-    LintConfig,
-    LintError,
-    lint_paths,
-    lint_source,
-    render_findings,
-)
-from repro.analysis.semcheck import (
-    DEFAULT_CONFIG as SEMCHECK_DEFAULT_CONFIG,
-)
-from repro.analysis.semcheck import (
-    RULES as SEMCHECK_RULES,
-)
-from repro.analysis.semcheck import (
-    RULES_BY_ID as SEMCHECK_RULES_BY_ID,
-)
-from repro.analysis.semcheck import (
-    SemCheckConfig,
-    semcheck_paths,
-    semcheck_source,
-)
-from repro.analysis.sanitize import (
-    DigestCollector,
-    DualRunReport,
-    EventRecord,
-    EventStream,
-    Sanitizer,
-    SanitizerError,
-    audit_accounting,
-    collecting,
-    dual_run,
-)
-
-__all__ = [
-    "BASELINE_NAME",
-    "SEMCHECK_BASELINE_NAME",
-    "SEMCHECK_DEFAULT_CONFIG",
-    "SEMCHECK_RULES",
-    "SEMCHECK_RULES_BY_ID",
-    "SemCheckConfig",
-    "semcheck_paths",
-    "semcheck_source",
-    "BaselineEntry",
-    "apply_baseline",
-    "load_baseline",
-    "write_baseline",
-    "DEFAULT_CONFIG",
-    "RULES",
-    "RULES_BY_ID",
-    "Finding",
-    "LintConfig",
-    "LintError",
-    "lint_paths",
-    "lint_source",
-    "render_findings",
-    "DigestCollector",
-    "DualRunReport",
-    "EventRecord",
-    "EventStream",
-    "Sanitizer",
-    "SanitizerError",
-    "audit_accounting",
-    "collecting",
-    "dual_run",
-]

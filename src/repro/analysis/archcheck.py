@@ -44,16 +44,20 @@ import pathlib
 from dataclasses import dataclass, field
 
 from repro.analysis.common import (
+    HOST_CLOCK_CALLS,
+    MUTATOR_METHODS,
     AliasResolver,
     Finding,
     LintError,
     RuleInfo,
+    apply_pragmas,
     display_path,
-    iter_python_files,
     matches_any,
+    parse_pragmas,
+    read_sources,
 )
-from repro.analysis.common import parse_pragmas as _parse_pragmas
 from repro.analysis.common import render_findings as _render_findings
+from repro.analysis.flow import own_nodes, scope_names
 
 
 RULES = (
@@ -108,29 +112,16 @@ CONTRACT_NAME = ".repro-arch.toml"
 
 #: Call targets that block on the host: real sleeps and clocks, file
 #: opens, sockets. Resolved through import aliases like lint's sets.
-_BLOCKING_CALLS = frozenset(
-    {
-        "time.sleep",
-        "time.time",
-        "time.time_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "open",
-        "io.open",
-        "socket.socket",
-        "socket.create_connection",
-    }
-)
+_BLOCKING_CALLS = HOST_CLOCK_CALLS | {
+    "time.sleep",
+    "open",
+    "io.open",
+    "socket.socket",
+    "socket.create_connection",
+}
 
-#: Method names that mutate their receiver in place.
-_MUTATOR_METHODS = frozenset(
-    {
-        "add", "append", "clear", "discard", "extend", "insert", "pop",
-        "popitem", "remove", "setdefault", "update",
-    }
-)
+#: Nodes whose bodies are separate scopes for a function summary.
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 #: Constructors whose result is a mutable container.
 _MUTABLE_FACTORIES = frozenset(
@@ -392,34 +383,9 @@ def _module_name(file_path):
     return ".".join(reversed(parts))
 
 
-def _own_nodes(node):
+def _scope_nodes(node):
     """Walk a function body without descending into nested scopes."""
-    stack = list(ast.iter_child_nodes(node))
-    while stack:
-        child = stack.pop()
-        yield child
-        if isinstance(
-            child,
-            (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef),
-        ):
-            continue
-        stack.extend(ast.iter_child_nodes(child))
-
-
-def _bound_names(target):
-    """Names an assignment/loop target *binds* in the local scope.
-
-    ``obj[key] = v`` and ``obj.attr = v`` mutate ``obj`` but bind
-    nothing — descending into those would misclassify module globals
-    as locals and hide their reads from fork-safety analysis.
-    """
-    if isinstance(target, ast.Name):
-        yield target.id
-    elif isinstance(target, ast.Starred):
-        yield from _bound_names(target.value)
-    elif isinstance(target, (ast.Tuple, ast.List)):
-        for element in target.elts:
-            yield from _bound_names(element)
+    return own_nodes(ast.iter_child_nodes(node), scopes=_SCOPES)
 
 
 def _import_edges(tree, module, all_modules):
@@ -501,21 +467,9 @@ class _ModuleAnalyzer(ast.NodeVisitor):
     visit_AsyncFunctionDef = _visit_function
 
     def _summarize(self, node, summary):
-        locals_ = {arg.arg for arg in (
-            node.args.args + node.args.posonlyargs + node.args.kwonlyargs
-        )}
-        if node.args.vararg:
-            locals_.add(node.args.vararg.arg)
-        if node.args.kwarg:
-            locals_.add(node.args.kwarg.arg)
-        # `global` declarations win over any local assignment of the
-        # same name, so they are collected before the main pass.
-        declared_global = set()
-        for child in _own_nodes(node):
-            if isinstance(child, ast.Global):
-                declared_global.update(child.names)
+        locals_, _declared = scope_names(node, _scope_nodes(node))
         has_value_return = False
-        for child in _own_nodes(node):
+        for child in _scope_nodes(node):
             if isinstance(child, (ast.Yield, ast.YieldFrom)):
                 summary.is_generator = True
             elif isinstance(child, ast.Return) and child.value is not None:
@@ -527,33 +481,20 @@ class _ModuleAnalyzer(ast.NodeVisitor):
                     summary.calls.append(where)
                     if dotted in _BLOCKING_CALLS:
                         summary.blocking.append(where)
-            elif isinstance(child, (ast.Assign, ast.AnnAssign)):
-                targets = (
-                    child.targets
-                    if isinstance(child, ast.Assign)
-                    else [child.target]
-                )
-                for target in targets:
-                    locals_.update(_bound_names(target))
-            elif isinstance(child, (ast.For, ast.comprehension)):
-                locals_.update(_bound_names(child.target))
-        locals_ -= declared_global
-        for child in _own_nodes(node):
-            if isinstance(child, ast.Name) and isinstance(
-                child.ctx, ast.Load
+            elif (
+                isinstance(child, ast.Name)
+                and isinstance(child.ctx, ast.Load)
+                and child.id not in locals_
             ):
-                if child.id not in locals_:
-                    summary.global_reads.add(child.id)
-                    summary.global_read_lines.setdefault(
-                        child.id, child.lineno
-                    )
+                summary.global_reads.add(child.id)
+                summary.global_read_lines.setdefault(child.id, child.lineno)
         summary.order_dependent = has_value_return and self._order_dependent(
             node
         )
 
     def _order_dependent(self, node):
         parents = {}
-        for parent in _own_nodes(node):
+        for parent in _scope_nodes(node):
             for child in ast.iter_child_nodes(parent):
                 parents[child] = parent
 
@@ -569,7 +510,7 @@ class _ModuleAnalyzer(ast.NodeVisitor):
                 current = parents.get(current)
             return False
 
-        for child in _own_nodes(node):
+        for child in _scope_nodes(node):
             if (
                 isinstance(child, ast.Call)
                 and isinstance(child.func, ast.Attribute)
@@ -639,10 +580,6 @@ class _ModuleAnalyzer(ast.NodeVisitor):
                     ))
                     break
 
-    def visit_Lambda(self, node):
-        # Track `name = lambda ...` so submitting `name` is flagged.
-        self.generic_visit(node)
-
     def visit_Assign(self, node):
         if self._scopes and isinstance(node.value, ast.Lambda):
             for target in node.targets:
@@ -683,7 +620,7 @@ def _collect_fork_hazards(info):
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _MUTATOR_METHODS
+            and node.func.attr in MUTATOR_METHODS
             and isinstance(node.func.value, ast.Name)
         ):
             mutated.add(node.func.value.id)
@@ -715,18 +652,9 @@ def build_program(paths):
     Returns ``(modules, errors)`` where ``modules`` maps dotted names
     to :class:`ModuleInfo`.
     """
-    files = []
     errors = []
-    for file_path in iter_python_files(paths):
-        try:
-            source = file_path.read_text()
-        except OSError as exc:
-            errors.append(LintError(str(file_path), 0, f"unreadable: {exc}"))
-            continue
-        files.append((file_path, source))
-
     modules = {}
-    for file_path, source in files:
+    for file_path, source in read_sources(paths, errors):
         display = display_path(file_path)
         try:
             tree = ast.parse(source)
@@ -941,40 +869,23 @@ def archcheck_paths(paths, contract=None, contract_path=None):
     findings.extend(_check_nondet_escape(modules, contract))
     findings.extend(_check_blocking(modules, contract))
 
+    by_path = {}
+    for finding in findings:
+        by_path.setdefault(finding.path, []).append(finding)
     kept = []
-    by_display = {info.display: info for info in modules.values()}
-    pragma_cache = {}
-    for finding in sorted(
-        findings, key=lambda f: (f.path, f.line, f.rule, f.col)
-    ):
-        info = by_display.get(finding.path)
-        if info is None:
-            kept.append(finding)
-            continue
-        if finding.path not in pragma_cache:
-            allows = _parse_pragmas(
-                info.source, info.display, applicable=set(RULES_BY_ID)
-            )
-            pragma_cache[finding.path] = allows
-            errors.extend(allows[2])
-        line_allows, file_allows, _ = pragma_cache[finding.path]
-        if finding.rule in file_allows:
-            continue
-        if finding.rule in line_allows.get(finding.line, ()):
-            continue
-        kept.append(finding)
-
-    # Pragma errors in files without findings must still surface.
     for info in modules.values():
-        if info.display in pragma_cache:
-            continue
-        _, _, pragma_errors = _parse_pragmas(
+        line_allows, file_allows, pragma_errors = parse_pragmas(
             info.source, info.display, applicable=set(RULES_BY_ID)
         )
         errors.extend(pragma_errors)
+        kept.extend(apply_pragmas(
+            by_path.get(info.display, ()), line_allows, file_allows
+        ))
 
     unique = {}
-    for finding in kept:
+    for finding in sorted(
+        kept, key=lambda f: (f.path, f.line, f.rule, f.col)
+    ):
         unique.setdefault((finding.key(), finding.col), finding)
     return list(unique.values()), errors
 

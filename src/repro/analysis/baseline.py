@@ -1,24 +1,19 @@
-"""Machine-readable lint baseline: acknowledged findings, nothing more.
+"""Machine-readable checker baselines: acknowledged findings, nothing more.
 
-A baseline lets the linter land as a blocking check while a hazard
-backlog still exists, without pragma-spraying the tree. This repo's
-committed baseline (``.repro-lint-baseline.json``) is **empty** — every
-pre-existing hazard was fixed, not suppressed — and the CI ``--check``
-mode keeps it honest: stale entries (findings that no longer exist) and
-unknown rule ids are hard errors, so the baseline can only shrink.
+A baseline lets a checker land as a blocking check while a hazard
+backlog still exists, without pragma-spraying the tree. Every committed
+baseline (one per checker, named in :mod:`repro.analysis.registry`) is
+**empty** — every pre-existing hazard was fixed, not suppressed — and
+the CI ``--check`` mode keeps it honest: stale entries (findings that no
+longer exist) and unknown rule ids are hard errors, so a baseline can
+only shrink.
 """
 
 import json
 import pathlib
 from dataclasses import dataclass
 
-from repro.analysis.lint import RULES_BY_ID, LintError
-
-#: Default baseline filenames, looked up in the working directory.
-BASELINE_NAME = ".repro-lint-baseline.json"
-SEMCHECK_BASELINE_NAME = ".repro-semcheck-baseline.json"
-ARCHCHECK_BASELINE_NAME = ".repro-archcheck-baseline.json"
-RACECHECK_BASELINE_NAME = ".repro-racecheck-baseline.json"
+from repro.analysis.common import LintError
 
 _VERSION = 1
 
@@ -35,16 +30,14 @@ class BaselineEntry:
         return (self.path, self.line, self.rule)
 
 
-def load_baseline(path, known_rules=None):
+def load_baseline(path, known_rules):
     """Parse a baseline file; returns ``(entries, errors)``.
 
     ``known_rules`` is the rule-id set of the checker the baseline
-    belongs to (default: the determinism linter's). Unknown rule ids
-    are :class:`LintError`\\ s, not skipped entries: a suppression that
-    names a rule the checker no longer has (or never had) must fail the
-    run instead of rotting silently.
+    belongs to. Unknown rule ids are :class:`LintError`\\ s, not skipped
+    entries: a suppression that names a rule the checker no longer has
+    (or never had) must fail the run instead of rotting silently.
     """
-    known_rules = known_rules if known_rules is not None else RULES_BY_ID
     path = pathlib.Path(path)
     errors = []
     try:
@@ -112,7 +105,7 @@ def apply_baseline(findings, entries):
     return new, stale
 
 
-def prune_baseline(path, findings, known_rules=None):
+def prune_baseline(path, findings, known_rules):
     """Drop entries no current finding matches; the baseline only shrinks.
 
     Returns ``(kept, pruned, errors)``. The file is rewritten only when
@@ -120,7 +113,7 @@ def prune_baseline(path, findings, known_rules=None):
     baseline that cannot be trusted must not be "repaired" by a tool
     that cannot read it.
     """
-    entries, errors = load_baseline(path, known_rules=known_rules)
+    entries, errors = load_baseline(path, known_rules)
     if errors:
         return entries, [], errors
     _new, stale = apply_baseline(findings, entries)

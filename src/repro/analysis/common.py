@@ -1,13 +1,15 @@
-"""Machinery shared by the AST checkers (lint, semcheck, archcheck).
+"""Machinery shared by the AST checkers (lint, semcheck, archcheck, racecheck).
 
 Every checker speaks the same dialect: findings located at
 ``path:line:col`` with a stable rule id and a fix-it hint, suppression
 through ``# repro: allow[rule-id]`` pragmas, an acknowledged-findings
 baseline, and the 0/1/2 exit-code contract (clean / findings / the run
-itself cannot be trusted). This module holds the dialect so
-:mod:`repro.analysis.lint`, :mod:`repro.analysis.semcheck`,
-:mod:`repro.analysis.archcheck`, and :mod:`repro.analysis.racecheck`
-only contain rules.
+itself cannot be trusted). This module holds the dialect, plus the
+per-module driver (:func:`check_module`) that parses, filters and sorts
+for the per-file checkers, so :mod:`repro.analysis.lint`,
+:mod:`repro.analysis.semcheck`, :mod:`repro.analysis.archcheck`, and
+:mod:`repro.analysis.racecheck` only contain rules. The checkers
+themselves are listed once, in :mod:`repro.analysis.registry`.
 
 Pragmas are validated against the union of every checker's rule ids
 (:func:`known_rule_ids`): a pragma naming a rule another checker owns
@@ -69,17 +71,50 @@ class LintError:
 
 _PRAGMA = re.compile(r"#\s*repro:\s*(allow|allow-file)\[([^\]]*)\]")
 
+#: Dotted call targets that read host clocks (lint's ``wall-clock``;
+#: archcheck counts them among its blocking calls).
+HOST_CLOCK_CALLS = frozenset(
+    {
+        "time.time",
+        "time.time_ns",
+        "time.perf_counter",
+        "time.perf_counter_ns",
+        "time.monotonic",
+        "time.monotonic_ns",
+        "time.process_time",
+        "time.process_time_ns",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "datetime.datetime.today",
+        "datetime.date.today",
+    }
+)
+
+#: Method names that mutate their receiver in place.
+MUTATOR_METHODS = frozenset(
+    {
+        "append",
+        "appendleft",
+        "add",
+        "clear",
+        "discard",
+        "extend",
+        "insert",
+        "pop",
+        "popleft",
+        "popitem",
+        "push",
+        "remove",
+        "setdefault",
+        "sort",
+        "update",
+    }
+)
+
 
 def known_rule_ids():
     """Every rule id any checker owns (for pragma/typo validation)."""
-    from repro.analysis import archcheck, lint, racecheck, semcheck
-
-    return (
-        frozenset(lint.RULES_BY_ID)
-        | frozenset(semcheck.RULES_BY_ID)
-        | frozenset(archcheck.RULES_BY_ID)
-        | frozenset(racecheck.RULES_BY_ID)
-    )
+    return frozenset(rule_owners())
 
 
 def rule_owners():
@@ -88,18 +123,28 @@ def rule_owners():
     Rule ids are globally unique (a test pins this), so one flat map
     is enough to annotate a pragma with the tool it speaks to.
     """
-    from repro.analysis import archcheck, lint, racecheck, semcheck
+    from repro.analysis.registry import CHECKERS
 
-    owners = {}
-    for name, rules in (
-        ("lint", lint.RULES_BY_ID),
-        ("semcheck", semcheck.RULES_BY_ID),
-        ("archcheck", archcheck.RULES_BY_ID),
-        ("racecheck", racecheck.RULES_BY_ID),
-    ):
-        for rule_id in rules:
-            owners[rule_id] = name
-    return owners
+    return {rule: spec.name for spec in CHECKERS for rule in spec.rules}
+
+
+def _pragma_comments(source):
+    """``(line, kind, rules)`` of every pragma in a real comment token.
+
+    A pragma example quoted in a docstring or help string is not a
+    comment and must not suppress anything.
+    """
+    try:
+        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    except (tokenize.TokenError, IndentationError, SyntaxError):
+        tokens = []
+    for token in tokens:
+        if token.type != tokenize.COMMENT:
+            continue
+        for match in _PRAGMA.finditer(token.string):
+            kind, raw = match.group(1), match.group(2)
+            rules = [part.strip() for part in raw.split(",") if part.strip()]
+            yield token.start[0], kind, rules
 
 
 def parse_pragmas(source, path, applicable=None, known=None):
@@ -118,44 +163,41 @@ def parse_pragmas(source, path, applicable=None, known=None):
     line_allows = {}
     file_allows = set()
     errors = []
-    try:
-        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        tokens = []
-    # Only real COMMENT tokens count: a pragma example quoted in a
-    # docstring or help string must not suppress anything.
-    comments = [
-        (token.start[0], token.string)
-        for token in tokens
-        if token.type == tokenize.COMMENT
-    ]
-    for lineno, text in comments:
-        for match in _PRAGMA.finditer(text):
-            kind, raw = match.group(1), match.group(2)
-            rules = {part.strip() for part in raw.split(",") if part.strip()}
-            if not rules:
-                errors.append(
-                    LintError(path, lineno, "empty repro pragma rule list")
+    for lineno, kind, names in _pragma_comments(source):
+        rules = set(names)
+        if not rules:
+            errors.append(
+                LintError(path, lineno, "empty repro pragma rule list")
+            )
+            continue
+        unknown = sorted(rules - set(known))
+        if unknown:
+            errors.append(
+                LintError(
+                    path,
+                    lineno,
+                    f"unknown rule id(s) in pragma: {', '.join(unknown)} "
+                    f"(known: {', '.join(sorted(known))})",
                 )
-                continue
-            unknown = sorted(rules - set(known))
-            if unknown:
-                errors.append(
-                    LintError(
-                        path,
-                        lineno,
-                        f"unknown rule id(s) in pragma: {', '.join(unknown)} "
-                        f"(known: {', '.join(sorted(known))})",
-                    )
-                )
-                rules &= set(known)
-            if applicable is not None:
-                rules &= set(applicable)
-            if kind == "allow":
-                line_allows.setdefault(lineno, set()).update(rules)
-            else:
-                file_allows.update(rules)
+            )
+            rules &= set(known)
+        if applicable is not None:
+            rules &= set(applicable)
+        if kind == "allow":
+            line_allows.setdefault(lineno, set()).update(rules)
+        else:
+            file_allows.update(rules)
     return line_allows, file_allows, errors
+
+
+def apply_pragmas(findings, line_allows, file_allows):
+    """The findings no line or file pragma allows."""
+    return [
+        finding
+        for finding in findings
+        if finding.rule not in file_allows
+        and finding.rule not in line_allows.get(finding.line, ())
+    ]
 
 
 class AliasResolver:
@@ -218,28 +260,78 @@ def iter_python_files(paths):
     return sorted(files)
 
 
-def check_paths(paths, check_source):
-    """Run ``check_source(source, display, resolved)`` over every file.
+def read_sources(paths, errors):
+    """Yield ``(file_path, source)`` for every ``*.py`` file under ``paths``.
 
-    The shared directory-walking loop behind ``lint_paths`` and
-    ``semcheck_paths``; returns combined ``(findings, errors)``.
+    The one file-reading loop behind every checker: an unreadable file
+    becomes a :class:`LintError` appended to ``errors``.
     """
-    findings = []
-    errors = []
     for file_path in iter_python_files(paths):
         try:
             source = file_path.read_text()
         except OSError as exc:
             errors.append(LintError(str(file_path), 0, f"unreadable: {exc}"))
             continue
+        yield file_path, source
+
+
+def check_paths(paths, check_source):
+    """Run ``check_source(source, display, resolved_path=...)`` per file.
+
+    The directory walk behind ``lint_paths``, ``semcheck_paths`` and
+    ``racecheck_paths``; returns combined ``(findings, errors)``.
+    """
+    findings = []
+    errors = []
+    for file_path, source in read_sources(paths, errors):
         file_findings, file_errors = check_source(
             source,
             display_path(file_path),
-            file_path.resolve().as_posix(),
+            resolved_path=file_path.resolve().as_posix(),
         )
         findings.extend(file_findings)
         errors.extend(file_errors)
     return findings, errors
+
+
+class FindingSink:
+    """Flag-and-dedupe sink for one module: the first finding at each
+    ``(path, line, rule)`` wins."""
+
+    def __init__(self, path):
+        self.path = path
+        self.findings = {}
+
+    def flag(self, rule, node, message):
+        finding = Finding(
+            rule, self.path, node.lineno, node.col_offset, message
+        )
+        self.findings.setdefault(finding.key(), finding)
+
+
+def check_module(source, path, rules, analyze):
+    """The per-module driver behind lint, semcheck and racecheck.
+
+    Parses ``source`` (a syntax error is a :class:`LintError`, not a
+    crash), reads its pragmas, and runs ``analyze(tree, sink)`` with a
+    :class:`FindingSink`. Returns ``(findings, errors, result)``: the
+    sink's findings that no pragma for one of ``rules`` allows, sorted
+    by key, and whatever ``analyze`` returned (``None`` when the source
+    does not parse).
+    """
+    try:
+        tree = ast.parse(source)
+    except SyntaxError as exc:
+        return [], [
+            LintError(path, exc.lineno or 0, f"syntax error: {exc.msg}")
+        ], None
+    line_allows, file_allows, errors = parse_pragmas(
+        source, path, applicable=set(rules)
+    )
+    sink = FindingSink(path)
+    result = analyze(tree, sink)
+    findings = [sink.findings[key] for key in sorted(sink.findings)]
+    return apply_pragmas(findings, line_allows, file_allows), errors, result
 
 
 def render_findings(findings, rules_by_id, show_hints=True):
@@ -279,39 +371,20 @@ def inventory_pragmas(paths, known=None):
     known = known if known is not None else known_rule_ids()
     records = []
     errors = []
-    for file_path in iter_python_files(paths):
-        try:
-            source = file_path.read_text()
-        except OSError as exc:
-            errors.append(LintError(str(file_path), 0, f"unreadable: {exc}"))
-            continue
+    for file_path, source in read_sources(paths, errors):
         display = display_path(file_path)
-        try:
-            tokens = list(
-                tokenize.generate_tokens(io.StringIO(source).readline)
-            )
-        except (tokenize.TokenError, IndentationError, SyntaxError):
-            tokens = []
-        for token in tokens:
-            if token.type != tokenize.COMMENT:
-                continue
-            for match in _PRAGMA.finditer(token.string):
-                kind, raw = match.group(1), match.group(2)
-                rules = sorted(
-                    part.strip() for part in raw.split(",") if part.strip()
-                )
-                unknown = sorted(set(rules) - set(known))
-                if unknown:
-                    errors.append(LintError(
-                        display, token.start[0],
-                        "unknown rule id(s) in pragma: "
-                        f"{', '.join(unknown)}",
-                    ))
-                records.append({
-                    "path": display,
-                    "line": token.start[0],
-                    "kind": kind,
-                    "rules": rules,
-                })
+        for lineno, kind, rules in _pragma_comments(source):
+            unknown = sorted(set(rules) - set(known))
+            if unknown:
+                errors.append(LintError(
+                    display, lineno,
+                    f"unknown rule id(s) in pragma: {', '.join(unknown)}",
+                ))
+            records.append({
+                "path": display,
+                "line": lineno,
+                "kind": kind,
+                "rules": sorted(rules),
+            })
     records.sort(key=lambda record: (record["path"], record["line"]))
     return records, errors

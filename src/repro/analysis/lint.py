@@ -38,17 +38,15 @@ either are hard errors so suppressions cannot rot.
 
 import ast
 import re
-from dataclasses import dataclass
 
 from repro.analysis.common import (
+    HOST_CLOCK_CALLS,
     AliasResolver,
-    Finding,
-    LintError,
     RuleInfo,
+    check_module,
     check_paths,
     matches_any,
 )
-from repro.analysis.common import parse_pragmas as _parse_pragmas
 from repro.analysis.common import render_findings as _render_findings
 
 
@@ -58,7 +56,7 @@ RULES = (
         "wall-clock read in simulation code",
         "derive time from Simulator.now (simulated microseconds); host "
         "clocks differ run to run. Calibration harnesses belong in a "
-        "module allowlisted via LintConfig.wallclock_allow.",
+        "module allowlisted in repro.analysis.lint.WALLCLOCK_ALLOW.",
     ),
     RuleInfo(
         "global-random",
@@ -111,55 +109,28 @@ RULES = (
 RULES_BY_ID = {rule.id: rule for rule in RULES}
 
 
-@dataclass(frozen=True)
-class LintConfig:
-    """Where rules apply.
+#: fnmatch globs (matched against the resolved posix path) naming the
+#: modules allowed to read host clocks: harnesses that measure the host
+#: by design.
+WALLCLOCK_ALLOW = (
+    "*/processing/calibrate.py",
+    # The engine perf harness measures the host by design:
+    # sessions/sec and events/sec are wall-clock metrics.
+    "*/analysis/engine_bench.py",
+    # The fleet supervisor lives on the host side of the process
+    # boundary: worker deadlines and crash backoff are wall-clock
+    # because the simulated clock cannot observe a wedged worker.
+    "*/fleet/supervisor.py",
+)
 
-    ``wallclock_allow`` are fnmatch globs (matched against the resolved
-    posix path) naming modules allowed to read host clocks — the
-    calibration harness that *measures* the host by design.
-    ``export_modules`` are the modules whose output reaches artifacts
-    (traces, tables, JSON, fleet aggregates); the ``unsorted-items``
-    rule fires only there.
-    """
-
-    wallclock_allow: tuple = (
-        "*/processing/calibrate.py",
-        # The engine perf harness measures the host by design:
-        # sessions/sec and events/sec are wall-clock metrics.
-        "*/analysis/engine_bench.py",
-        # The fleet supervisor lives on the host side of the process
-        # boundary: worker deadlines and crash backoff are wall-clock
-        # because the simulated clock cannot observe a wedged worker.
-        "*/fleet/supervisor.py",
-    )
-    export_modules: tuple = (
-        "*/observability/*",
-        "*/experiments/*",
-        "*/core/export.py",
-        "*/core/report.py",
-        "*/fleet/aggregate.py",
-    )
-
-
-DEFAULT_CONFIG = LintConfig()
-
-#: Dotted call targets that read host clocks.
-_WALLCLOCK_CALLS = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.process_time",
-        "time.process_time_ns",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-    }
+#: Modules whose output reaches artifacts (traces, tables, JSON, fleet
+#: aggregates); the ``unsorted-items`` rule fires only there.
+EXPORT_MODULES = (
+    "*/observability/*",
+    "*/experiments/*",
+    "*/core/export.py",
+    "*/core/report.py",
+    "*/fleet/aggregate.py",
 )
 
 #: numpy.random module-level functions backed by the legacy global state.
@@ -191,31 +162,16 @@ _TRACKED_ROOTS = ("time", "datetime", "random", "itertools", "numpy")
 
 _COUNTER_NAME = re.compile(r"^_?(ids?|counters?|count|seq|sequence|next_\w+)$")
 
-def parse_pragmas(source, path):
-    """Extract this checker's suppression pragmas from ``source``.
-
-    Thin wrapper over :func:`repro.analysis.common.parse_pragmas`,
-    scoped so only lint rules apply here while semcheck rule ids remain
-    valid (inert) in pragmas and vice versa.
-    """
-    return _parse_pragmas(source, path, applicable=set(RULES_BY_ID))
-
 
 class _Analyzer(ast.NodeVisitor):
     """Single-pass rule engine over one module's AST."""
 
-    def __init__(self, path, config, resolved_path):
-        self.path = path
-        self.config = config
-        self.findings = []
+    def __init__(self, sink, resolved_path):
+        self.sink = sink
         self._resolver = None
         self._parents = {}
-        self._wallclock_allowed = matches_any(
-            resolved_path, config.wallclock_allow
-        )
-        self._is_export_module = matches_any(
-            resolved_path, config.export_modules
-        )
+        self._wallclock_allowed = matches_any(resolved_path, WALLCLOCK_ALLOW)
+        self._is_export_module = matches_any(resolved_path, EXPORT_MODULES)
 
     # -- plumbing ------------------------------------------------------
 
@@ -225,19 +181,13 @@ class _Analyzer(ast.NodeVisitor):
                 self._parents[child] = node
         self._resolver = AliasResolver(tree, _TRACKED_ROOTS)
         self.visit(tree)
-        unique = {}
-        for finding in self.findings:
-            unique.setdefault(finding.key(), finding)
-        return [unique[key] for key in sorted(unique)]
 
     def _dotted(self, node):
         """Resolve a call target to a dotted path through import aliases."""
         return self._resolver.dotted(node)
 
     def _flag(self, rule, node, message):
-        self.findings.append(
-            Finding(rule, self.path, node.lineno, node.col_offset, message)
-        )
+        self.sink.flag(rule, node, message)
 
     def _has_sorted_ancestor(self, node):
         current = self._parents.get(node)
@@ -263,7 +213,7 @@ class _Analyzer(ast.NodeVisitor):
         self.generic_visit(node)
 
     def _check_wallclock(self, node, dotted):
-        if dotted in _WALLCLOCK_CALLS and not self._wallclock_allowed:
+        if dotted in HOST_CLOCK_CALLS and not self._wallclock_allowed:
             self._flag(
                 "wall-clock",
                 node,
@@ -467,40 +417,25 @@ class _Analyzer(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def lint_source(source, path, config=None, resolved_path=None):
+def lint_source(source, path, resolved_path=None):
     """Lint one module's source text.
 
     ``path`` is the display path attached to findings; ``resolved_path``
-    (defaulting to ``path``) is what the config globs match against.
+    (defaulting to ``path``) is what the module globs match against.
     Returns ``(findings, errors)``.
     """
-    config = config or DEFAULT_CONFIG
-    resolved_path = resolved_path or path
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return [], [
-            LintError(path, exc.lineno or 0, f"syntax error: {exc.msg}")
-        ]
-    line_allows, file_allows, errors = parse_pragmas(source, path)
-    analyzer = _Analyzer(path, config, resolved_path)
-    findings = [
-        finding
-        for finding in analyzer.run(tree)
-        if finding.rule not in file_allows
-        and finding.rule not in line_allows.get(finding.line, ())
-    ]
+    findings, errors, _ = check_module(
+        source,
+        path,
+        RULES_BY_ID,
+        lambda tree, sink: _Analyzer(sink, resolved_path or path).run(tree),
+    )
     return findings, errors
 
 
-def lint_paths(paths, config=None):
+def lint_paths(paths):
     """Lint every ``*.py`` file under ``paths``; returns (findings, errors)."""
-    return check_paths(
-        paths,
-        lambda source, display, resolved: lint_source(
-            source, display, config=config, resolved_path=resolved
-        ),
-    )
+    return check_paths(paths, lint_source)
 
 
 def render_findings(findings, show_hints=True):

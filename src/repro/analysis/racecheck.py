@@ -65,21 +65,22 @@ import ast
 from dataclasses import dataclass
 
 from repro.analysis.common import (
-    Finding,
-    LintError,
+    MUTATOR_METHODS,
     RuleInfo,
+    check_module,
     check_paths,
     display_path,
-    iter_python_files,
-    parse_pragmas,
+    read_sources,
 )
 from repro.analysis.common import render_findings as _render_findings
-from repro.analysis.semcheck import (
-    _handler_catches_interrupt,
-    _has_own_yield,
-    _is_eventish,
-    _is_request_call,
-    _own_nodes,
+from repro.analysis.flow import (
+    FlowWalker,
+    has_own_yield,
+    is_request_call,
+    own_nodes,
+    process_like,
+    released_names,
+    scope_names,
 )
 
 RULES = (
@@ -132,27 +133,6 @@ RULES = (
 
 RULES_BY_ID = {rule.id: rule for rule in RULES}
 
-#: Method names that mutate their receiver (container write).
-_MUTATORS = frozenset(
-    {
-        "append",
-        "appendleft",
-        "add",
-        "clear",
-        "discard",
-        "extend",
-        "insert",
-        "pop",
-        "popleft",
-        "popitem",
-        "push",
-        "remove",
-        "setdefault",
-        "sort",
-        "update",
-    }
-)
-
 #: Constructor-time writers never race with running processes.
 _INIT_METHODS = frozenset({"__init__", "__post_init__", "__new__"})
 
@@ -165,11 +145,11 @@ _INIT_METHODS = frozenset({"__init__", "__post_init__", "__new__"})
 def _chain(node):
     """``(root_name, path)`` of a Name/Attribute/Subscript chain.
 
-    Subscripts are transparent — ``self.d[k].x`` resolves to
-    ``('self', ('d', 'x'))``? No: a subscript *truncates* the path, so
-    ``self.d[k] = v`` is a mutation of ``self.d`` (the container), and
-    anything reached through the element is attributed to the
-    container too. Returns ``None`` for chains not rooted at a name.
+    A subscript truncates the path: ``self.d[k] = v`` is a mutation of
+    the container ``self.d``, and anything reached through an element
+    (``self.d[k].x``) is attributed to the container too, so both give
+    ``('self', ('d',))``. Returns ``None`` for chains not rooted at a
+    name.
     """
     parts = []
     while True:
@@ -265,25 +245,9 @@ class _Scope:
     def __init__(self, func, cls, module_globals):
         self.cls = cls
         self.module_globals = module_globals
-        self.global_decls = set()
-        self.locals = set()
-        args = func.args
-        for param in (
-            list(args.posonlyargs)
-            + list(args.args)
-            + list(args.kwonlyargs)
-            + ([args.vararg] if args.vararg else [])
-            + ([args.kwarg] if args.kwarg else [])
-        ):
-            self.locals.add(param.arg)
-        for node in _own_nodes(func.body):
-            if isinstance(node, ast.Global):
-                self.global_decls.update(node.names)
-            elif isinstance(node, ast.Name) and isinstance(
-                node.ctx, ast.Store
-            ):
-                self.locals.add(node.id)
-        self.locals -= self.global_decls
+        self.locals, self.global_decls = scope_names(
+            func, own_nodes(func.body)
+        )
 
     def classify(self, root, path):
         """Map a chain to a :class:`_Loc`, or ``None`` for pure locals."""
@@ -325,39 +289,12 @@ def _iter_functions(tree):
     yield from visit(tree.body, None)
 
 
-def _process_like(func):
-    """Whether ``func`` looks like a DES process body (or a stage of
-    one reached through ``yield from``)."""
-    request_names = {
-        stmt.targets[0].id
-        for stmt in _own_nodes(func.body)
-        if isinstance(stmt, ast.Assign)
-        and len(stmt.targets) == 1
-        and isinstance(stmt.targets[0], ast.Name)
-        and _is_request_call(stmt.value)
-    }
-    for node in _own_nodes(func.body):
-        if (
-            isinstance(node, ast.Yield)
-            and node.value is not None
-            and _is_eventish(node.value, request_names)
-        ):
-            return True
-        if isinstance(node, ast.YieldFrom) and isinstance(
-            node.value, ast.Call
-        ):
-            return True
-        if _is_request_call(node):
-            return True
-    return False
-
-
 class _ModuleModel:
     """The module's access table plus its analyzable process bodies."""
 
     def __init__(self, tree):
         self.accesses = []
-        self.process_bodies = []  # (func, cls, func_id, scope)
+        self.process_bodies = []  # (func, func_id, scope)
         self._alias_cache = {}
         self.module_globals = {
             target.id
@@ -378,9 +315,51 @@ class _ModuleModel:
             )
             scope = _Scope(func, cls, self.module_globals)
             is_init = cls is not None and func.name in _INIT_METHODS
-            _AccessScan(self, func, func_id, scope, is_init).run()
-            if _has_own_yield(func) and _process_like(func):
-                self.process_bodies.append((func, cls, func_id, scope))
+            self._scan(func.body, (func_id, scope, is_init), locked=False)
+            if has_own_yield(func) and process_like(func, stages=True):
+                self.process_bodies.append((func, func_id, scope))
+
+    def _scan(self, body, access, locked):
+        """Phase A: record every access in ``body`` with its lock context.
+
+        ``locked`` is lexical: inside a ``with <res>.request():`` block.
+        """
+        for stmt in body:
+            if isinstance(
+                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                continue  # nested scopes are scanned on their own
+            if not isinstance(
+                stmt, (ast.If, ast.While, ast.For, ast.Try, ast.With)
+            ):
+                self._record(stmt, access, locked)
+                continue
+            children = list(ast.iter_child_nodes(stmt))
+            inner = locked
+            if isinstance(stmt, ast.With):
+                headers = [item.context_expr for item in stmt.items]
+                inner = locked or any(map(is_request_call, headers))
+            else:
+                headers = [c for c in children if isinstance(c, ast.expr)]
+            for header in headers:
+                self._record(header, access, locked)
+            blocks = [c for c in children if isinstance(c, ast.stmt)] + [
+                node for handler in getattr(stmt, "handlers", ())
+                for node in handler.body
+            ]
+            self._scan(blocks, access, inner)
+
+    def _record(self, node, access, locked):
+        func_id, scope, is_init = access
+        reads, writes, _yields = _collect_events(node)
+        chains = [(chain, "read") for chain, _node in reads]
+        chains += [(chain, "write") for chain, _node, _op in writes]
+        for chain, kind in chains:
+            loc = scope.classify(*chain)
+            if loc is not None:
+                self.accesses.append(
+                    _Access(func_id, loc, kind, locked, is_init)
+                )
 
     # -- queries ---------------------------------------------------------
 
@@ -413,134 +392,6 @@ class _ModuleModel:
         return bool(others) and all(access.locked for access in others)
 
 
-class _AccessScan:
-    """Phase A: record every access of one body with its lock context."""
-
-    def __init__(self, model, func, func_id, scope, is_init):
-        self.model = model
-        self.func = func
-        self.func_id = func_id
-        self.scope = scope
-        self.is_init = is_init
-
-    def run(self):
-        self._walk(self.func.body, locked=False)
-
-    def _record(self, root, path, kind, locked):
-        loc = self.scope.classify(root, path)
-        if loc is None:
-            return
-        self.model.accesses.append(
-            _Access(self.func_id, loc, kind, locked, self.is_init)
-        )
-
-    def _walk(self, body, locked):
-        for stmt in body:
-            if isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue  # nested scopes scanned separately
-            if isinstance(stmt, ast.With):
-                inner = locked or any(
-                    _is_request_call(item.context_expr)
-                    for item in stmt.items
-                )
-                for item in stmt.items:
-                    self._expr(item.context_expr, locked)
-                self._walk(stmt.body, inner)
-            elif isinstance(stmt, ast.If):
-                self._expr(stmt.test, locked)
-                self._walk(stmt.body, locked)
-                self._walk(stmt.orelse, locked)
-            elif isinstance(stmt, (ast.While, ast.For)):
-                self._expr(
-                    stmt.test
-                    if isinstance(stmt, ast.While)
-                    else stmt.iter,
-                    locked,
-                )
-                if isinstance(stmt, ast.For):
-                    self._targets([stmt.target], locked, "set")
-                self._walk(stmt.body, locked)
-                self._walk(stmt.orelse, locked)
-            elif isinstance(stmt, ast.Try):
-                self._walk(stmt.body, locked)
-                for handler in stmt.handlers:
-                    self._walk(handler.body, locked)
-                self._walk(stmt.orelse, locked)
-                self._walk(stmt.finalbody, locked)
-            elif isinstance(stmt, ast.Assign):
-                self._expr(stmt.value, locked)
-                self._targets(stmt.targets, locked, "set")
-            elif isinstance(stmt, ast.AnnAssign):
-                if stmt.value is not None:
-                    self._expr(stmt.value, locked)
-                    self._targets([stmt.target], locked, "set")
-            elif isinstance(stmt, ast.AugAssign):
-                self._expr(stmt.value, locked)
-                chain = _chain(stmt.target)
-                if chain is not None:
-                    self._record(*chain, "read", locked)
-                    self._record(*chain, "write", locked)
-            elif isinstance(stmt, ast.Delete):
-                self._targets(stmt.targets, locked, "del")
-            else:
-                self._expr(stmt, locked)
-
-    def _targets(self, targets, locked, _how):
-        for target in targets:
-            if isinstance(target, (ast.Tuple, ast.List)):
-                self._targets(target.elts, locked, _how)
-                continue
-            chain = _chain(target)
-            if chain is not None:
-                self._record(*chain, "write", locked)
-            for slice_expr in _chain_subscript_slices(target):
-                self._expr(slice_expr, locked)
-
-    def _expr(self, node, locked):
-        if node is None:
-            return
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
-                   ast.Lambda)
-        ):
-            return
-        if isinstance(node, (ast.Attribute, ast.Subscript, ast.Name)):
-            chain = _chain(node)
-            if chain is not None:
-                ctx = getattr(node, "ctx", None)
-                kind = (
-                    "write"
-                    if isinstance(ctx, (ast.Store, ast.Del))
-                    else "read"
-                )
-                self._record(*chain, kind, locked)
-                for slice_expr in _chain_subscript_slices(node):
-                    self._expr(slice_expr, locked)
-                return
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in _MUTATORS
-            ):
-                chain = _chain(func.value)
-                if chain is not None:
-                    self._record(*chain, "write", locked)
-                else:
-                    self._expr(func.value, locked)
-            else:
-                self._expr(func, locked)
-            for arg in node.args:
-                self._expr(arg, locked)
-            for keyword in node.keywords:
-                self._expr(keyword.value, locked)
-            return
-        for child in ast.iter_child_nodes(node):
-            self._expr(child, locked)
-
-
 # ---------------------------------------------------------------------------
 # Phase B: flow-sensitive pass over each process body
 # ---------------------------------------------------------------------------
@@ -567,41 +418,60 @@ def _new_record(node, acqs, op="set"):
 
 
 def _merge_records(a, b):
+    merged = dict(
+        a,
+        acqs=a["acqs"] & b["acqs"],
+        crossed=a["crossed"] or b["crossed"],
+        unprot=a["unprot"] or b["unprot"],
+        op=a["op"] if a["op"] == b["op"] else "set",
+    )
+    if "sources" in a:  # a shared-derived local's cached locations
+        merged["sources"] = a["sources"] | b["sources"]
+    return merged
+
+
+def _copy_table(table):
+    # Records are updated in place (a yield marks them crossed); their
+    # source sets never are.
+    return {key: dict(rec) for key, rec in table.items()}
+
+
+def _merge_table(a, b):
     return {
-        "node": a["node"],
-        "acqs": a["acqs"] & b["acqs"],
-        "crossed": a["crossed"] or b["crossed"],
-        "unprot": a["unprot"] or b["unprot"],
-        "op": a["op"] if a["op"] == b["op"] else "set",
+        key: (
+            _merge_records(a[key], b[key])
+            if key in a and key in b
+            else dict(a.get(key) or b[key])
+        )
+        for key in set(a) | set(b)
     }
 
 
 def _copy_state(state):
     return {
-        "reads": {loc: dict(rec) for loc, rec in state["reads"].items()},
-        "writes": {loc: dict(rec) for loc, rec in state["writes"].items()},
+        "reads": _copy_table(state["reads"]),
+        "writes": _copy_table(state["writes"]),
         "groups": {
-            group: {loc: dict(rec) for loc, rec in members.items()}
+            group: _copy_table(members)
             for group, members in state["groups"].items()
         },
-        "locals": {
-            name: {
-                "sources": set(rec["sources"]),
-                **{k: v for k, v in rec.items() if k != "sources"},
-            }
-            for name, rec in state["locals"].items()
-        },
+        "locals": _copy_table(state["locals"]),
         "live": dict(state["live"]),
         "handles": dict(state["handles"]),
     }
 
 
 def _merge_states(a, b):
-    merged = {
-        "reads": {},
-        "writes": {},
-        "groups": {},
-        "locals": {},
+    return {
+        "reads": _merge_table(a["reads"], b["reads"]),
+        "writes": _merge_table(a["writes"], b["writes"]),
+        "groups": {
+            group: _merge_table(
+                a["groups"].get(group, {}), b["groups"].get(group, {})
+            )
+            for group in set(a["groups"]) | set(b["groups"])
+        },
+        "locals": _merge_table(a["locals"], b["locals"]),
         # A grant held on only one path does not guard the join.
         "live": {
             acq: token
@@ -614,39 +484,10 @@ def _merge_states(a, b):
             if b["handles"].get(name) == acq
         },
     }
-    for key in ("reads", "writes"):
-        for loc in set(a[key]) | set(b[key]):
-            rec_a, rec_b = a[key].get(loc), b[key].get(loc)
-            merged[key][loc] = (
-                _merge_records(rec_a, rec_b)
-                if rec_a and rec_b
-                else dict(rec_a or rec_b)
-            )
-    for group in set(a["groups"]) | set(b["groups"]):
-        members_a = a["groups"].get(group, {})
-        members_b = b["groups"].get(group, {})
-        merged["groups"][group] = {
-            loc: (
-                _merge_records(members_a[loc], members_b[loc])
-                if loc in members_a and loc in members_b
-                else dict(members_a.get(loc) or members_b[loc])
-            )
-            for loc in set(members_a) | set(members_b)
-        }
-    for name in set(a["locals"]) | set(b["locals"]):
-        rec_a, rec_b = a["locals"].get(name), b["locals"].get(name)
-        if rec_a and rec_b:
-            rec = _merge_records(rec_a, rec_b)
-            rec["sources"] = rec_a["sources"] | rec_b["sources"]
-        else:
-            rec = dict(rec_a or rec_b)
-            rec["sources"] = set(rec["sources"])
-        merged["locals"][name] = rec
-    return merged
 
 
-class _ModuleSink:
-    """Cross-body facts one module run accumulates."""
+class _LockFacts:
+    """Cross-body lock facts one module run accumulates."""
 
     def __init__(self):
         #: (held_token, acquired_token) -> (node, func_label), first seen.
@@ -655,131 +496,57 @@ class _ModuleSink:
         self.inventory = []
 
 
-class _BodyPass:
+class _BodyPass(FlowWalker):
     """The flow-sensitive race walk over one process body."""
 
-    def __init__(self, checker, func, func_id, scope, model, sink):
-        self.checker = checker
-        self.func = func
-        self.func_id = func_id
-        self.scope = scope
-        self.model = model
-        self.sink = sink
-        self.state = {
+    def __init__(self, sink, func, func_id, scope, model, locks):
+        super().__init__({
             "reads": {},
             "writes": {},
             "groups": {},
             "locals": {},
             "live": {},  # acq_id -> lock token
             "handles": {},  # handle local name -> acq_id
-        }
-        self.protect = 0  # enclosing try/finally or Interrupted handler
+        })
+        self.sink = sink
+        self.func_id = func_id
+        self.scope = scope
+        self.model = model
+        self.locks = locks
         self.acq_seq = 0
         self.flagged = set()
         # Reads are only worth tracking for locations this body also
         # writes (atomicity needs the read-...-write pair).
-        self.written_locs = self._prescan_written()
-
-    # -- setup -----------------------------------------------------------
-
-    def _prescan_written(self):
-        written = set()
-        for node in _own_nodes(self.func.body):
-            chain = None
-            if isinstance(node, (ast.Attribute, ast.Subscript)) and (
-                isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
-            ):
-                chain = _chain(node)
-            elif isinstance(node, ast.AugAssign):
-                chain = _chain(node.target)
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _MUTATORS
-            ):
-                chain = _chain(node.func.value)
-            if chain is None:
-                continue
-            loc = self.scope.classify(*chain)
-            if loc is not None:
-                written.add(loc)
-        return written
-
-    # -- driver ----------------------------------------------------------
-
-    def run(self):
-        self._walk_block(self.func.body)
+        self.written_locs = set()
+        for stmt in func.body:
+            for chain, _node, _op in _collect_events(stmt)[1]:
+                loc = scope.classify(*chain)
+                if loc is not None:
+                    self.written_locs.add(loc)
 
     def _flag(self, rule, node, dedupe_key, message):
         key = (rule, dedupe_key)
         if key in self.flagged:
             return
         self.flagged.add(key)
-        self.checker.flag(rule, node, message)
+        self.sink.flag(rule, node, message)
 
-    # -- block walking ---------------------------------------------------
+    # -- walker hooks ----------------------------------------------------
 
-    def _walk_block(self, body):
-        """Walk a statement list; True if it definitely terminates.
+    def copy(self, state):
+        return _copy_state(state)
 
-        A block ending in ``raise``/``return``/``break``/``continue``
-        contributes no state to the join after its parent branch —
-        records from (say) an error path that raises must not pair
-        with writes on the fall-through path.
-        """
-        for stmt in body:
-            if isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            if isinstance(stmt, ast.If):
-                if self._walk_if(stmt):
-                    return True
-            elif isinstance(stmt, (ast.While, ast.For)):
-                self._walk_loop(stmt)
-            elif isinstance(stmt, ast.Try):
-                self._walk_try(stmt)
-            elif isinstance(stmt, ast.With):
-                self._walk_with(stmt)
-            else:
-                self._exec(stmt)
-                if isinstance(
-                    stmt, (ast.Raise, ast.Return, ast.Break, ast.Continue)
-                ):
-                    return True
-        return False
+    def merge(self, a, b):
+        return _merge_states(a, b)
 
-    def _walk_if(self, stmt):
-        self._exec(stmt.test)
-        entry = _copy_state(self.state)
-        then_done = self._walk_block(stmt.body)
-        then_state = self.state
-        self.state = entry
-        else_done = self._walk_block(stmt.orelse)
-        if then_done and else_done:
-            return True
-        if else_done:
-            self.state = then_state
-        elif not then_done:
-            self.state = _merge_states(then_state, self.state)
-        return False
-
-    def _walk_loop(self, stmt):
-        if isinstance(stmt, ast.While):
-            self._exec(stmt.test)
-        else:
-            self._exec(stmt.iter)
+    def enter_loop(self, stmt):
+        if isinstance(stmt, ast.For):
             self._bind_loop_targets(stmt.target)
-        entry = _copy_state(self.state)
-        # Two passes so state carried over the back edge is seen; the
-        # group map resets per pass so each iteration's writes — a
+
+    def begin_pass(self):
+        # The group map resets per pass so each iteration's writes — a
         # complete, consistent update — don't pair across iterations.
-        for _round in range(2):
-            self.state["groups"] = {}
-            self._walk_block(stmt.body)
-            self.state = _merge_states(entry, self.state)
         self.state["groups"] = {}
-        self._walk_block(stmt.orelse)
 
     def _bind_loop_targets(self, target):
         if isinstance(target, (ast.Tuple, ast.List)):
@@ -788,56 +555,23 @@ class _BodyPass:
         elif isinstance(target, ast.Name):
             self.state["locals"].pop(target.id, None)
 
-    def _walk_try(self, stmt):
-        protected = bool(stmt.finalbody) or any(
-            _handler_catches_interrupt(handler)
-            for handler in stmt.handlers
-        )
-        entry = _copy_state(self.state)
-        if protected:
-            self.protect += 1
-        self._walk_block(stmt.body)
-        if protected:
-            self.protect -= 1
-        body_state = _copy_state(self.state)
-        self._walk_block(stmt.orelse)
-        after = self.state
-        for handler in stmt.handlers:
-            # A handler can run after any prefix of the body.
-            self.state = _merge_states(
-                _copy_state(entry), _copy_state(body_state)
-            )
-            self._walk_block(handler.body)
-            after = _merge_states(after, self.state)
-        self.state = after
-        if stmt.finalbody:
-            self.protect += 1
-            self._walk_block(stmt.finalbody)
-            self.protect -= 1
-
-    def _walk_with(self, stmt):
+    def enter_with(self, stmt):
         acquired = []
         for item in stmt.items:
             context = item.context_expr
-            if _is_request_call(context):
-                token = self._lock_token(context)
-                for held in self.state["live"].values():
-                    self.sink.pairs.setdefault(
-                        (held, token),
-                        (context, self.func_id),
-                    )
-                self.acq_seq += 1
-                self.state["live"][self.acq_seq] = token
-                acquired.append(self.acq_seq)
+            if is_request_call(context):
+                acquired.append(self._acquire(context))
                 if isinstance(item.optional_vars, ast.Name):
                     self.state["handles"][item.optional_vars.id] = (
-                        self.acq_seq
+                        acquired[-1]
                     )
             else:
-                self._exec(context)
+                self.transfer(context)
                 if isinstance(item.optional_vars, ast.Name):
                     self.state["locals"].pop(item.optional_vars.id, None)
-        self._walk_block(stmt.body)
+        return acquired
+
+    def exit_with(self, acquired):
         for acq in acquired:
             self.state["live"].pop(acq, None)
         self.state["handles"] = {
@@ -845,6 +579,17 @@ class _BodyPass:
             for name, acq in self.state["handles"].items()
             if acq not in acquired
         }
+
+    def _acquire(self, request_call):
+        """Take a fresh acquisition id for the requested Resource."""
+        token = self._lock_token(request_call)
+        for held in self.state["live"].values():
+            self.locks.pairs.setdefault(
+                (held, token), (request_call, self.func_id)
+            )
+        self.acq_seq += 1
+        self.state["live"][self.acq_seq] = token
+        return self.acq_seq
 
     def _lock_token(self, request_call):
         """Cross-body comparable token for the requested Resource."""
@@ -858,12 +603,10 @@ class _BodyPass:
 
     # -- one simple statement --------------------------------------------
 
-    def _exec(self, stmt):
-        if stmt is None:
-            return
+    def transfer(self, stmt):
         reads, writes, yields = _collect_events(stmt)
         # Explicit request()/release() handle protocol.
-        release_handles = _released_handles(stmt)
+        release_handles = released_names([stmt])
         read_locs = set()
         for chain, node in reads:
             loc = self.scope.classify(*chain)
@@ -914,24 +657,17 @@ class _BodyPass:
             isinstance(stmt, ast.Assign)
             and len(stmt.targets) == 1
             and isinstance(stmt.targets[0], ast.Name)
-            and _is_request_call(stmt.value)
+            and is_request_call(stmt.value)
         ):
             return None
-        token = self._lock_token(stmt.value)
-        for held in self.state["live"].values():
-            self.sink.pairs.setdefault(
-                (held, token), (stmt.value, self.func_id)
-            )
-        self.acq_seq += 1
-        self.state["live"][self.acq_seq] = token
         name = stmt.targets[0].id
-        self.state["handles"][name] = self.acq_seq
+        self.state["handles"][name] = self._acquire(stmt.value)
         self.state["locals"].pop(name, None)
         return name
 
     def _apply_yield(self, node):
         if self.state["live"]:
-            self.sink.inventory.append(
+            self.locks.inventory.append(
                 {
                     "line": node.lineno,
                     # func_id carries a ":line" disambiguator; the
@@ -940,7 +676,7 @@ class _BodyPass:
                     "locks": sorted(set(self.state["live"].values())),
                 }
             )
-        unprotected = self.protect == 0
+        unprotected = not self.guards
         for table in ("reads", "writes", "locals"):
             for record in self.state[table].values():
                 record["crossed"] = True
@@ -1125,7 +861,7 @@ def _collect_events(stmt):
                 return
         if isinstance(node, ast.Call):
             func = node.func
-            if isinstance(func, ast.Attribute) and func.attr in _MUTATORS:
+            if isinstance(func, ast.Attribute) and func.attr in MUTATOR_METHODS:
                 chain = _chain(func.value)
                 if chain is not None:
                     writes.append((chain, node, "mut"))
@@ -1153,56 +889,18 @@ def _aug_op(op):
     return "aug"
 
 
-def _released_handles(stmt):
-    """Handle names ``release()``d anywhere in the statement."""
-    names = set()
-    for node in ast.walk(stmt):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "release"
-            and isinstance(node.func.value, ast.Name)
-            and not node.args
-        ):
-            names.add(node.func.value.id)
-    return names
-
-
-# ---------------------------------------------------------------------------
-# Driver
-# ---------------------------------------------------------------------------
-
-
-class _Checker:
-    """Shared flag sink: de-dupes by (path, line, rule)."""
-
-    def __init__(self, path):
-        self.path = path
-        self.findings = []
-        self._seen = set()
-
-    def flag(self, rule, node, message):
-        finding = Finding(
-            rule, self.path, node.lineno, node.col_offset, message
-        )
-        if finding.key() in self._seen:
-            return
-        self._seen.add(finding.key())
-        self.findings.append(finding)
-
-
-def _flag_lock_inversions(checker, sink):
+def _flag_lock_inversions(sink, locks):
     for (first, second), (node, func_id) in sorted(
-        sink.pairs.items(),
+        locks.pairs.items(),
         key=lambda item: (item[1][0].lineno, item[1][0].col_offset),
     ):
         if first == second:
             continue
-        other = sink.pairs.get((second, first))
+        other = locks.pairs.get((second, first))
         if other is None:
             continue
         other_node, other_func = other
-        checker.flag(
+        sink.flag(
             "lock-order-inversion",
             node,
             f"`{second}` is requested while `{first}` is held, but "
@@ -1212,51 +910,25 @@ def _flag_lock_inversions(checker, sink):
         )
 
 
-def _analyze(source, path):
-    """Full module analysis: ``(findings, errors, sink)``."""
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return (
-            [],
-            [LintError(path, exc.lineno or 0, f"syntax error: {exc.msg}")],
-            _ModuleSink(),
-        )
-    line_allows, file_allows, errors = parse_pragmas(
-        source, path, applicable=set(RULES_BY_ID)
-    )
-    checker = _Checker(path)
+def _analyze(tree, sink):
+    """Both phases over one module; returns its lock inventory rows."""
     model = _ModuleModel(tree)
-    sink = _ModuleSink()
-    for func, _cls, func_id, scope in model.process_bodies:
-        _BodyPass(checker, func, func_id, scope, model, sink).run()
-    _flag_lock_inversions(checker, sink)
-    findings = sorted(
-        (
-            finding
-            for finding in checker.findings
-            if finding.rule not in file_allows
-            and finding.rule not in line_allows.get(finding.line, ())
-        ),
-        key=lambda finding: finding.key(),
-    )
-    return findings, errors, sink
+    locks = _LockFacts()
+    for func, func_id, scope in model.process_bodies:
+        _BodyPass(sink, func, func_id, scope, model, locks).walk(func.body)
+    _flag_lock_inversions(sink, locks)
+    return locks.inventory
 
 
 def racecheck_source(source, path, resolved_path=None):
     """Racecheck one module's source text; returns ``(findings, errors)``."""
-    findings, errors, _sink = _analyze(source, path)
+    findings, errors, _ = check_module(source, path, RULES_BY_ID, _analyze)
     return findings, errors
 
 
 def racecheck_paths(paths):
     """Racecheck every ``*.py`` file under ``paths``."""
-    return check_paths(
-        paths,
-        lambda source, display, resolved: racecheck_source(
-            source, display, resolved_path=resolved
-        ),
-    )
+    return check_paths(paths, racecheck_source)
 
 
 def lock_inventory(paths):
@@ -1269,19 +941,23 @@ def lock_inventory(paths):
     """
     records = []
     errors = []
-    for file_path in iter_python_files(paths):
-        try:
-            source = file_path.read_text()
-        except OSError as exc:
-            errors.append(LintError(str(file_path), 0, f"unreadable: {exc}"))
-            continue
+    for file_path, source in read_sources(paths, errors):
         display = display_path(file_path)
-        _findings, file_errors, sink = _analyze(source, display)
+        _findings, file_errors, inventory = check_module(
+            source, display, RULES_BY_ID, _analyze
+        )
         errors.extend(file_errors)
-        for row in sink.inventory:
-            records.append({"path": display, **row})
+        records.extend({"path": display, **row} for row in inventory or ())
     records.sort(key=lambda row: (row["path"], row["line"]))
     return records, errors
+
+
+def render_lock_record(record):
+    """One ``--list-locks`` text line for a :func:`lock_inventory` record."""
+    return (
+        f"{record['path']}:{record['line']}: {record['function']} "
+        f"yields holding [{', '.join(record['locks'])}]"
+    )
 
 
 def render_findings(findings, show_hints=True):

@@ -11,10 +11,6 @@ twice in-process, hashing every simulator's popped-event stream
 ``(time, priority, sequence, label)`` with sha256, and — when the
 digests differ — pinpoints the first divergent event, flagging whether
 it sits inside a tie group (an insertion-order nondeterminism) or not.
-
-The runtime classes (:class:`Sanitizer`, :class:`EventStream`,
-:class:`SanitizerError`, :func:`audit_accounting`) are re-exported here
-for backwards compatibility; they live in :mod:`repro.sim.sanitizer`.
 """
 
 import hashlib
@@ -22,13 +18,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.sim import sanitizer as _runtime
-from repro.sim.sanitizer import (  # noqa: F401 - compat re-exports
-    EventRecord,
-    EventStream,
-    Sanitizer,
-    SanitizerError,
-    audit_accounting,
-)
 
 
 class DigestCollector:

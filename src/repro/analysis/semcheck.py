@@ -42,19 +42,24 @@ Suppression, baselines, and exit codes are shared with the linter
 """
 
 import ast
-from dataclasses import dataclass
 
 from repro.analysis import unit_types
 from repro.analysis.common import (
     AliasResolver,
-    Finding,
-    LintError,
     RuleInfo,
+    check_module,
     check_paths,
     matches_any,
-    parse_pragmas,
 )
 from repro.analysis.common import render_findings as _render_findings
+from repro.analysis.flow import (
+    FlowWalker,
+    has_own_yield,
+    is_request_call,
+    own_nodes,
+    process_like,
+    release_handle,
+)
 
 RULES = (
     RuleInfo(
@@ -119,52 +124,19 @@ RULES = (
 RULES_BY_ID = {rule.id: rule for rule in RULES}
 
 
-@dataclass(frozen=True)
-class SemCheckConfig:
-    """Where the passes apply.
-
-    ``units_modules`` (fnmatch globs against the resolved posix path)
-    name the conversion boundary itself — :mod:`repro.sim.units` mixes
-    units *by definition*, so the whole units pass is skipped there.
-    """
-
-    units_modules: tuple = ("*/sim/units.py",)
-
-
-DEFAULT_CONFIG = SemCheckConfig()
+#: fnmatch globs (against the resolved posix path) naming the conversion
+#: boundary itself: :mod:`repro.sim.units` mixes units *by definition*,
+#: so the whole units pass is skipped there.
+UNITS_MODULES = ("*/sim/units.py",)
 
 #: Import roots the alias resolver tracks (for ``units.*`` calls).
 _TRACKED_ROOTS = ("repro", "units")
-
-#: Builtins that pass their argument's unit through unchanged.
-_UNIT_PRESERVING_CALLS = frozenset(
-    {"abs", "float", "int", "round", "sum", "min", "max", "sorted"}
-)
 
 #: Comparison operators that require both sides in the same unit.
 _ORDERED_CMP = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
 
 #: Sentinel for a name assigned conflicting units (treated as unknown).
 _CONFLICT = "?conflict"
-
-
-def _own_nodes(body):
-    """Walk nodes of a scope without descending into nested defs."""
-    stack = list(body)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _has_own_yield(func):
-    """Whether ``func`` itself (not a nested def) is a generator."""
-    return any(
-        isinstance(node, (ast.Yield, ast.YieldFrom))
-        for node in _own_nodes(func.body)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +147,8 @@ def _has_own_yield(func):
 class _UnitsPass:
     """Suffix-inferred unit propagation over one scope (module or def)."""
 
-    def __init__(self, checker, scope_body, func=None):
-        self.checker = checker
+    def __init__(self, module, scope_body, func=None):
+        self.module = module
         self.scope_body = scope_body
         self.func = func
         self.env = {}
@@ -195,7 +167,7 @@ class _UnitsPass:
                     self.env[param.arg] = unit
         # Two rounds so chained assignments (a = b_us; c = a) settle.
         for _round in range(2):
-            for node in _own_nodes(self.scope_body):
+            for node in own_nodes(self.scope_body):
                 targets = ()
                 value = None
                 if isinstance(node, ast.Assign):
@@ -260,7 +232,7 @@ class _UnitsPass:
         return known.pop() if len(known) == 1 else None
 
     def _unit_of_call(self, node):
-        dotted = self.checker.resolver.dotted(node.func)
+        dotted = self.module.resolver.dotted(node.func)
         signature = unit_types.converter_signature(dotted)
         if signature is not None:
             return signature[1]
@@ -290,7 +262,7 @@ class _UnitsPass:
 
     def run(self):
         self.build_env()
-        for node in _own_nodes(self.scope_body):
+        for node in own_nodes(self.scope_body):
             if isinstance(node, ast.BinOp):
                 self._check_binop(node)
             elif isinstance(node, ast.Compare):
@@ -309,7 +281,7 @@ class _UnitsPass:
             for operand in (node.left, node.right):
                 if isinstance(operand, ast.Constant) and \
                         unit_types.is_magic_scale(operand.value):
-                    self.checker.flag(
+                    self.module.flag(
                         "magic-conversion",
                         node,
                         f"bare {operand.value!r} scale factor; the "
@@ -332,7 +304,7 @@ class _UnitsPass:
                 op = {ast.Add: "+", ast.Sub: "-", ast.Div: "/"}[
                     type(node.op)
                 ]
-                self.checker.flag(
+                self.module.flag(
                     "unit-mismatch",
                     node,
                     f"`{left}` {op} `{right}`: operands are in "
@@ -347,14 +319,14 @@ class _UnitsPass:
             left = self.unit_of(operands[index])
             right = self.unit_of(operands[index + 1])
             if left is not None and right is not None and left != right:
-                self.checker.flag(
+                self.module.flag(
                     "unit-mismatch",
                     node,
                     f"comparison between `{left}` and `{right}` values",
                 )
 
     def _check_call(self, node):
-        dotted = self.checker.resolver.dotted(node.func)
+        dotted = self.module.resolver.dotted(node.func)
         signature = unit_types.converter_signature(dotted)
         leaf = _call_leaf(node.func)
         if signature is not None:
@@ -362,7 +334,7 @@ class _UnitsPass:
             if expected is not None and node.args:
                 actual = self.unit_of(node.args[0])
                 if actual is not None and actual != expected:
-                    self.checker.flag(
+                    self.module.flag(
                         "unit-arg-mismatch",
                         node,
                         f"{dotted}() converts from `{expected}` but the "
@@ -373,7 +345,7 @@ class _UnitsPass:
             return
         parameters = unit_types.declared_parameters(leaf)
         if not parameters:
-            parameters = self.checker.module_signatures.get(leaf) or ()
+            parameters = self.module.module_signatures.get(leaf) or ()
         for position, param_name, expected in parameters:
             argument = None
             for keyword in node.keywords:
@@ -385,7 +357,7 @@ class _UnitsPass:
                 continue
             actual = self.unit_of(argument)
             if actual is not None and actual != expected:
-                self.checker.flag(
+                self.module.flag(
                     "unit-arg-mismatch",
                     argument,
                     f"{leaf}() parameter `{param_name}` is declared "
@@ -407,7 +379,7 @@ class _UnitsPass:
             elif isinstance(target, ast.Attribute):
                 declared = unit_types.suffix_unit(target.attr.lower())
             if declared is not None and declared != inferred:
-                self.checker.flag(
+                self.module.flag(
                     "unit-mismatch",
                     node,
                     f"assigning a `{inferred}` value to a name declared "
@@ -425,7 +397,7 @@ class _UnitsPass:
         inferred = self.unit_of(node.value)
         if declared is not None and inferred is not None \
                 and declared != inferred:
-            self.checker.flag(
+            self.module.flag(
                 "unit-mismatch",
                 node,
                 f"accumulating a `{inferred}` value into a name declared "
@@ -440,7 +412,7 @@ class _UnitsPass:
             return
         inferred = self.unit_of(node.value)
         if inferred is not None and inferred != declared:
-            self.checker.flag(
+            self.module.flag(
                 "unit-mismatch",
                 node,
                 f"function name declares `{declared}` but returns a "
@@ -515,27 +487,6 @@ _REQ = "requested"
 _REL = "released"
 _ABSENT = "absent"
 
-#: Call names that construct yieldable events (process-body heuristic).
-_EVENT_CONSTRUCTORS = frozenset(
-    {"Sleep", "Work", "WaitFor", "Timeout", "Event", "AllOf", "AnyOf"}
-)
-_EVENT_METHODS = frozenset(
-    {"timeout", "event", "request", "any_of", "all_of", "get", "process"}
-)
-
-
-def _is_eventish(node, request_names):
-    if isinstance(node, ast.Call):
-        if isinstance(node.func, ast.Name):
-            return node.func.id in _EVENT_CONSTRUCTORS
-        if isinstance(node.func, ast.Attribute):
-            return node.func.attr in _EVENT_METHODS
-        return False
-    if isinstance(node, ast.Name):
-        return node.id in request_names
-    return False
-
-
 def _is_plainly_non_event(node):
     """Expressions that are certainly not Event instances."""
     if node is None:  # bare ``yield``
@@ -556,59 +507,40 @@ def _is_plainly_non_event(node):
     )
 
 
-class _ProtocolPass:
-    """Flow-sensitive request/release pairing over one generator body."""
+class _ProtocolPass(FlowWalker):
+    """Flow-sensitive request/release pairing over one generator body.
 
-    def __init__(self, checker, func):
-        self.checker = checker
+    The state maps a handle name to the set of its states on the paths
+    reaching here. Guard frames name the handles an enclosing
+    ``finally``, Interrupted handler, or handle-``with`` releases.
+    """
+
+    def __init__(self, module, func):
+        super().__init__({})
+        self.module = module
         self.func = func
-        #: handle name -> set of states on the paths reaching here.
-        self.state = {}
-        #: stack of protection frames (handle names released by an
-        #: enclosing ``finally``, broad handler, or handle-``with``).
-        self.protections = []
-        #: >0 while walking exception-handler bodies: releases there are
-        #: cleanup (the body's own release cannot have run first), so the
-        #: "released on some path" double-release case does not apply.
-        self.cleanup_depth = 0
         self.leak_reported = set()
-        self.request_names = {
-            stmt.targets[0].id
-            for stmt in _own_nodes(func.body)
-            if isinstance(stmt, ast.Assign)
-            and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Name)
-            and _is_request_call(stmt.value)
+        self.process_like = process_like(func)
+
+    # -- state -----------------------------------------------------------
+
+    def copy(self, state):
+        return {name: set(states) for name, states in state.items()}
+
+    def merge(self, a, b):
+        return {
+            name: a.get(name, {_ABSENT}) | b.get(name, {_ABSENT})
+            for name in set(a) | set(b)
         }
-        self.process_like = self._detect_process_like()
-
-    def _detect_process_like(self):
-        for node in _own_nodes(self.func.body):
-            if isinstance(node, ast.Yield) and node.value is not None \
-                    and _is_eventish(node.value, self.request_names):
-                return True
-            if _is_request_call(node):
-                return True
-        return False
-
-    # -- state helpers ---------------------------------------------------
 
     def _protected(self, name):
-        return any(name in frame for frame in self.protections)
-
-    def _merge(self, state_a, state_b):
-        merged = {}
-        for name in set(state_a) | set(state_b):
-            merged[name] = state_a.get(name, {_ABSENT}) | state_b.get(
-                name, {_ABSENT}
-            )
-        return merged
+        return any(name in frame for frame in self.guards)
 
     def _leak(self, name, node, message):
         if name in self.leak_reported:
             return
         self.leak_reported.add(name)
-        self.checker.flag("resource-leak", node, message)
+        self.module.flag("resource-leak", node, message)
 
     def _check_held_at_exit(self, node, how):
         for name, states in sorted(self.state.items()):
@@ -619,30 +551,20 @@ class _ProtocolPass:
                     f"request `{name}` is still held {how}",
                 )
 
-    # -- events within simple statements ---------------------------------
+    # -- transfer --------------------------------------------------------
 
-    def _scan_events(self, stmt):
-        events = []
-        for node in ast.walk(stmt):
-            if _is_request_call(node):
-                target = None
-                if (
-                    isinstance(stmt, ast.Assign)
-                    and stmt.value is node
-                    and len(stmt.targets) == 1
-                    and isinstance(stmt.targets[0], ast.Name)
-                ):
-                    target = stmt.targets[0].id
-                discarded = isinstance(stmt, ast.Expr) and stmt.value is node
-                events.append(("request", target, discarded, node))
-            elif isinstance(node, ast.Call):
-                handle = _release_handle(node)
-                if handle is not None:
-                    events.append(("release", handle, False, node))
-            elif isinstance(node, (ast.Yield, ast.YieldFrom)):
-                events.append(("yield", None, False, node))
-        events.sort(key=lambda item: (item[3].lineno, item[3].col_offset))
-        return events
+    def transfer(self, node):
+        for kind, name, discarded, event in _scan_events(node):
+            if kind == "request":
+                self._apply_request(name, discarded, event)
+            elif kind == "release":
+                self._apply_release(name, event)
+            else:
+                self._apply_yield(event)
+        if isinstance(node, ast.Return):
+            self._check_held_at_exit(node, "at this return")
+        elif isinstance(node, ast.Raise):
+            self._check_held_at_exit(node, "when this exception propagates")
 
     def _apply_request(self, name, discarded, node):
         if discarded or name is None:
@@ -664,26 +586,28 @@ class _ProtocolPass:
             )
         self.state[name] = {_REQ}
 
-    def _apply_release(self, name, node, in_finally=False):
+    def _apply_release(self, name, node):
         states = self.state.get(name)
         if states is None:
             return
         if states <= {_REL}:
-            self.checker.flag(
+            self.module.flag(
                 "double-release",
                 node,
                 f"`{name}` has already been released on every path "
                 "reaching this release()",
             )
-        elif _REL in states and not in_finally and not self.cleanup_depth:
-            self.checker.flag(
+        elif _REL in states and not self.cleanup:
+            # Outside cleanup code; a handler or finally body may
+            # release what the body's own release did not reach.
+            self.module.flag(
                 "double-release",
                 node,
                 f"`{name}` was already released on some path reaching "
                 "this release()",
             )
         elif _ABSENT in states:
-            self.checker.flag(
+            self.module.flag(
                 "release-unowned",
                 node,
                 f"`{name}` was never requested on some path reaching "
@@ -697,7 +621,7 @@ class _ProtocolPass:
             what = "a bare yield" if node.value is None else (
                 "a non-Event value"
             )
-            self.checker.flag(
+            self.module.flag(
                 "yield-non-event",
                 node,
                 f"process yields {what}; the engine only accepts Events",
@@ -711,155 +635,11 @@ class _ProtocolPass:
                     "with protection; an interrupt here leaks the grant",
                 )
 
-    # -- block walking ---------------------------------------------------
-
-    def run(self):
-        self._walk_block(self.func.body)
-        end = self.func.body[-1] if self.func.body else self.func
-        self._check_held_at_exit(end, "when the process body ends")
-
-    def _walk_block(self, body):
-        """Walk a statement list; returns False when the path dies."""
-        for stmt in body:
-            if isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue  # nested scopes are analyzed separately
-            if isinstance(stmt, ast.If):
-                self._walk_if(stmt)
-            elif isinstance(stmt, (ast.While, ast.For)):
-                self._walk_loop(stmt)
-            elif isinstance(stmt, ast.Try):
-                self._walk_try(stmt)
-            elif isinstance(stmt, ast.With):
-                self._walk_with(stmt)
-            elif isinstance(stmt, ast.Return):
-                if stmt.value is not None:
-                    self._run_events(stmt)
-                self._check_held_at_exit(stmt, "at this return")
-                return False
-            elif isinstance(stmt, ast.Raise):
-                self._run_events(stmt)
-                self._check_held_at_exit(
-                    stmt, "when this exception propagates"
-                )
-                return False
-            elif isinstance(stmt, (ast.Break, ast.Continue)):
-                return False
-            else:
-                self._run_events(stmt)
-        return True
-
-    def _run_events(self, stmt):
-        for kind, name, discarded, node in self._scan_events(stmt):
-            if kind == "request":
-                self._apply_request(name, discarded, node)
-            elif kind == "release":
-                self._apply_release(name, node)
-            else:
-                self._apply_yield(node)
-
-    def _walk_if(self, stmt):
-        self._run_events(stmt.test)
-        entry = {name: set(states) for name, states in self.state.items()}
-        then_live = self._walk_block(stmt.body)
-        then_state = self.state
-        self.state = entry
-        else_live = self._walk_block(stmt.orelse)
-        else_state = self.state
-        if then_live and else_live:
-            self.state = self._merge(then_state, else_state)
-        elif then_live:
-            self.state = then_state
-        else:
-            self.state = else_state
-
-    def _walk_loop(self, stmt):
-        if isinstance(stmt, ast.While):
-            self._run_events(stmt.test)
-            self._check_yieldless_loop(stmt)
-        else:
-            self._run_events(stmt.iter)
-        entry = {name: set(states) for name, states in self.state.items()}
-        self._walk_block(stmt.body)
-        # Second pass from the merged state catches a request carried
-        # into the next iteration while still held; findings de-dupe.
-        self.state = self._merge(entry, self.state)
-        self._walk_block(stmt.body)
-        self.state = self._merge(entry, self.state)
-        self._walk_block(stmt.orelse)
-
-    def _check_yieldless_loop(self, stmt):
-        if not self.process_like:
-            return
-        test = stmt.test
-        is_forever = isinstance(test, ast.Constant) and bool(test.value)
-        if not is_forever:
-            return
-        for node in _own_nodes(stmt.body):
-            if isinstance(
-                node,
-                (ast.Yield, ast.YieldFrom, ast.Return, ast.Break, ast.Raise),
-            ):
-                return
-        self.checker.flag(
-            "yieldless-loop",
-            stmt,
-            "`while True:` with no yield never advances simulated time",
-        )
-
-    def _walk_try(self, stmt):
-        finally_releases = _released_names(stmt.finalbody)
-        handler_releases = set()
-        for handler in stmt.handlers:
-            if _handler_catches_interrupt(handler):
-                handler_releases |= _released_names(handler.body)
-        entry = {name: set(states) for name, states in self.state.items()}
-        self.protections.append(finally_releases | handler_releases)
-        body_live = self._walk_block(stmt.body)
-        self.protections.pop()
-        body_state = self.state
-        if body_live:
-            self._walk_block(stmt.orelse)
-            body_state = self.state
-        exit_states = [body_state] if body_live else []
-        for handler in stmt.handlers:
-            # A handler can run after any prefix of the body: merge the
-            # entry and body-exit states as its conservative input.
-            self.state = self._merge(entry, body_state)
-            self.cleanup_depth += 1
-            handler_live = self._walk_block(handler.body)
-            self.cleanup_depth -= 1
-            if handler_live:
-                exit_states.append(self.state)
-        if exit_states:
-            merged = exit_states[0]
-            for other in exit_states[1:]:
-                merged = self._merge(merged, other)
-            self.state = merged
-        else:
-            self.state = self._merge(entry, body_state)
-        for stmt_final in stmt.finalbody:
-            self._walk_finally(stmt_final)
-
-    def _walk_finally(self, stmt):
-        """Finally bodies run on every exit: releases there are softer."""
-        if isinstance(stmt, (ast.If, ast.While, ast.For, ast.Try, ast.With)):
-            self._walk_block([stmt])
-            return
-        for kind, name, discarded, node in self._scan_events(stmt):
-            if kind == "request":
-                self._apply_request(name, discarded, node)
-            elif kind == "release":
-                self._apply_release(name, node, in_finally=True)
-            else:
-                self._apply_yield(node)
-
-    def _walk_with(self, stmt):
+    def enter_with(self, stmt):
         frame = set()
         for item in stmt.items:
             context = item.context_expr
-            if _is_request_call(context):
+            if is_request_call(context):
                 if isinstance(item.optional_vars, ast.Name):
                     name = item.optional_vars.id
                     self._apply_request(name, False, context)
@@ -869,62 +649,63 @@ class _ProtocolPass:
             elif isinstance(context, ast.Name) and context.id in self.state:
                 frame.add(context.id)
             else:
-                self._run_events(context)
-        self.protections.append(frame)
-        self._walk_block(stmt.body)
-        self.protections.pop()
+                self.transfer(context)
+        self.guards.append(frame)
+        return frame
+
+    def exit_with(self, frame):
+        self.guards.pop()
         for name in frame:
             # The context manager releases idempotently at exit.
             self.state[name] = {_REL}
 
+    def enter_loop(self, stmt):
+        if not self.process_like or not isinstance(stmt, ast.While):
+            return
+        test = stmt.test
+        if not (isinstance(test, ast.Constant) and bool(test.value)):
+            return
+        for node in own_nodes(stmt.body):
+            if isinstance(
+                node,
+                (ast.Yield, ast.YieldFrom, ast.Return, ast.Break, ast.Raise),
+            ):
+                return
+        self.module.flag(
+            "yieldless-loop",
+            stmt,
+            "`while True:` with no yield never advances simulated time",
+        )
 
-def _is_request_call(node):
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "request"
-    )
+    def run(self):
+        self.walk(self.func.body)
+        end = self.func.body[-1] if self.func.body else self.func
+        self._check_held_at_exit(end, "when the process body ends")
 
 
-def _release_handle(node):
-    """Handle name targeted by a release call, or ``None``."""
-    if not isinstance(node, ast.Call) or not isinstance(
-        node.func, ast.Attribute
-    ) or node.func.attr != "release":
-        return None
-    if not node.args and isinstance(node.func.value, ast.Name):
-        return node.func.value.id
-    if len(node.args) == 1 and isinstance(node.args[0], ast.Name):
-        return node.args[0].id
-    return None
-
-
-def _released_names(body):
-    names = set()
-    for stmt in body:
-        for node in ast.walk(stmt):
-            handle = _release_handle(node)
+def _scan_events(stmt):
+    """Requests, releases and yields in one statement, in source order."""
+    events = []
+    for node in ast.walk(stmt):
+        if is_request_call(node):
+            target = None
+            if (
+                isinstance(stmt, ast.Assign)
+                and stmt.value is node
+                and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Name)
+            ):
+                target = stmt.targets[0].id
+            discarded = isinstance(stmt, ast.Expr) and stmt.value is node
+            events.append(("request", target, discarded, node))
+        elif isinstance(node, ast.Call):
+            handle = release_handle(node)
             if handle is not None:
-                names.add(handle)
-    return names
-
-
-def _handler_catches_interrupt(handler):
-    """Whether an except clause would catch :class:`Interrupted`."""
-    if handler.type is None:
-        return True
-    names = set()
-    nodes = (
-        handler.type.elts
-        if isinstance(handler.type, ast.Tuple)
-        else [handler.type]
-    )
-    for node in nodes:
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return bool(names & {"Interrupted", "Exception", "BaseException"})
+                events.append(("release", handle, False, node))
+        elif isinstance(node, (ast.Yield, ast.YieldFrom)):
+            events.append(("yield", None, False, node))
+    events.sort(key=lambda item: (item[3].lineno, item[3].col_offset))
+    return events
 
 
 # ---------------------------------------------------------------------------
@@ -932,77 +713,44 @@ def _handler_catches_interrupt(handler):
 # ---------------------------------------------------------------------------
 
 
-class _Checker:
-    """One module's semcheck run: shared flag sink for both passes."""
+class _Module:
+    """One module's semcheck run: the facts both passes share."""
 
-    def __init__(self, path, tree):
-        self.path = path
-        self.findings = []
-        self._seen = set()
+    def __init__(self, sink, tree):
+        self.flag = sink.flag
         self.resolver = AliasResolver(tree, _TRACKED_ROOTS)
         self.module_signatures = _collect_module_signatures(tree)
 
-    def flag(self, rule, node, message):
-        finding = Finding(
-            rule, self.path, node.lineno, node.col_offset, message
-        )
-        if finding.key() in self._seen:
-            return
-        self._seen.add(finding.key())
-        self.findings.append(finding)
 
-
-def semcheck_source(source, path, config=None, resolved_path=None):
+def semcheck_source(source, path, resolved_path=None):
     """Semcheck one module's source text; returns ``(findings, errors)``.
 
     ``path`` is the display path attached to findings; ``resolved_path``
-    (defaulting to ``path``) is what the config globs match against.
+    (defaulting to ``path``) is what :data:`UNITS_MODULES` matches.
     """
-    config = config or DEFAULT_CONFIG
-    resolved_path = resolved_path or path
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return [], [
-            LintError(path, exc.lineno or 0, f"syntax error: {exc.msg}")
+
+    def analyze(tree, sink):
+        module = _Module(sink, tree)
+        functions = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         ]
-    line_allows, file_allows, errors = parse_pragmas(
-        source, path, applicable=set(RULES_BY_ID)
-    )
-    checker = _Checker(path, tree)
-    in_units_module = matches_any(resolved_path, config.units_modules)
-    functions = [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
-    if not in_units_module:
-        _UnitsPass(checker, tree.body).run()
+        if not matches_any(resolved_path or path, UNITS_MODULES):
+            _UnitsPass(module, tree.body).run()
+            for func in functions:
+                _UnitsPass(module, func.body, func=func).run()
         for func in functions:
-            _UnitsPass(checker, func.body, func=func).run()
-    for func in functions:
-        if _has_own_yield(func):
-            _ProtocolPass(checker, func).run()
-    findings = sorted(
-        (
-            finding
-            for finding in checker.findings
-            if finding.rule not in file_allows
-            and finding.rule not in line_allows.get(finding.line, ())
-        ),
-        key=lambda finding: finding.key(),
-    )
+            if has_own_yield(func):
+                _ProtocolPass(module, func).run()
+
+    findings, errors, _ = check_module(source, path, RULES_BY_ID, analyze)
     return findings, errors
 
 
-def semcheck_paths(paths, config=None):
+def semcheck_paths(paths):
     """Semcheck every ``*.py`` file under ``paths``."""
-    return check_paths(
-        paths,
-        lambda source, display, resolved: semcheck_source(
-            source, display, config=config, resolved_path=resolved
-        ),
-    )
+    return check_paths(paths, semcheck_source)
 
 
 def render_findings(findings, show_hints=True):

@@ -26,24 +26,15 @@ Commands
     Record a named scenario with full instrumentation, print the
     self-time rollup, and export Chrome trace-event JSON for
     chrome://tracing / Perfetto (see docs/tracing.md).
-``lint``
-    Run the determinism linter over the source tree (see
-    docs/determinism.md). Exit 1 on findings, 2 on configuration
-    errors (unknown rule ids, stale baseline entries).
-``semcheck``
-    Run the semantic checker: unit-suffix consistency (``_us`` vs
-    ``_ms`` arithmetic, bare ``* 1000`` conversions) and the resource
-    request/release protocol across yields and exception edges. Same
-    pragma/baseline/exit-code contract as ``lint``.
-``archcheck``
-    Whole-program architecture analysis: layering contract
-    (``.repro-arch.toml``), surface-package discipline, cross-process
-    safety, nondeterminism escape, and blocking calls in DES process
-    bodies (see docs/analysis.md). Same contract as ``lint``.
+``lint`` / ``semcheck`` / ``archcheck`` / ``racecheck``
+    One static checker each; the subcommands, their options, and their
+    baselines come from ``repro.analysis.registry`` (see
+    docs/analysis.md). Exit 1 on findings, 2 on configuration errors
+    (unknown rule ids, stale baseline entries).
 ``check``
-    Umbrella over lint + semcheck + archcheck with a merged exit code
-    — the single command CI runs; ``--sanitize TARGET`` folds
-    dual-run replay digests in as well.
+    Umbrella over every registry checker with a merged exit code — the
+    single command CI runs; ``--sanitize TARGET`` folds dual-run replay
+    digests in as well.
 ``sanitize``
     Replay a scenario, experiment, or small fleet twice with the
     runtime sanitizer attached and diff the event-stream sha256
@@ -308,30 +299,38 @@ def _default_paths(args):
     return args.paths or [pathlib.Path(repro.__file__).parent]
 
 
-def _checker_outcome(paths, check_paths, known_rules, default_baseline,
-                     baseline=None, strict=False):
+def _run_spec(spec, args, paths):
+    """Run one registry checker over ``paths`` with its per-tool options."""
+    options = {
+        option.keyword: getattr(args, option.keyword)
+        for option in spec.options
+    }
+    return spec.run(paths, **options)
+
+
+def _checker_outcome(spec, args, paths):
     """Run one checker plus its baseline handling; no printing.
 
     The compute half shared by the single-tool commands and the
     ``check`` umbrella. Returns a dict with the post-baseline
     ``findings``, the ``errors`` (configuration problems: exit 2), the
-    ``stale_warnings`` (human-readable; promoted into ``errors`` when
-    ``strict``), and the ``suppressed`` count.
+    ``stale_warnings`` (human-readable; promoted into ``errors`` under
+    ``--check``), and the ``suppressed`` count.
     """
     from repro.analysis import baseline as baseline_mod
     from repro.analysis.common import LintError
 
-    findings, errors = check_paths(paths)
+    findings, errors = _run_spec(spec, args, paths)
     errors = list(errors)
 
-    baseline_path = baseline
+    baseline_path = args.baseline
     if baseline_path is None:
-        default = pathlib.Path(default_baseline)
+        default = pathlib.Path(spec.baseline)
         baseline_path = default if default.exists() else None
     entries = []
     if baseline_path is not None:
         entries, baseline_errors = baseline_mod.load_baseline(
-            baseline_path, known_rules=known_rules
+            baseline_path, spec.rules
         )
         errors.extend(baseline_errors)
     new_findings, stale = baseline_mod.apply_baseline(findings, entries)
@@ -342,7 +341,7 @@ def _checker_outcome(paths, check_paths, known_rules, default_baseline,
             f"{entry.path}:{entry.line}: stale baseline entry "
             f"[{entry.rule}] — the finding no longer exists; remove it"
         )
-        if strict:
+        if args.check:
             errors.append(LintError(entry.path, entry.line, message))
         else:
             stale_warnings.append(message)
@@ -351,20 +350,19 @@ def _checker_outcome(paths, check_paths, known_rules, default_baseline,
         "errors": errors,
         "stale_warnings": stale_warnings,
         "suppressed": len(findings) - len(new_findings),
-        "raw_findings": findings,
     }
 
 
-def _print_outcome(outcome, render, clean_label, as_json, diag):
+def _print_outcome(outcome, spec, as_json, diag):
     """The printing half of one checker run; returns the exit code."""
-    from repro.analysis.common import findings_to_json
+    from repro.analysis.common import findings_to_json, render_findings
 
     if as_json:
         import json
 
         print(json.dumps(findings_to_json(outcome["findings"]), indent=2))
     else:
-        for line in render(outcome["findings"]):
+        for line in render_findings(outcome["findings"], spec.rules):
             print(line)
     for message in outcome["stale_warnings"]:
         print(f"warning: {message}", file=diag)
@@ -382,11 +380,45 @@ def _print_outcome(outcome, render, clean_label, as_json, diag):
         return 1
     suppressed = outcome["suppressed"]
     print(
-        f"{clean_label}: clean"
+        f"{spec.label}: clean"
         + (f" ({suppressed} baselined)" if suppressed else ""),
         file=diag,
     )
     return 0
+
+
+def _print_listing(records, errors, render, noun, args):
+    """Print an inventory (one row per record); returns the exit code.
+
+    In json mode stdout carries the records and nothing else; the
+    footer and errors go to stderr.
+    """
+    as_json = args.format == "json"
+    diag = sys.stderr if as_json else sys.stdout
+    if as_json:
+        import json
+
+        print(json.dumps(records, indent=2))
+    else:
+        for record in records:
+            print(render(record))
+        print(f"{len(records)} {noun}", file=diag)
+    for error in errors:
+        print(error.render(), file=diag)
+    return 2 if errors else 0
+
+
+def _render_pragma_row(row):
+    rules = ", ".join(row["rules"])
+    line = f"{row['path']}:{row['line']}: {row['kind']}[{rules}]"
+    if row["tools"]:
+        line += f" ({', '.join(row['tools'])})"
+    if row["unrecognized"]:
+        line += (
+            " — unrecognized by every tool: "
+            + ", ".join(row["unrecognized"])
+        )
+    return line
 
 
 def _list_pragmas(args):
@@ -421,36 +453,11 @@ def _list_pragmas(args):
             "tools": tools,
             "unrecognized": unrecognized,
         })
-
-    as_json = args.format == "json" or getattr(args, "json", False)
-    diag = sys.stderr if as_json else sys.stdout
-    if as_json:
-        import json
-
-        print(json.dumps(rows, indent=2))
-    else:
-        for row in rows:
-            rules = ", ".join(row["rules"])
-            line = (
-                f"{row['path']}:{row['line']}: {row['kind']}[{rules}]"
-            )
-            if row["tools"]:
-                line += f" ({', '.join(row['tools'])})"
-            if row["unrecognized"]:
-                line += (
-                    " — unrecognized by every tool: "
-                    + ", ".join(row["unrecognized"])
-                )
-            print(line)
-        print(f"{len(rows)} pragma(s)", file=diag)
-    for error in errors:
-        print(error.render(), file=diag)
-    return 2 if errors else 0
+    return _print_listing(rows, errors, _render_pragma_row, "pragma(s)", args)
 
 
-def _run_checker(args, check_paths, render, known_rules, default_baseline,
-                 clean_label):
-    """Shared driver for the single-checker commands.
+def _cmd_checker(args):
+    """Run the registry checker named by the subcommand.
 
     Every checker speaks the same contract: pragma suppression, an
     acknowledged-findings baseline (``--check`` makes stale entries
@@ -458,25 +465,32 @@ def _run_checker(args, check_paths, render, known_rules, default_baseline,
     codes 0 (clean) / 1 (findings) / 2 (the run cannot be trusted).
     """
     from repro.analysis import baseline as baseline_mod
+    from repro.analysis.registry import BY_NAME
 
-    if getattr(args, "list_pragmas", False):
-        return _list_pragmas(args)
+    spec = BY_NAME[args.command]
     paths = _default_paths(args)
+    if spec.listing is not None and args.listing:
+        records, errors = spec.listing.collect(paths)
+        return _print_listing(
+            records, errors, spec.listing.render, spec.listing.noun, args
+        )
+    if args.list_pragmas:
+        return _list_pragmas(args)
 
     if args.write_baseline:
-        findings, errors = check_paths(paths)
-        target = args.baseline or default_baseline
+        findings, errors = _run_spec(spec, args, paths)
+        target = args.baseline or spec.baseline
         count = baseline_mod.write_baseline(target, findings)
         print(f"wrote {target} ({count} acknowledged findings)")
         for error in errors:
             print(error.render())
         return 2 if errors else 0
 
-    if getattr(args, "update_baseline", False):
-        findings, errors = check_paths(paths)
-        target = args.baseline or default_baseline
+    if args.update_baseline:
+        findings, errors = _run_spec(spec, args, paths)
+        target = args.baseline or spec.baseline
         kept, pruned, prune_errors = baseline_mod.prune_baseline(
-            target, findings, known_rules=known_rules
+            target, findings, spec.rules
         )
         errors = list(errors) + list(prune_errors)
         for entry in pruned:
@@ -490,139 +504,22 @@ def _run_checker(args, check_paths, render, known_rules, default_baseline,
             print(error.render())
         return 2 if errors else 0
 
-    outcome = _checker_outcome(
-        paths, check_paths, known_rules, default_baseline,
-        baseline=args.baseline, strict=args.check,
-    )
-    as_json = args.format == "json" or getattr(args, "json", False)
+    outcome = _checker_outcome(spec, args, paths)
+    as_json = args.format == "json"
     # In json mode stdout carries the findings array and nothing else;
     # diagnostics move to stderr so the output stays machine-readable.
     diag = sys.stderr if as_json else sys.stdout
-    return _print_outcome(outcome, render, clean_label, as_json, diag)
-
-
-def _checker_table(args):
-    """(name, check_paths, render, known_rules, baseline, label) rows."""
-    from repro.analysis import archcheck as archcheck_mod
-    from repro.analysis import baseline as baseline_mod
-    from repro.analysis import lint as lint_mod
-    from repro.analysis import racecheck as racecheck_mod
-    from repro.analysis import semcheck as semcheck_mod
-
-    contract_path = getattr(args, "contract", None)
-    return (
-        (
-            "lint", lint_mod.lint_paths, lint_mod.render_findings,
-            lint_mod.RULES_BY_ID, baseline_mod.BASELINE_NAME,
-            "determinism lint",
-        ),
-        (
-            "semcheck", semcheck_mod.semcheck_paths,
-            semcheck_mod.render_findings, semcheck_mod.RULES_BY_ID,
-            baseline_mod.SEMCHECK_BASELINE_NAME, "semcheck",
-        ),
-        (
-            "archcheck",
-            lambda paths: archcheck_mod.archcheck_paths(
-                paths, contract_path=contract_path
-            ),
-            archcheck_mod.render_findings, archcheck_mod.RULES_BY_ID,
-            baseline_mod.ARCHCHECK_BASELINE_NAME, "archcheck",
-        ),
-        (
-            "racecheck", racecheck_mod.racecheck_paths,
-            racecheck_mod.render_findings, racecheck_mod.RULES_BY_ID,
-            baseline_mod.RACECHECK_BASELINE_NAME, "racecheck",
-        ),
-    )
-
-
-def _cmd_lint(args):
-    from repro.analysis import baseline as baseline_mod
-    from repro.analysis import lint as lint_mod
-
-    return _run_checker(
-        args,
-        check_paths=lint_mod.lint_paths,
-        render=lint_mod.render_findings,
-        known_rules=lint_mod.RULES_BY_ID,
-        default_baseline=baseline_mod.BASELINE_NAME,
-        clean_label="determinism lint",
-    )
-
-
-def _cmd_semcheck(args):
-    from repro.analysis import baseline as baseline_mod
-    from repro.analysis import semcheck as semcheck_mod
-
-    return _run_checker(
-        args,
-        check_paths=semcheck_mod.semcheck_paths,
-        render=semcheck_mod.render_findings,
-        known_rules=semcheck_mod.RULES_BY_ID,
-        default_baseline=baseline_mod.SEMCHECK_BASELINE_NAME,
-        clean_label="semcheck",
-    )
-
-
-def _cmd_archcheck(args):
-    from repro.analysis import archcheck as archcheck_mod
-    from repro.analysis import baseline as baseline_mod
-
-    return _run_checker(
-        args,
-        check_paths=lambda paths: archcheck_mod.archcheck_paths(
-            paths, contract_path=args.contract
-        ),
-        render=archcheck_mod.render_findings,
-        known_rules=archcheck_mod.RULES_BY_ID,
-        default_baseline=baseline_mod.ARCHCHECK_BASELINE_NAME,
-        clean_label="archcheck",
-    )
-
-
-def _cmd_racecheck(args):
-    from repro.analysis import baseline as baseline_mod
-    from repro.analysis import racecheck as racecheck_mod
-
-    if getattr(args, "list_locks", False):
-        records, errors = racecheck_mod.lock_inventory(_default_paths(args))
-        as_json = args.format == "json"
-        diag = sys.stderr if as_json else sys.stdout
-        if as_json:
-            import json
-
-            print(json.dumps(records, indent=2))
-        else:
-            for record in records:
-                locks = ", ".join(record["locks"])
-                print(
-                    f"{record['path']}:{record['line']}: "
-                    f"{record['function']} yields holding [{locks}]"
-                )
-            print(f"{len(records)} yield(s) while holding", file=diag)
-        for error in errors:
-            print(error.render(), file=diag)
-        return 2 if errors else 0
-
-    return _run_checker(
-        args,
-        check_paths=racecheck_mod.racecheck_paths,
-        render=racecheck_mod.render_findings,
-        known_rules=racecheck_mod.RULES_BY_ID,
-        default_baseline=baseline_mod.RACECHECK_BASELINE_NAME,
-        clean_label="racecheck",
-    )
+    return _print_outcome(outcome, spec, as_json, diag)
 
 
 def _cmd_check(args):
-    """Umbrella: lint + semcheck + archcheck + racecheck (+ dual-runs).
+    """Umbrella: every registry checker (+ dual-runs).
 
     One command for CI: every static checker over the same paths, a
     merged exit code (worst of the parts), and in ``--format=json`` a
     single object keyed by tool.
     """
-    if getattr(args, "list_pragmas", False):
+    if args.list_pragmas:
         return _list_pragmas(args)
     if args.write_baseline or args.update_baseline or args.baseline:
         print(
@@ -632,21 +529,17 @@ def _cmd_check(args):
         )
         return 2
     from repro.analysis.common import findings_to_json
+    from repro.analysis.registry import CHECKERS
 
     paths = _default_paths(args)
     as_json = args.format == "json"
     diag = sys.stderr if as_json else sys.stdout
     payload = {}
     exit_code = 0
-    for name, check_paths, render, known_rules, default_baseline, label in (
-        _checker_table(args)
-    ):
-        outcome = _checker_outcome(
-            paths, check_paths, known_rules, default_baseline,
-            strict=args.check,
-        )
+    for spec in CHECKERS:
+        outcome = _checker_outcome(spec, args, paths)
         if as_json:
-            payload[name] = findings_to_json(outcome["findings"])
+            payload[spec.name] = findings_to_json(outcome["findings"])
             for message in outcome["stale_warnings"]:
                 print(f"warning: {message}", file=diag)
             for error in outcome["errors"]:
@@ -655,8 +548,8 @@ def _cmd_check(args):
                 2 if outcome["errors"] else 1 if outcome["findings"] else 0
             )
         else:
-            print(f"== {name} ==")
-            code = _print_outcome(outcome, render, label, False, diag)
+            print(f"== {spec.name} ==")
+            code = _print_outcome(outcome, spec, False, diag)
         exit_code = max(exit_code, code)
 
     if args.sanitize:
@@ -764,7 +657,7 @@ def _runs_parameter(experiment_id):
     return inspect.signature(REGISTRY[experiment_id]).parameters
 
 
-def _add_checker_arguments(parser, baseline_name):
+def _add_checker_arguments(parser, baseline_name, options):
     """Arguments shared by every static-checker command."""
     parser.add_argument(
         "paths", nargs="*", default=None, metavar="PATH",
@@ -799,6 +692,11 @@ def _add_checker_arguments(parser, baseline_name):
         help="inventory every `# repro: allow[...]` suppression under "
              "the checked paths instead of running rules",
     )
+    for option in options:
+        parser.add_argument(
+            option.flag, dest=option.keyword, default=None, metavar="PATH",
+            help=option.help,
+        )
 
 
 def build_parser():
@@ -1042,57 +940,28 @@ def build_parser():
         help="attach the runtime sanitizer and print its audit",
     )
 
-    lint_parser = sub.add_parser(
-        "lint",
-        help="determinism lint over the source tree "
-             "(docs/determinism.md)",
-    )
-    _add_checker_arguments(lint_parser, ".repro-lint-baseline.json")
-    lint_parser.add_argument(
-        "--json", action="store_true",
-        help="alias for --format=json (kept for tooling compatibility)",
-    )
+    from repro.analysis.registry import CHECKERS
 
-    semcheck_parser = sub.add_parser(
-        "semcheck",
-        help="semantic checks: unit consistency and resource "
-             "request/release protocol (docs/determinism.md)",
-    )
-    _add_checker_arguments(semcheck_parser, ".repro-semcheck-baseline.json")
-
-    archcheck_parser = sub.add_parser(
-        "archcheck",
-        help="whole-program layering and cross-process safety "
-             "analysis against .repro-arch.toml (docs/analysis.md)",
-    )
-    _add_checker_arguments(archcheck_parser, ".repro-archcheck-baseline.json")
-    archcheck_parser.add_argument(
-        "--contract", default=None, metavar="PATH",
-        help="layering contract (default: .repro-arch.toml in the "
-             "working directory)",
-    )
-
-    racecheck_parser = sub.add_parser(
-        "racecheck",
-        help="yield-point atomicity and lockset analysis of the "
-             "cooperative DES process bodies (docs/analysis.md)",
-    )
-    _add_checker_arguments(racecheck_parser, ".repro-racecheck-baseline.json")
-    racecheck_parser.add_argument(
-        "--list-locks", action="store_true",
-        help="inventory every yield executed while a Resource grant is "
-             "held instead of running rules",
-    )
+    for spec in CHECKERS:
+        checker_parser = sub.add_parser(spec.name, help=spec.help)
+        _add_checker_arguments(checker_parser, spec.baseline, spec.options)
+        if spec.listing is not None:
+            checker_parser.add_argument(
+                spec.listing.flag, dest="listing", action="store_true",
+                help=spec.listing.help,
+            )
 
     check_parser = sub.add_parser(
         "check",
-        help="umbrella: lint + semcheck + archcheck + racecheck over "
-             "the same paths with a merged exit code (docs/analysis.md)",
+        help="umbrella: "
+             + " + ".join(spec.name for spec in CHECKERS)
+             + " over the same paths with a merged exit code "
+             "(docs/analysis.md)",
     )
-    _add_checker_arguments(check_parser, "<per-tool defaults>")
-    check_parser.add_argument(
-        "--contract", default=None, metavar="PATH",
-        help="archcheck layering contract (default: .repro-arch.toml)",
+    _add_checker_arguments(
+        check_parser,
+        "<per-tool defaults>",
+        [option for spec in CHECKERS for option in spec.options],
     )
     check_parser.add_argument(
         "--sanitize", action="append", default=None, metavar="TARGET",
@@ -1139,10 +1008,6 @@ _HANDLERS = {
     "chaos": _cmd_chaos,
     "serve": _cmd_serve,
     "trace": _cmd_trace,
-    "lint": _cmd_lint,
-    "semcheck": _cmd_semcheck,
-    "archcheck": _cmd_archcheck,
-    "racecheck": _cmd_racecheck,
     "check": _cmd_check,
     "sanitize": _cmd_sanitize,
     "report": _cmd_report,
@@ -1151,7 +1016,8 @@ _HANDLERS = {
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return _HANDLERS[args.command](args)
+    # Every other subcommand is a registry checker.
+    return _HANDLERS.get(args.command, _cmd_checker)(args)
 
 
 if __name__ == "__main__":

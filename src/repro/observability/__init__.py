@@ -10,8 +10,7 @@ instrumentation backbone:
   loadable at ``chrome://tracing`` or https://ui.perfetto.dev;
 * :mod:`repro.sim.probes` is the span-context API the hot paths
   (FastRPC, NNAPI, TFLite, scheduler, app stages) are wired with —
-  re-exported here (and as :mod:`repro.observability.probes`) for
-  convenience;
+  re-exported here for convenience;
 * :mod:`repro.observability.summary` rolls spans up into per-track,
   per-label exclusive/inclusive self-time tables;
 * :mod:`repro.observability.scenarios` names ready-made configurations

