@@ -51,10 +51,13 @@ from repro.analysis.common import (
     LintError,
     RuleInfo,
     apply_pragmas,
+    assignment,
     display_path,
+    inside_sorted,
     matches_any,
     parse_pragmas,
     read_sources,
+    unsorted_items_call,
 )
 from repro.analysis.common import render_findings as _render_findings
 from repro.analysis.flow import own_nodes, scope_names
@@ -498,27 +501,8 @@ class _ModuleAnalyzer(ast.NodeVisitor):
             for child in ast.iter_child_nodes(parent):
                 parents[child] = parent
 
-        def inside_sorted(target):
-            current = parents.get(target)
-            while current is not None:
-                if (
-                    isinstance(current, ast.Call)
-                    and isinstance(current.func, ast.Name)
-                    and current.func.id == "sorted"
-                ):
-                    return True
-                current = parents.get(current)
-            return False
-
         for child in _scope_nodes(node):
-            if (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and child.func.attr == "items"
-                and not child.args
-                and not child.keywords
-                and not inside_sorted(child)
-            ):
+            if unsorted_items_call(child, parents):
                 return True
             if isinstance(child, (ast.For, ast.comprehension)):
                 iterated = child.iter
@@ -526,7 +510,7 @@ class _ModuleAnalyzer(ast.NodeVisitor):
                     isinstance(iterated, ast.Call)
                     and isinstance(iterated.func, ast.Name)
                     and iterated.func.id == "set"
-                    and not inside_sorted(iterated)
+                    and not inside_sorted(iterated, parents)
                 ):
                     return True
         return False
@@ -592,13 +576,10 @@ def _collect_fork_hazards(info):
     """Module-level mutable containers that something also mutates."""
     candidates = {}
     for node in info.tree.body:
-        targets = []
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        else:
+        parts = assignment(node)
+        if parts is None:
             continue
+        targets, value = parts
         mutable = isinstance(
             value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
                     ast.SetComp)

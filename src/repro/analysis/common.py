@@ -234,6 +234,48 @@ class AliasResolver:
         return ".".join(reversed(parts))
 
 
+def assignment(node):
+    """``(targets, value)`` of an assignment that stores a value, else ``None``."""
+    if isinstance(node, ast.Assign):
+        return node.targets, node.value
+    if isinstance(node, ast.AnnAssign) and node.value is not None:
+        return [node.target], node.value
+    return None
+
+
+def inside_sorted(node, parents):
+    """Whether a ``sorted(...)`` call encloses ``node``.
+
+    ``parents`` maps each node to its parent node.
+    """
+    current = parents.get(node)
+    while current is not None:
+        if (
+            isinstance(current, ast.Call)
+            and isinstance(current.func, ast.Name)
+            and current.func.id == "sorted"
+        ):
+            return True
+        current = parents.get(current)
+    return False
+
+
+def unsorted_items_call(node, parents):
+    """``<mapping>.items()`` with no ``sorted(...)`` enclosing it.
+
+    The insertion-order hazard behind lint's ``unsorted-items`` and
+    archcheck's ``nondet-escape``.
+    """
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "items"
+        and not node.args
+        and not node.keywords
+        and not inside_sorted(node, parents)
+    )
+
+
 def matches_any(path, patterns):
     """fnmatch ``path`` against any of ``patterns``."""
     return any(fnmatch.fnmatch(path, pattern) for pattern in patterns)

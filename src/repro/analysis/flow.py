@@ -40,7 +40,9 @@ _EVENT_METHODS = frozenset(
 def own_nodes(nodes, scopes=_DEFS):
     """Walk ``nodes`` and their descendants, not entering nested ``scopes``.
 
-    A nested scope's node is yielded itself; its body is not.
+    A nested scope's node is yielded itself; its body is not. By default
+    only function definitions are nested scopes: the units and protocol
+    checks also cover lambdas and class bodies written inside a scope.
     """
     stack = list(nodes)
     while stack:

@@ -43,9 +43,11 @@ from repro.analysis.common import (
     HOST_CLOCK_CALLS,
     AliasResolver,
     RuleInfo,
+    assignment,
     check_module,
     check_paths,
     matches_any,
+    unsorted_items_call,
 )
 from repro.analysis.common import render_findings as _render_findings
 
@@ -189,17 +191,6 @@ class _Analyzer(ast.NodeVisitor):
     def _flag(self, rule, node, message):
         self.sink.flag(rule, node, message)
 
-    def _has_sorted_ancestor(self, node):
-        current = self._parents.get(node)
-        while current is not None:
-            if (
-                isinstance(current, ast.Call)
-                and self._dotted(current.func) == "sorted"
-            ):
-                return True
-            current = self._parents.get(current)
-        return False
-
     # -- call-shaped rules ---------------------------------------------
 
     def visit_Call(self, node):
@@ -271,14 +262,7 @@ class _Analyzer(ast.NodeVisitor):
             )
 
     def _check_unsorted_items(self, node):
-        if (
-            self._is_export_module
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "items"
-            and not node.args
-            and not node.keywords
-            and not self._has_sorted_ancestor(node)
-        ):
+        if self._is_export_module and unsorted_items_call(node, self._parents):
             self._flag(
                 "unsorted-items",
                 node,
@@ -393,15 +377,10 @@ class _Analyzer(ast.NodeVisitor):
 
     def visit_ClassDef(self, node):
         for stmt in node.body:
-            targets = []
-            if isinstance(stmt, ast.Assign):
-                targets = stmt.targets
-                value = stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets = [stmt.target]
-                value = stmt.value
-            else:
+            parts = assignment(stmt)
+            if parts is None:
                 continue
+            targets, value = parts
             for target in targets:
                 if not isinstance(target, ast.Name):
                     continue

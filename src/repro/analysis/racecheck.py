@@ -15,10 +15,12 @@ the contention numbers the paper's Figs. 5-10 report.
 this cooperative world, statically:
 
 * **preemption points** are the ``yield``\\ s of a process-like
-  generator body (the same heuristic semcheck's protocol pass uses);
+  generator body (:func:`repro.analysis.flow.process_like`, stages
+  reached through ``yield from`` included);
 * **locksets** are :class:`~repro.sim.resources.Resource` grants held
   across those yields (``with res.request() as grant:`` or an explicit
-  ``request()``/``release()`` pair) — a grant held continuously from
+  ``request()`` paired with ``handle.release()`` or
+  ``resource.release(handle)``) — a grant held continuously from
   one access to the next excludes any other would-be holder in
   between, exactly like a mutex;
 * **shared state** is an attribute path (``self.stats.calls``, a
@@ -67,6 +69,7 @@ from dataclasses import dataclass
 from repro.analysis.common import (
     MUTATOR_METHODS,
     RuleInfo,
+    assignment,
     check_module,
     check_paths,
     display_path,
@@ -519,7 +522,8 @@ class _BodyPass(FlowWalker):
         # writes (atomicity needs the read-...-write pair).
         self.written_locs = set()
         for stmt in func.body:
-            for chain, _node, _op in _collect_events(stmt)[1]:
+            _reads, writes, _yields = _collect_events(stmt)
+            for chain, _node, _op in writes:
                 loc = scope.classify(*chain)
                 if loc is not None:
                     self.written_locs.add(loc)
@@ -723,7 +727,8 @@ class _BodyPass(FlowWalker):
             self.state["locals"].pop(root, None)
 
     def _track_locals(self, stmt, read_locs, request_target):
-        if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        parts = assignment(stmt)
+        if parts is None:
             return
         sources = {
             loc
@@ -732,10 +737,7 @@ class _BodyPass(FlowWalker):
         }
         if not sources:
             return
-        targets = (
-            stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-        )
-        for target in targets:
+        for target in parts[0]:
             if isinstance(target, ast.Name) and target.id != request_target:
                 record = _new_record(stmt, self.state["live"])
                 record["sources"] = sources

@@ -47,6 +47,7 @@ from repro.analysis import unit_types
 from repro.analysis.common import (
     AliasResolver,
     RuleInfo,
+    assignment,
     check_module,
     check_paths,
     matches_any,
@@ -168,14 +169,10 @@ class _UnitsPass:
         # Two rounds so chained assignments (a = b_us; c = a) settle.
         for _round in range(2):
             for node in own_nodes(self.scope_body):
-                targets = ()
-                value = None
-                if isinstance(node, ast.Assign):
-                    targets, value = node.targets, node.value
-                elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                    targets, value = (node.target,), node.value
-                if value is None:
+                parts = assignment(node)
+                if parts is None:
                     continue
+                targets, value = parts
                 inferred = self.unit_of(value)
                 for target in targets:
                     if not isinstance(target, ast.Name):
@@ -365,10 +362,10 @@ class _UnitsPass:
                 )
 
     def _check_assign(self, node):
-        value = node.value if not isinstance(node, ast.AnnAssign) else node.value
-        if value is None:
+        parts = assignment(node)
+        if parts is None:
             return
-        targets = node.targets if isinstance(node, ast.Assign) else (node.target,)
+        targets, value = parts
         inferred = self.unit_of(value)
         if inferred is None:
             return

@@ -299,7 +299,7 @@ def _default_paths(args):
     return args.paths or [pathlib.Path(repro.__file__).parent]
 
 
-def _run_spec(spec, args, paths):
+def _run_checker(spec, args, paths):
     """Run one registry checker over ``paths`` with its per-tool options."""
     options = {
         option.keyword: getattr(args, option.keyword)
@@ -320,7 +320,7 @@ def _checker_outcome(spec, args, paths):
     from repro.analysis import baseline as baseline_mod
     from repro.analysis.common import LintError
 
-    findings, errors = _run_spec(spec, args, paths)
+    findings, errors = _run_checker(spec, args, paths)
     errors = list(errors)
 
     baseline_path = args.baseline
@@ -478,7 +478,7 @@ def _cmd_checker(args):
         return _list_pragmas(args)
 
     if args.write_baseline:
-        findings, errors = _run_spec(spec, args, paths)
+        findings, errors = _run_checker(spec, args, paths)
         target = args.baseline or spec.baseline
         count = baseline_mod.write_baseline(target, findings)
         print(f"wrote {target} ({count} acknowledged findings)")
@@ -487,7 +487,7 @@ def _cmd_checker(args):
         return 2 if errors else 0
 
     if args.update_baseline:
-        findings, errors = _run_spec(spec, args, paths)
+        findings, errors = _run_checker(spec, args, paths)
         target = args.baseline or spec.baseline
         kept, pruned, prune_errors = baseline_mod.prune_baseline(
             target, findings, spec.rules
