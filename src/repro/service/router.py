@@ -8,8 +8,14 @@ requests across the pool with deterministic join-shortest-queue
 (ties break toward the lowest backend id, so identical runs route
 identically).
 
-Queue depth and in-flight counts are exported as observability counter
-spans (``service:depth``, ``service:backend<N>:depth``) whenever the
+Each backend's depth (requests queued in its batcher or in the batch
+it is serving) and the pool's outstanding total are plain counts,
+changed at the only three points where a request enters or leaves a
+backend: +1 when it is enqueued, -n when a batch of n completes (before
+the first completion callback) and -n when a batch of n faults (before
+its requests are redispatched). Every read is O(1), and every change
+is exported as an observability counter sample
+(``service:backend<N>:depth`` and ``service:depth``) whenever the
 service simulator records a trace, so backpressure dynamics are
 visible in the same Perfetto timeline as everything else.
 
@@ -22,9 +28,13 @@ records the failure (ejecting the backend from routing once it trips),
 and an SSR fault additionally costs the backend a reboot window.
 """
 
+from operator import attrgetter
+
 from repro.faults import FAULT_SSR
 from repro.sim.probes import counter, instant
 from repro.service.request import OUTCOME_FAILED, OUTCOME_OK
+
+_DEPTH = attrgetter("depth")
 
 
 class Backend:
@@ -41,8 +51,11 @@ class Backend:
         self.health = health
         self._on_failed = on_failed
         self.ssr_recovery_us = ssr_recovery_us
-        #: Requests being served in the current batch.
-        self.inflight = 0
+        #: Requests queued here or in the batch being served.
+        self.depth = 0
+        #: The :class:`Router` that owns the pool count (set by it).
+        self.router = None
+        self._depth_track = f"service:backend{profile.backend_id}:depth"
         self.served_batches = 0
         self.served_requests = 0
         self.failed_batches = 0
@@ -54,19 +67,18 @@ class Backend:
             self._loop(), name=f"service:backend{profile.backend_id}"
         )
 
-    @property
-    def depth(self):
-        """Outstanding requests here: batching queue plus in flight."""
-        return len(self.batcher) + self.inflight
+    def _count(self, delta):
+        """Move this backend's depth and the pool's count together."""
+        self.depth += delta
+        self.router.outstanding += delta
+        counter(self.sim, self._depth_track, self.depth)
+        counter(self.sim, "service:depth", self.router.outstanding)
 
     def enqueue(self, request):
         """Accept a routed request into the batching queue."""
         request.backend_id = self.profile.backend_id
         self.batcher.push(request, self.sim.now)
-        counter(
-            self.sim, f"service:backend{self.profile.backend_id}:depth",
-            self.depth,
-        )
+        self._count(1)
         if self._wakeup is not None and not self._wakeup.triggered:
             self._wakeup.succeed()
 
@@ -101,7 +113,6 @@ class Backend:
         inference_total_us = self.profile.batch_inference_us(flags)
         service_us = inference_total_us + self.profile.batch_tax_us(flags)
         start_us = self.sim.now
-        self.inflight = len(batch)
         fault = (
             self.injector.draw(self.sim.now)
             if self.injector is not None else None
@@ -133,14 +144,10 @@ class Backend:
                 - request.inference_us - request.tax_us,
             )
             request.outcome = OUTCOME_OK
-        self.inflight = 0
         self.busy_us += service_us
         self.served_batches += 1
         self.served_requests += len(batch)
-        counter(
-            self.sim, f"service:backend{self.profile.backend_id}:depth",
-            self.depth,
-        )
+        self._count(-len(batch))
         if self.health is not None:
             self.health.record_success(self.profile.backend_id)
         for request in batch:
@@ -154,7 +161,6 @@ class Backend:
         costs this backend its subsystem-reboot window before it can
         form another batch.
         """
-        self.inflight = 0
         self.busy_us += service_us
         self.failed_batches += 1
         self.failed_requests += len(batch)
@@ -164,10 +170,7 @@ class Backend:
         )
         if self.health is not None:
             self.health.record_failure(self.profile.backend_id)
-        counter(
-            self.sim, f"service:backend{self.profile.backend_id}:depth",
-            self.depth,
-        )
+        self._count(-len(batch))
         for request in batch:
             if self._on_failed is not None:
                 self._on_failed(request)
@@ -221,11 +224,10 @@ class Router:
         self.redispatches = 0
         #: Requests that exhausted the redispatch budget.
         self.failed = 0
-
-    @property
-    def outstanding(self):
-        """Admitted-but-unfinished requests across the pool."""
-        return sum(backend.depth for backend in self.backends)
+        #: Requests queued at or being served by any backend.
+        self.outstanding = 0
+        for backend in self.backends:
+            backend.router = self
 
     def _candidates(self, exclude_id=None):
         """Routable backends, pool order (never empty).
@@ -253,11 +255,8 @@ class Router:
 
     def dispatch(self, request, exclude_id=None):
         """Route to the least-loaded routable backend; returns it."""
-        candidates = self._candidates(exclude_id)
-        target = candidates[0]
-        for backend in candidates[1:]:
-            if backend.depth < target.depth:
-                target = backend
+        # min() keeps the first of equal depths: ties go to pool order.
+        target = min(self._candidates(exclude_id), key=_DEPTH)
         if self.health is not None:
             self.health.note_dispatch(target.profile.backend_id)
         if self.brownout is not None and self.brownout.update(
@@ -265,7 +264,6 @@ class Router:
         ):
             self.brownout.degrade(request)
         target.enqueue(request)
-        counter(self.sim, "service:depth", self.outstanding)
         return target
 
     def redispatch(self, request):

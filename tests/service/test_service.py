@@ -142,6 +142,34 @@ def test_latency_components_sum_to_latency():
         )
 
 
+def test_pool_depth_track_drains_to_zero_at_the_last_completion():
+    # White-box traced run: the pool's ``service:depth`` counter must
+    # follow completions down, not stop at the last dispatch.
+    from repro.service.batcher import DynamicBatcher
+    from repro.service.request import Request
+    from repro.service.router import Backend, Router
+    from repro.sim import Simulator, units
+
+    sim = Simulator(seed=0, trace=True)
+    done = []
+    backends = [
+        Backend(
+            sim,
+            profile,
+            DynamicBatcher(max_batch=4, max_delay_us=units.ms(2.0)),
+            done.append,
+        )
+        for profile in synthetic_pool()
+    ]
+    router = Router(sim, backends)
+    for index in range(6):
+        router.dispatch(Request(request_id=index, arrival_us=0.0))
+    sim.run()
+    assert len(done) == 6
+    last_done_us = max(request.done_us for request in done)
+    assert sim.trace.counters["service:depth"][-1] == (last_done_us, 0)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ServiceConfig(rate_rps=0.0)
