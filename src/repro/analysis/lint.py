@@ -116,9 +116,6 @@ RULES_BY_ID = {rule.id: rule for rule in RULES}
 #: by design.
 WALLCLOCK_ALLOW = (
     "*/processing/calibrate.py",
-    # The engine perf harness measures the host by design:
-    # sessions/sec and events/sec are wall-clock metrics.
-    "*/analysis/engine_bench.py",
     # The fleet supervisor lives on the host side of the process
     # boundary: worker deadlines and crash backoff are wall-clock
     # because the simulated clock cannot observe a wedged worker.

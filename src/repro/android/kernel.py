@@ -241,20 +241,6 @@ class Kernel:
             event._state = TRIGGERED
             schedule(event)
 
-    def _pick_for(self, core):
-        best = None
-        best_vruntime = 0.0
-        core_id = core.core_id
-        for thread in self._runqueue:
-            affinity = thread.affinity
-            if affinity is not None and core_id not in affinity:
-                continue
-            vruntime = thread.vruntime
-            if best is None or vruntime < best_vruntime:
-                best = thread
-                best_vruntime = vruntime
-        return best
-
     # -- periodic services ----------------------------------------------
 
     def _trace_sampler_loop(self):
@@ -383,8 +369,7 @@ class _CoreLoop:
         thread = self._thread
         while True:
             if state == 0:  # _PICK: choose a thread or go idle
-                # Inlined Kernel._pick_for: lowest-vruntime runnable
-                # thread this core may run.
+                # Lowest-vruntime runnable thread this core may run.
                 thread = None
                 best_vruntime = 0.0
                 for candidate in runqueue:

@@ -22,18 +22,6 @@ def _fig3_chart(result):
     return viz.bar_chart(flat, title="End-to-end latency (ms): cli vs app")
 
 
-def _stage_chart(result, title):
-    key_count = len(result.headers) - 5  # leading key columns
-    groups = []
-    for row in result.rows:
-        label = ":".join(str(part) for part in row[:key_count])
-        groups.append((label, [row[key_count], row[key_count + 1],
-                               row[key_count + 2]]))
-    return viz.grouped_bars(
-        groups, stages=("capture", "pre", "inference"), title=title
-    )
-
-
 def _fig4_chart(result):
     groups = [
         (f"{row[0]}:{row[1]}:{row[2]}", [row[3], row[4], row[5]])

@@ -12,8 +12,6 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 
-from repro.core import PipelineRun, RunCollection
-
 #: Stage fields copied between PipelineRun and the serialized form.
 STAGE_FIELDS = ("capture_us", "pre_us", "inference_us", "post_us", "other_us")
 
@@ -120,17 +118,6 @@ class SessionResult:
     @staticmethod
     def tax_us(run):
         return SessionResult.total_us(run) - run["inference_us"]
-
-    def to_collection(self):
-        """A :class:`~repro.core.RunCollection` view for existing analyses."""
-        collection = RunCollection(
-            name=f"fleet:{self.spec.session_id}:{self.spec.model_key}"
-        )
-        for run in self.runs:
-            collection.add(PipelineRun(**{
-                fieldname: run[fieldname] for fieldname in STAGE_FIELDS
-            }))
-        return collection
 
     def to_dict(self):
         payload = {"spec": self.spec.to_dict(), "runs": self.runs}

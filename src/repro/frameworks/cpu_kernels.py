@@ -12,7 +12,7 @@ Two kernel tiers matter for the paper's Fig. 5:
 
 from repro.sim import units
 from repro.soc import params
-from repro.soc.cost_tables import build_table, lookup_table
+from repro.soc.cost_tables import graph_total_us
 
 IMPL_TUNED = "tuned"
 IMPL_REFERENCE = "reference"
@@ -56,13 +56,9 @@ def graph_cpu_work_us(ops, dtype, impl=IMPL_TUNED):
     left-fold sum of the same per-op values, so results are bit-equal
     to pricing the graph inline on every call.
     """
-    config = ("cpu", dtype, impl)
-    table = lookup_table(config, ops)
-    if table is None:
-        table = build_table(
-            config, ops, [op_cpu_work_us(op, dtype, impl) for op in ops]
-        )
-    return table.total_us
+    return graph_total_us(
+        ("cpu", dtype, impl), ops, op_cpu_work_us, dtype, impl
+    )
 
 
 def parallel_efficiency(threads):

@@ -8,7 +8,6 @@ fully cover — partial delegation with CPU fallback is NNAPI's job, see
 from repro.android.thread import Sleep, WaitFor, Work
 from repro.frameworks.support import supports_op
 from repro.models import dtype_bytes
-from repro.soc import params as soc_params
 
 #: DSP-side graph preparation per op at delegate init.
 _DSP_GRAPH_PREP_PER_OP_US = 9.0
@@ -108,8 +107,3 @@ class HexagonDelegate:
 #: Effective speedup of SNPE's hand-tuned HVX kernels over the
 #: open-source delegate's (vendor software is "highly tuned", §IV-B).
 SNPE_DSP_TUNING = 1.3
-
-
-def cpu_fallback_dispatch_overhead_us():
-    """Per-op overhead when the NNAPI runtime walks reference kernels."""
-    return soc_params.CPU_OP_DISPATCH_US

@@ -22,7 +22,6 @@ from repro.processing.image import (
     quantize_to_uint8,
     rotate90,
 )
-from repro.processing.text import wordpiece_tokenize
 
 
 @dataclass(frozen=True)
@@ -209,8 +208,3 @@ def build_postprocess_plan(card, model, context="app", impl=None):
         anchors = metadata.get("anchors", 1917)
         steps.append(Step("box_decode_nms", costs.nms_cost_us(anchors)))
     return plan
-
-
-def tokenize_for_model(text, max_len=384):
-    """Real tokenization path used by examples."""
-    return wordpiece_tokenize(text, max_len=max_len)

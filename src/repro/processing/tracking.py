@@ -89,10 +89,6 @@ class IouTracker:
         ]
         return list(self.tracks)
 
-    @property
-    def confirmed_tracks(self):
-        return [track for track in self.tracks if track.confirmed]
-
 
 def tracking_cost_us(tracks, detections):
     """Simulated CPU cost of one association pass (ref-us).

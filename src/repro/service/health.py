@@ -207,14 +207,6 @@ class HealthMonitor:
             _STATE_LEVELS[breaker.state],
         )
 
-    def open_backends(self):
-        """Backend ids currently ejected from routing."""
-        return sorted(
-            backend_id
-            for backend_id, breaker in sorted(self.breakers.items())
-            if breaker.state == STATE_OPEN
-        )
-
     def to_dict(self):
         """Per-backend health ledger, in backend-id order."""
         return [

@@ -1,13 +1,11 @@
 """The simulation engine: clock, schedule, and run loop.
 
 Hot-path notes (see ``docs/performance.md``): the schedule is a binary
-heap of ``(time, priority, sequence, event)`` entries; the run loops in
-:meth:`Simulator.run` inline the pop-and-dispatch step with local
-bindings because they retire tens of thousands of events per simulated
-session. Cancellation is *lazy*: :meth:`Simulator.cancel` tombstones
-the event and the pop loops skip it, so cancelling never scans the
-heap. All of this is observably free — the popped-event stream (and
-hence the sanitizer's replay digest) is identical to the naive loop's.
+heap of ``(time, priority, sequence, event)`` entries; :meth:`Simulator.run`
+inlines the pop-and-dispatch step with local bindings because it retires
+tens of thousands of events per simulated session. This is observably
+free — the popped-event stream (and hence the sanitizer's replay digest)
+is identical to a ``while sim.step()`` loop's.
 """
 
 import gc
@@ -76,9 +74,6 @@ class Simulator:
         self._sequence = 0
         self._active_process = None
         self._id_counters = {}
-        #: Events popped and dispatched so far — the denominator of the
-        #: events/sec throughput metric in ``BENCH_engine_throughput``.
-        self.events_processed = 0
         self.sanitizer = None
         if sanitize is None:
             sanitize = sanitize_enabled()
@@ -114,20 +109,6 @@ class Simulator:
         event.callbacks.append(callback)
         return event
 
-    def cancel(self, event):
-        """Lazily cancel a scheduled-but-unprocessed event.
-
-        The schedule entry is tombstoned, not removed: the run loops
-        discard it when it surfaces, so cancellation is O(1) instead of
-        an O(n) heap scan. A cancelled event never runs its callbacks,
-        never advances the clock, and never reaches the sanitizer's
-        replay stream. Processed events cannot be cancelled.
-        """
-        if event._state is PROCESSED:
-            raise RuntimeError(f"cannot cancel processed event {event!r}")
-        event._canceled = True
-        return event
-
     # -- event factories ----------------------------------------------
 
     def event(self, name=None):
@@ -155,27 +136,24 @@ class Simulator:
     def step(self):
         """Process a single event. Returns False when the queue is empty."""
         queue = self._queue
-        while queue:
-            time, priority, sequence, event = heappop(queue)
-            if event._canceled:
-                continue
-            if time < self.now:
-                raise RuntimeError("schedule went backwards in time")
-            if self.sanitizer is not None:
-                self.sanitizer.on_pop(time, priority, sequence, event)
-            self.now = time
-            self.events_processed += 1
-            callbacks = event.callbacks
-            # Processed events drop their callback list entirely (an
-            # accidental late append raises instead of silently never
-            # running) — and the run loops avoid allocating a fresh
-            # list per retired event.
-            event.callbacks = None
-            event._state = PROCESSED
-            for callback in callbacks:
-                callback(event)
-            return True
-        return False
+        if not queue:
+            return False
+        time, priority, sequence, event = heappop(queue)
+        if time < self.now:
+            raise RuntimeError("schedule went backwards in time")
+        if self.sanitizer is not None:
+            self.sanitizer.on_pop(time, priority, sequence, event)
+        self.now = time
+        callbacks = event.callbacks
+        # Processed events drop their callback list entirely (an
+        # accidental late append raises instead of silently never
+        # running) — and the run loop avoids allocating a fresh list
+        # per retired event.
+        event.callbacks = None
+        event._state = PROCESSED
+        for callback in callbacks:
+            callback(event)
+        return True
 
     def run(self, until=None):
         """Run until the schedule drains, a time, or an event.
@@ -184,101 +162,57 @@ class Simulator:
         simulation time in microseconds), or an :class:`Event` (stop once
         it has been processed and return its value).
         """
-        if until is None:
-            # Inlined drain loop: identical semantics to `while
-            # self.step()`, minus a method call and attribute reloads
-            # per event. Cyclic GC is paused for the duration — the
-            # collector otherwise walks the full object graph every few
-            # thousand event allocations, and nothing in the loop relies
-            # on collection. Purely a wall-clock effect; the event
-            # stream is untouched.
-            queue = self._queue
-            sanitizer = self.sanitizer
-            count = 0
-            gc_was_enabled = gc.isenabled()
-            if gc_was_enabled:
-                gc.disable()
-            try:
-                while queue:
-                    time, priority, sequence, event = heappop(queue)
-                    if event._canceled:
-                        continue
-                    if time < self.now:
-                        raise RuntimeError("schedule went backwards in time")
-                    if sanitizer is not None:
-                        sanitizer.on_pop(time, priority, sequence, event)
-                    self.now = time
-                    count += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._state = PROCESSED
-                    if len(callbacks) == 1:
-                        callbacks[0](event)
-                    else:
-                        for callback in callbacks:
-                            callback(event)
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
-            self.events_processed += count
+        if until is not None and not isinstance(until, Event):
+            deadline = float(until)
+            if deadline < self.now:
+                raise ValueError(f"until={deadline} is in the past (now={self.now})")
+            while self._queue and self._queue[0][0] <= deadline:
+                self.step()
+            self.now = deadline
             return None
-        if isinstance(until, Event):
-            return self._run_until_event(until)
-        deadline = float(until)
-        if deadline < self.now:
-            raise ValueError(f"until={deadline} is in the past (now={self.now})")
-        while self._queue and self._queue[0][0] <= deadline:
-            self.step()
-        self.now = deadline
-        return None
-
-    def _run_until_event(self, event):
         stopped = []
-        event.callbacks.append(stopped.append)
+        if until is not None:
+            until.callbacks.append(stopped.append)
+        # Inlined step(): identical semantics, minus a method call and
+        # attribute reloads per event. Cyclic GC is paused for the
+        # duration — the collector otherwise walks the full object graph
+        # every few thousand event allocations, and nothing in the loop
+        # relies on collection. Purely a wall-clock effect; the event
+        # stream is untouched.
         queue = self._queue
         sanitizer = self.sanitizer  # fixed at Simulator construction
-        count = 0
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
-            while not stopped:
-                # Inlined pop-and-dispatch (see run()).
-                if not queue:
-                    raise RuntimeError(
-                        f"schedule drained before {event!r} was triggered"
-                    )
-                time, priority, sequence, popped = heappop(queue)
-                if popped._canceled:
-                    continue
+            while queue and not stopped:
+                time, priority, sequence, event = heappop(queue)
                 if time < self.now:
                     raise RuntimeError("schedule went backwards in time")
                 if sanitizer is not None:
-                    sanitizer.on_pop(time, priority, sequence, popped)
+                    sanitizer.on_pop(time, priority, sequence, event)
                 self.now = time
-                count += 1
-                callbacks = popped.callbacks
-                popped.callbacks = None
-                popped._state = PROCESSED
+                callbacks = event.callbacks
+                event.callbacks = None
+                event._state = PROCESSED
                 if len(callbacks) == 1:
-                    callbacks[0](popped)
+                    callbacks[0](event)
                 else:
                     for callback in callbacks:
-                        callback(popped)
+                        callback(event)
         finally:
             if gc_was_enabled:
                 gc.enable()
-            self.events_processed += count
-        if event._exception is not None:
-            raise event._exception
-        return event._value
+        if until is None:
+            return None
+        if not stopped:
+            raise RuntimeError(
+                f"schedule drained before {until!r} was triggered"
+            )
+        if until._exception is not None:
+            raise until._exception
+        return until._value
 
     def peek(self):
         """Time of the next scheduled event, or infinity when idle."""
-        queue = self._queue
-        while queue:
-            if queue[0][3]._canceled:
-                heappop(queue)
-                continue
-            return queue[0][0]
-        return float("inf")
+        return self._queue[0][0] if self._queue else float("inf")

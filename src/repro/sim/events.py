@@ -41,10 +41,7 @@ class Event:
         :meth:`_default_name`.
     """
 
-    __slots__ = (
-        "sim", "callbacks", "_name", "_state", "_value", "_exception",
-        "_canceled",
-    )
+    __slots__ = ("sim", "callbacks", "_name", "_state", "_value", "_exception")
 
     def __init__(self, sim, name=None):
         self.sim = sim
@@ -53,7 +50,6 @@ class Event:
         self._state = PENDING
         self._value = None
         self._exception = None
-        self._canceled = False
 
     @property
     def name(self):
@@ -107,9 +103,6 @@ class Event:
         self.sim._schedule(self)
         return self
 
-    def _mark_processed(self):
-        self._state = PROCESSED
-
     def __repr__(self):
         label = self.name or self.__class__.__name__
         return f"<Event {label} state={self._state}>"
@@ -132,7 +125,6 @@ class Timeout(Event):
         self._state = TRIGGERED
         self._value = value
         self._exception = None
-        self._canceled = False
         self.delay = delay
         # Inlined sim._schedule(self, delay=delay) at PRIORITY_NORMAL
         # (1) — the only other frame left on the timeout path.

@@ -33,10 +33,6 @@ class Process(Event):
         bootstrap._state = TRIGGERED
         sim._schedule(bootstrap, priority=sim.PRIORITY_URGENT)
 
-    @property
-    def is_alive(self):
-        return self._state == PENDING
-
     def interrupt(self, cause=None):
         """Throw :class:`Interrupted` into the process at its yield point."""
         if self._state != PENDING:

@@ -1,136 +1,77 @@
-"""Memoized per-op cost tables for graph latency math.
+"""Memoized per-graph cost totals for graph latency math.
 
 Every inference invoke used to re-price its op graph from scratch:
 ``graph_time_us`` walked the ops, recomputed each roofline division, and
 summed. The op graphs are immutable (:class:`~repro.models.ops.Op` is a
 frozen dataclass, model op tuples come out of an ``lru_cache``) and the
 pricing inputs — device kind, device scale, dtype, kernel impl — are
-fixed for the life of a process, so the per-op latency column and its
-total can be computed once per *(pricing config, ops)* pair and reused
-by every subsequent invoke.
+fixed for the life of a process, so a graph's total can be computed once
+per *(pricing config, ops)* pair and reused by every subsequent invoke.
 
-A :class:`CostTable` is a struct-of-arrays view of one priced graph: a
-flat tuple of per-op microsecond costs (one column, parallel to the ops
-tuple) plus the precomputed total. Callers that only need the total read
-:attr:`CostTable.total_us`; callers that walk per-op costs (partition
-planners, ablations) can zip ``ops`` with :attr:`CostTable.op_us`
-without re-entering the cost model.
-
-Two cache levels keep the hot path O(1):
-
-* ``_by_id`` keys on ``(config, id(ops))``. A stored table holds a
-  strong reference to its ops tuple, so the id can never be recycled
-  while the entry exists — the lookup is a single small-tuple hash, far
-  cheaper than hashing every op in the graph.
-* ``_by_value`` keys on ``(config, ops)`` (full content hash) and is
-  consulted only on an id miss, so a workload that rebuilds equal op
-  tuples per session (e.g. fresh partitions) still prices each distinct
-  graph once.
+The cache keys on ``(config, id(ops))``: a single small-tuple hash, far
+cheaper than hashing every op in the graph. Each entry holds a strong
+reference to its ops tuple, so the id can never be recycled while the
+entry exists.
 
 Bit-identity contract (see ``docs/performance.md``): the cached total is
 produced by the *same* left-fold ``sum()`` over per-op values computed
 by the *same* per-op function the uncached code used, so replacing the
-per-invoke sum with a table read is observably free — figure outputs
+per-invoke sum with a cache read is observably free — figure outputs
 and replay digests are byte-identical.
 """
 
-__all__ = [
-    "CostTable",
-    "build_table",
-    "clear_cost_tables",
-    "cost_table_stats",
-    "lookup_table",
-]
+__all__ = ["clear_cost_tables", "cost_table_stats", "graph_total_us"]
 
-
-class CostTable:
-    """Struct-of-arrays pricing of one op tuple under one config."""
-
-    __slots__ = ("ops", "op_us", "total_us")
-
-    def __init__(self, ops, op_us):
-        self.ops = ops
-        self.op_us = op_us
-        # Left-fold from zero — the identical float-addition order to
-        # the ``sum(op_time(op) for op in ops)`` expression this table
-        # replaces, which keeps cached totals bit-equal to uncached.
-        self.total_us = sum(op_us)
-
-    def __len__(self):
-        return len(self.ops)
-
-    def __repr__(self):
-        return f"<CostTable ops={len(self.ops)} total_us={self.total_us}>"
-
-
-#: (config, id(ops)) -> (ops, CostTable). The entry holds the exact
+#: (config, id(ops)) -> (ops, total_us). The entry holds the exact
 #: tuple object whose id it is keyed on — not merely an equal one — so
 #: the id can never be recycled by a different object while the entry
 #: exists. (Keying an unpinned alias is a real bug: CPython reuses
 #: tuple addresses immediately, and a later equal-id lookup would hit
-#: the wrong table.)
-_by_id = {}
-#: (config, ops) -> CostTable, for deduplicating equal-content tuples.
-_by_value = {}
+#: the wrong total.)
+_tables = {}
 _hits = 0
 _misses = 0
 
 
-def lookup_table(config, ops):
-    """Return the cached :class:`CostTable` for ``(config, ops)`` or None.
+def graph_total_us(config, ops, op_us, *args):
+    """Total of ``op_us(op, *args)`` over ``ops``, memoized per graph.
 
-    ``config`` must be a hashable description of every input the per-op
-    cost function reads besides the op itself — device kind, scale,
-    dtype, impl. Omitting a pricing input from the config would alias
-    distinct costs onto one table.
+    ``op_us`` is the caller's existing per-op cost function, so this
+    module never duplicates cost math. ``config`` must be a hashable
+    description of every input ``op_us`` reads besides the op itself —
+    device kind, scale, dtype, impl. Omitting a pricing input from the
+    config would alias distinct costs onto one entry. Non-tuple ``ops``
+    (rare ad-hoc lists) are priced but not cached: lists are mutable,
+    so their id is no key.
     """
-    global _hits
+    global _hits, _misses
     # id() here is deterministically *safe*: it only decides cache hit
     # vs miss, and a miss recomputes the identical value, so no output
     # ever depends on the address. Every entry pins the tuple its id
     # names, so a stored id cannot be recycled by a different object.
-    entry = _by_id.get((config, id(ops)))  # repro: allow[id-as-key]
-    if entry is None:
-        return None
-    _hits += 1
-    return entry[1]
-
-
-def build_table(config, ops, op_us):
-    """Price ``ops`` from the ``op_us`` column and memoize the table.
-
-    ``op_us`` is the per-op microsecond cost sequence, computed by the
-    caller with its existing per-op function (so this module never
-    duplicates cost math). Non-tuple ``ops`` (rare ad-hoc lists) are
-    priced but not cached — lists are mutable, so neither key is safe.
-    """
-    global _misses
+    key = (config, id(ops))  # repro: allow[id-as-key]
+    entry = _tables.get(key)
+    if entry is not None:
+        _hits += 1
+        return entry[1]
     _misses += 1
-    if not isinstance(ops, tuple):
-        return CostTable(tuple(ops), tuple(op_us))
-    value_key = (config, ops)
-    table = _by_value.get(value_key)
-    if table is None:
-        table = CostTable(ops, tuple(op_us))
-        _by_value[value_key] = table
-    _by_id[(config, id(ops))] = (ops, table)  # repro: allow[id-as-key]
-    return table
+    # Left-fold from zero — the identical float-addition order to the
+    # inline ``sum(op_time(op) for op in ops)`` this cache replaces,
+    # which keeps cached totals bit-equal to uncached.
+    total = sum([op_us(op, *args) for op in ops])
+    if isinstance(ops, tuple):
+        _tables[key] = (ops, total)
+    return total
 
 
 def clear_cost_tables():
-    """Drop every cached table (tests and benchmark cold-start runs)."""
+    """Drop every cached total (tests and benchmark cold-start runs)."""
     global _hits, _misses
-    _by_id.clear()
-    _by_value.clear()
+    _tables.clear()
     _hits = 0
     _misses = 0
 
 
 def cost_table_stats():
     """Cache effectiveness counters for benchmarks and docs."""
-    return {
-        "tables": len(_by_value),
-        "aliases": len(_by_id),
-        "hits": _hits,
-        "misses": _misses,
-    }
+    return {"tables": len(_tables), "hits": _hits, "misses": _misses}

@@ -60,9 +60,6 @@ class CpuCluster:
             for i in range(self.core_count)
         ]
 
-    def set_governor_mode(self, mode):
-        self.governor = DvfsGovernor(self.opp, mode=mode)
-
     def utilization(self, window_busy_us, window_us):
         """Average core utilization of the cluster over a window."""
         if window_us <= 0:

@@ -15,7 +15,7 @@ latency growth in the paper's Fig. 9.
 from repro.sim import units
 from repro.sim import Resource
 from repro.soc import params
-from repro.soc.cost_tables import build_table, lookup_table
+from repro.soc.cost_tables import graph_total_us
 
 
 _RATE_BY_KIND = {
@@ -61,13 +61,9 @@ class Dsp:
     def graph_time_us(self, ops, dtype):
         """Memoized per ``(scale, dtype, ops)``; bit-equal to the
         inline sum (see :mod:`repro.soc.cost_tables`)."""
-        config = ("dsp", self.scale, dtype)
-        table = lookup_table(config, ops)
-        if table is None:
-            table = build_table(
-                config, ops, [self.op_time_us(op, dtype) for op in ops]
-            )
-        return table.total_us
+        return graph_total_us(
+            ("dsp", self.scale, dtype), ops, self.op_time_us, dtype
+        )
 
     def map_process(self, process_id):
         """Record a FastRPC process mapping; True when newly created."""

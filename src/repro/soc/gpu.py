@@ -10,7 +10,7 @@ buffers, which is the behaviour relevant to the paper.
 from repro.sim import units
 from repro.sim import Resource
 from repro.soc import params
-from repro.soc.cost_tables import build_table, lookup_table
+from repro.soc.cost_tables import graph_total_us
 
 
 #: Map from op compute class to effective fp32 GFLOP/s on the reference GPU.
@@ -51,13 +51,9 @@ class Gpu:
         scale price identically, so the key is the pricing parameters,
         not the instance (see :mod:`repro.soc.cost_tables`).
         """
-        config = ("gpu", self.scale, dtype)
-        table = lookup_table(config, ops)
-        if table is None:
-            table = build_table(
-                config, ops, [self.op_time_us(op, dtype) for op in ops]
-            )
-        return table.total_us
+        return graph_total_us(
+            ("gpu", self.scale, dtype), ops, self.op_time_us, dtype
+        )
 
     @property
     def init_time_us(self):
