@@ -1,8 +1,10 @@
 #!/usr/bin/env python
 """Regenerate every table and figure of the paper in one run.
 
-Prints each experiment's table; pass ``--fast`` for a quicker pass with
-fewer iterations. This is the script behind EXPERIMENTS.md.
+Prints each registered experiment's table at its bench settings, the
+ones ``benchmarks/results/`` is committed at; pass ``--fast`` for a
+quicker pass at the settings the tier-1 claim tests use. This is the
+script behind EXPERIMENTS.md.
 
 Run:  python examples/paper_report.py [--fast]
 """
@@ -10,56 +12,22 @@ Run:  python examples/paper_report.py [--fast]
 import sys
 import time
 
-from repro.experiments import run_experiment
-
-#: (experiment id, default kwargs, fast kwargs)
-SCHEDULE = (
-    ("table1", {}, {}),
-    ("table2", {}, {}),
-    ("fig3", {"runs": 10}, {"runs": 5}),
-    ("fig4", {"runs": 10}, {"runs": 5}),
-    ("fig5", {"runs": 10}, {"runs": 5}),
-    ("fig6", {"runs": 8}, {"runs": 4}),
-    ("fig7", {}, {}),
-    ("fig8", {}, {"counts": (1, 5, 20, 100)}),
-    ("fig9", {"runs": 10}, {"runs": 5}),
-    ("fig10", {"runs": 10}, {"runs": 5}),
-    ("fig11", {"runs": 200}, {"runs": 60}),
-    ("ablation_snpe", {"runs": 8}, {"runs": 4}),
-    ("ablation_probe", {"runs": 8}, {"runs": 4}),
-    ("ablation_coupling", {}, {}),
-    ("ablation_stdlib", {}, {}),
-    ("energy", {}, {"invokes": 8}),
-    ("preferences", {}, {"invokes": 4}),
-    ("thermal", {}, {"invokes": 60}),
-    ("soc_sweep", {}, {"runs": 5}),
-    ("streaming", {}, {"runs": 10}),
-    ("init_time", {}, {}),
-    ("pipelining", {}, {"frames": 10}),
-    ("ablation_fastcv", {}, {"runs": 6}),
-    ("driver_versions", {}, {"invokes": 5}),
-    ("mlperf_gap", {}, {"queries": 15, "runs": 8}),
-    ("resolution_sweep", {}, {"runs": 5}),
-    ("whatif", {}, {"runs": 6}),
-    ("takeaways", {}, {"runs": 6}),
-    ("arvr_multimodel", {}, {"frames": 6}),
-    ("memory_footprint", {}, {}),
-    ("model_scaling", {}, {"runs": 4}),
-)
+from repro.experiments import REGISTRY, run_experiment
 
 
 def main(argv):
     fast = "--fast" in argv
     total_start = time.perf_counter()
-    for experiment_id, kwargs, fast_kwargs in SCHEDULE:
-        chosen = fast_kwargs if fast and fast_kwargs else kwargs
+    for experiment_id, run in sorted(REGISTRY.items()):
         start = time.perf_counter()
-        result = run_experiment(experiment_id, **chosen)
+        result = run_experiment(
+            experiment_id, **(run.fast if fast else run.bench)
+        )
         elapsed = time.perf_counter() - start
         print(result.render())
         print(f"(regenerated in {elapsed:.1f}s)\n")
     print(
-        f"All {len(SCHEDULE)} experiments regenerated in "
+        f"All {len(REGISTRY)} experiments regenerated in "
         f"{time.perf_counter() - total_start:.1f}s"
     )
 

@@ -138,25 +138,7 @@ def run_pipeline(config):
     temperature (§III-D) and the warm-up iteration is kept in the record
     set — analyses drop it explicitly where the paper does.
     """
-    sim, soc, kernel = build_rig(config)
-    packaging = build_packaging(kernel, config)
-    if config.background is not None:
-        count, bg_target = config.background
-        start_background_inferences(
-            kernel,
-            count,
-            target=bg_target,
-            model_key=config.background_model,
-            dtype=config.background_dtype,
-            threads=config.background_threads,
-        )
-    thread = kernel.spawn(
-        packaging.body(config.runs),
-        name=f"{config.context}:{config.model_key}",
-        process=packaging.process,
-    )
-    sim.run(until=thread.done)
-    records = packaging.records
+    records = run_pipeline_with_rig(config)[0]
     records.runs = list(records.runs)  # defensive copy before sim teardown
     return records
 

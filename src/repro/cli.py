@@ -136,16 +136,21 @@ def _cmd_experiment(args):
 
 
 def _cmd_summary(_args):
-    """Re-validate the paper's takeaways and show the repo inventory."""
-    result = run_experiment("takeaways", runs=8)
-    print(result.render())
+    """Check every paper claim at bench settings and show the inventory."""
+    from repro.experiments.claims import bench_claims, render_claims
+
+    rows = bench_claims()
+    print(render_claims(rows))
     print()
     print(f"models in the zoo:        {len(MODEL_CARDS)}")
     print(f"simulated platforms:      {len(SOC_SPECS)}")
     print(f"registered experiments:   {len(REGISTRY)}")
-    holds = all(row[3] for row in result.rows)
-    print(f"all takeaways hold:       {'yes' if holds else 'NO'}")
-    return 0 if holds else 1
+    failed = [row.id for row in rows if not row.holds]
+    holding = len(rows) - len(failed)
+    print(f"claims holding:           {holding} of {len(rows)}")
+    if failed:
+        print(f"claims failing:           {', '.join(failed)}")
+    return 1 if failed else 0
 
 
 def _check_failure_rate(failure_rate, max_failure_rate):
@@ -709,7 +714,7 @@ def build_parser():
     sub.add_parser("models", help="list the Table-I model zoo")
     sub.add_parser("socs", help="list the Table-II platforms")
     sub.add_parser(
-        "summary", help="re-validate the paper takeaways + inventory"
+        "summary", help="check every paper claim + inventory"
     )
 
     run_parser = sub.add_parser("run", help="simulate one configuration")

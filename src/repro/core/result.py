@@ -44,7 +44,6 @@ class ExperimentResult:
             ) from None
         return [row[index] for row in self.rows]
 
-    def row_map(self, key_header):
-        """Dict of key-column value -> row."""
-        index = list(self.headers).index(key_header)
-        return {row[index]: row for row in self.rows}
+    def lookup(self, key_header, header):
+        """Dict of key-column value -> that row's ``header`` value."""
+        return dict(zip(self.column(key_header), self.column(header)))

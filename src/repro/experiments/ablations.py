@@ -10,6 +10,7 @@ from repro.android import FastRpcChannel, Kernel
 from repro.apps import PipelineConfig, run_pipeline
 from repro.core import ProbeEffect, breakdown
 from repro.experiments.base import ExperimentResult, experiment
+from repro.experiments.claims import Claim, cell, ratio
 from repro.models import load_model
 from repro.processing.costs import random_input_cost_us
 from repro.sim import Simulator
@@ -17,7 +18,22 @@ from repro.sim import units
 from repro.soc import make_soc
 
 
-@experiment("ablation_snpe")
+SNPE_CLAIMS = (
+    Claim("snpe_over_cpu", "DSP wins", "< 1",
+          ratio("Runtime", "inference ms", "snpe-dsp", "cpu"),
+          "under SNPE the DSP outperforms the CPU"),
+    Claim("snpe_over_nnapi", "DSP wins", "< 1",
+          ratio("Runtime", "inference ms", "snpe-dsp", "nnapi"),
+          "the vendor runtime avoids NNAPI's fallback"),
+    Claim("snpe_over_hexagon", "DSP wins", "<= 1",
+          ratio("Runtime", "inference ms", "snpe-dsp", "hexagon"),
+          "the vendor runtime is at least as fast as the TFLite delegate"),
+)
+
+
+@experiment(
+    "ablation_snpe", claims=SNPE_CLAIMS, bench={"runs": 6}, fast={"runs": 5},
+)
 def run_snpe(runs=10, seed=0, model_key="efficientnet_lite0", dtype="int8"):
     """SNPE DSP vs NNAPI vs tuned CPU for a quantized model."""
     headers = ("Runtime", "inference ms", "vs snpe-dsp")
@@ -44,7 +60,20 @@ def run_snpe(runs=10, seed=0, model_key="efficientnet_lite0", dtype="int8"):
     )
 
 
-@experiment("ablation_probe")
+PROBE_CLAIMS = (
+    Claim("accelerated_overhead", "4-7%", "[0.04, 0.07]",
+          cell("Configuration", "overhead", "hexagon [int8]"),
+          "instrumentation slows accelerated runs by 4-7%"),
+    Claim("cpu_overhead", "none", "= 0",
+          cell("Configuration", "overhead", "cpu [fp32]"),
+          "instrumentation does not slow CPU runs"),
+)
+
+
+@experiment(
+    "ablation_probe", claims=PROBE_CLAIMS, bench={"runs": 6},
+    fast={"runs": 5},
+)
 def run_probe(runs=10, seed=0, model_key="mobilenet_v1"):
     """Instrumentation overhead: accelerated runs slow 4-7%, CPU runs 0%."""
     probe = ProbeEffect()
@@ -82,7 +111,20 @@ def run_probe(runs=10, seed=0, model_key="mobilenet_v1"):
     )
 
 
-@experiment("ablation_coupling")
+COUPLING_CLAIMS = (
+    Claim("loose_flush_us", "cache flushes", "> 0",
+          cell("Coupling", "flush+transfer us/call", "loose"),
+          "a loosely coupled DSP pays cache flushes + AXI per call"),
+    Claim("tight_flush_us", "none", "= 0",
+          cell("Coupling", "flush+transfer us/call", "tight"),
+          "a tightly coupled accelerator pays neither"),
+    Claim("loose_over_tight_invoke", "slower", ">= 1",
+          ratio("Coupling", "mean invoke ms", "loose", "tight"),
+          "loose coupling makes each offload slower"),
+)
+
+
+@experiment("ablation_coupling", claims=COUPLING_CLAIMS, fast={"invokes": 10})
 def run_coupling(seed=0, model_key="mobilenet_v1", invokes=20):
     """Loosely vs tightly coupled accelerator integration (§II-D)."""
     headers = ("Coupling", "mean invoke ms", "flush+transfer us/call")
@@ -125,7 +167,17 @@ def run_coupling(seed=0, model_key="mobilenet_v1", invokes=20):
     )
 
 
-@experiment("ablation_stdlib")
+STDLIB_CLAIMS = (
+    Claim("libcxx_int8_over_fp32", "ints slower", "> 2",
+          cell("stdlib", "int8/fp32", "libc++"),
+          "libc++ generates reals faster than integers"),
+    Claim("libstdcxx_int8_over_fp32", "reals slower", "< 0.5",
+          cell("stdlib", "int8/fp32", "libstdc++"),
+          "libstdc++ shows the exact opposite"),
+)
+
+
+@experiment("ablation_stdlib", claims=STDLIB_CLAIMS)
 def run_stdlib(model_key="mobilenet_v1"):
     """Random-input generation cost: libc++ vs libstdc++ (§IV-A)."""
     model_fp32 = load_model(model_key)

@@ -22,6 +22,7 @@ from repro.apps.harness import run_pipeline_with_rig
 from repro.apps.sessions import make_session
 from repro.core import breakdown
 from repro.experiments.base import ExperimentResult, experiment
+from repro.experiments.claims import Claim, cell, ratio
 from repro.frameworks import FAST_SINGLE_ANSWER, LOW_POWER, SUSTAINED_SPEED
 from repro.models import load_model
 from repro.sim import Simulator
@@ -54,7 +55,23 @@ def _drive(sim, kernel, session, invokes):
     return durations
 
 
-@experiment("energy")
+ENERGY_CLAIMS = (
+    Claim("cpu_over_dsp_mj", "CPU inefficient", "> 8",
+          ratio("Placement", "mJ/inf", "cpu x4 [int8]", "hexagon [int8]"),
+          "general-purpose cores are energy-inefficient for AI"),
+    Claim("snpe_over_hexagon_mj", "n/a", "<= 1",
+          ratio("Placement", "mJ/inf", "snpe-dsp [int8]", "hexagon [int8]"),
+          "the vendor runtime spends no more energy than the delegate"),
+    Claim("cpu_fp32_over_int8_mj", "n/a", "> 1",
+          ratio("Placement", "mJ/inf", "cpu x4 [fp32]", "cpu x4 [int8]"),
+          "fp32 CPU inference costs more energy than int8"),
+    Claim("cpu_over_dsp_edp", "n/a", "> 20",
+          ratio("Placement", "EDP (mJ*ms)", "cpu x4 [int8]", "hexagon [int8]"),
+          "the DSP wins on energy and latency together"),
+)
+
+
+@experiment("energy", claims=ENERGY_CLAIMS, bench={"invokes": 10})
 def run_energy(seed=0, model_key="mobilenet_v1", invokes=20):
     """Joules per inference across placements.
 
@@ -107,7 +124,23 @@ def run_energy(seed=0, model_key="mobilenet_v1", invokes=20):
     )
 
 
-@experiment("preferences")
+PREFERENCES_CLAIMS = (
+    Claim("low_power_over_fast_ms", "slower", "> 1",
+          ratio("Preference", "ms/inf", LOW_POWER, FAST_SINGLE_ANSWER),
+          "LOW_POWER runs CPU partitions on the little cluster: slower..."),
+    Claim("low_power_over_fast_mj", "cheaper", "< 1",
+          ratio("Preference", "mJ/inf", LOW_POWER, FAST_SINGLE_ANSWER),
+          "...and cheaper in energy"),
+    Claim("sustained_over_fast_ms", "n/a", ">= 1",
+          ratio("Preference", "ms/inf", SUSTAINED_SPEED, FAST_SINGLE_ANSWER),
+          "SUSTAINED_SPEED is no faster than FAST_SINGLE_ANSWER..."),
+    Claim("sustained_over_low_power_ms", "n/a", "<= 1",
+          ratio("Preference", "ms/inf", SUSTAINED_SPEED, LOW_POWER),
+          "...and no slower than LOW_POWER"),
+)
+
+
+@experiment("preferences", claims=PREFERENCES_CLAIMS, bench={"invokes": 5})
 def run_preferences(seed=0, model_key="inception_v3", dtype="fp32",
                     invokes=8):
     """NNAPI execution preference: latency vs energy.
@@ -144,7 +177,31 @@ def run_preferences(seed=0, model_key="inception_v3", dtype="fp32",
     )
 
 
-@experiment("thermal")
+def _tail_over_head(result):
+    """Mean of the last ten invocations over the first ten."""
+    latency = result.series["latency_ms"]
+    return sum(latency[-10:]) / sum(latency[:10])
+
+
+THERMAL_CLAIMS = (
+    Claim("throttle_slowdown", "drifts up", "> 1.2",
+          cell("Metric", "value", "throttle-induced slowdown"),
+          "without cooldown, sustained load throttles the CPU"),
+    Claim("tail_over_head", "drifts up", "> 1", _tail_over_head,
+          "latency trends upward over the sustained run"),
+    Claim("is_throttling", "throttling", "= yes",
+          cell("Metric", "value", "is throttling"),
+          "the die ends past the throttle trip point"),
+    Claim("final_temperature_c", "past ~33 C", "> 70",
+          cell("Metric", "value", "final die temperature C"),
+          "the die heats well above the ~33 C cooldown target"),
+    Claim("cooldown_s", "cooldown needed", "> 1",
+          cell("Metric", "value", "cooldown needed (s)"),
+          "cooling back down takes real time between runs"),
+)
+
+
+@experiment("thermal", claims=THERMAL_CLAIMS, bench={"invokes": 80})
 def run_thermal(seed=0, model_key="inception_v3", dtype="fp32",
                 invokes=120, time_constant_s=6.0):
     """Sustained load without the paper's cooldown protocol.
@@ -187,7 +244,28 @@ def run_thermal(seed=0, model_key="inception_v3", dtype="fp32",
     )
 
 
-@experiment("soc_sweep")
+SOCS = ("sd835", "sd845", "sd855", "sd865")
+
+
+def _inference_shrinks(result):
+    inference = result.lookup("SoC", "inference ms")
+    ordered = [inference[soc] for soc in SOCS]
+    return all(a > b for a, b in zip(ordered, ordered[1:]))
+
+
+SOC_SWEEP_CLAIMS = (
+    Claim("inference_shrinks", "trends hold", "= yes", _inference_shrinks,
+          "each newer DSP shrinks inference"),
+    Claim("sd865_over_sd835_tax", "trends hold", "> 1",
+          ratio("SoC", "AI tax fraction", "sd865", "sd835"),
+          "the AI-tax fraction grows with newer SoCs"),
+    Claim("sd865_tax", "trends hold", "> 0.8",
+          cell("SoC", "AI tax fraction", "sd865"),
+          "on the newest SoC the AI tax is most of the end-to-end time"),
+)
+
+
+@experiment("soc_sweep", claims=SOC_SWEEP_CLAIMS, bench={"runs": 6})
 def run_soc_sweep(runs=8, seed=0, model_key="mobilenet_v1", dtype="int8"):
     """The Fig.-4 app breakdown across all four Table-II platforms."""
     headers = (
@@ -196,7 +274,7 @@ def run_soc_sweep(runs=8, seed=0, model_key="mobilenet_v1", dtype="int8"):
     )
     rows = []
     series = {}
-    for soc_key in ("sd835", "sd845", "sd855", "sd865"):
+    for soc_key in SOCS:
         config = PipelineConfig(
             model_key=model_key, dtype=dtype, context="app",
             target="nnapi", runs=runs, seed=seed, soc=soc_key,
@@ -222,7 +300,32 @@ def run_soc_sweep(runs=8, seed=0, model_key="mobilenet_v1", dtype="int8"):
     )
 
 
-@experiment("memory_footprint")
+def _column_ratio(model_key, header, baseline):
+    """Measure: one model's ``header`` over its ``baseline`` column."""
+
+    def measure(result):
+        return (
+            result.lookup("Model", header)[model_key]
+            / result.lookup("Model", baseline)[model_key]
+        )
+
+    return measure
+
+
+MEMORY_CLAIMS = (
+    Claim("mobilenet_int8_shrink", "less memory", "[3.96, 4.04]",
+          cell("Model", "shrink", "mobilenet_v1"),
+          "less memory is required to store int8 weights and activations"),
+    Claim("deeplab_activation_over_weights", "n/a", "> 1",
+          _column_ratio("deeplab_v3", "fp32 peak act MB", "fp32 weights MB"),
+          "DeepLab's dense 513x513 output dominates its arena"),
+    Claim("alexnet_weights_over_activation", "n/a", "> 50",
+          _column_ratio("alexnet", "fp32 weights MB", "fp32 peak act MB"),
+          "AlexNet's footprint is its huge FC weights"),
+)
+
+
+@experiment("memory_footprint", claims=MEMORY_CLAIMS)
 def run_memory_footprint():
     """Model memory: weights + activation arena, fp32 vs int8.
 
@@ -266,7 +369,30 @@ def run_memory_footprint():
     )
 
 
-@experiment("model_scaling")
+def _over_area(header):
+    """Measure: 224-over-128 growth of ``header`` over the area growth."""
+
+    def measure(result):
+        growth = ratio("input", header, "224x224", "128x128")(result)
+        return growth / (224 / 128) ** 2
+
+    return measure
+
+
+SCALING_CLAIMS = (
+    Claim("flops_over_area", "~quadratic", "[0.85, 1.15]",
+          _over_area("GFLOPs"),
+          "network FLOPs scale ~quadratically with the input side"),
+    Claim("inference_over_area", "~quadratic", "[0.7, 1.3]",
+          _over_area("inference ms (cpu x4)"),
+          "inference latency scales ~quadratically with the input side"),
+)
+
+
+@experiment(
+    "model_scaling", claims=SCALING_CLAIMS,
+    fast={"resolutions": (128, 224)},
+)
 def run_model_scaling(runs=6, seed=0, resolutions=(128, 160, 192, 224)):
     """Input resolution vs inference and pre-processing cost (§II-B).
 
@@ -308,7 +434,21 @@ def run_model_scaling(runs=6, seed=0, resolutions=(128, 160, 192, 224)):
     )
 
 
-@experiment("resolution_sweep")
+def _inference_spread(result):
+    inference = result.column("inference ms")
+    return max(inference) / min(inference)
+
+
+RESOLUTION_CLAIMS = (
+    Claim("capture_1080p_over_qvga", "non-linear drops", "> 2",
+          ratio("source", "capture ms", "1920x1080", "320x240"),
+          "a wrong capture resolution causes non-linear performance drops"),
+    Claim("inference_spread", "n/a", "< 1.2", _inference_spread,
+          "inference is resolution-independent (fixed model input)"),
+)
+
+
+@experiment("resolution_sweep", claims=RESOLUTION_CLAIMS, bench={"runs": 6})
 def run_resolution_sweep(runs=8, seed=0, model_key="mobilenet_v1",
                          dtype="int8"):
     """Capture resolution vs pipeline cost (paper §II-A).
@@ -350,7 +490,33 @@ def run_resolution_sweep(runs=8, seed=0, model_key="mobilenet_v1",
     )
 
 
-@experiment("whatif")
+def _algorithm_share(result):
+    """Capture + pre- + post-processing share of end-to-end time."""
+    shares = result.lookup("stage", "share")
+    return (
+        shares["data_capture"] + shares["pre_processing"]
+        + shares["post_processing"]
+    )
+
+
+def _top_stage_is_capture(result):
+    """Whether data capture, the largest stage, tops the priorities."""
+    shares = result.lookup("stage", "share")
+    return max(shares, key=shares.get) == "data_capture"
+
+
+WHATIF_CLAIMS = (
+    Claim("algorithm_share", "~50%", ">= 0.4", _algorithm_share,
+          "capture + pre/post-processing can be ~50% of execution time"),
+    Claim("capture_first", "n/a", "= yes", _top_stage_is_capture,
+          "speeding up data capture pays more than speeding up inference"),
+    Claim("accelerator_ceiling", "capped by the AI tax", "< 2",
+          lambda result: result.series["accelerator_ceiling"][0],
+          "ML-only speedups are capped by the AI tax (Amdahl)"),
+)
+
+
+@experiment("whatif", claims=WHATIF_CLAIMS, bench={"runs": 8})
 def run_whatif(runs=12, seed=0, model_key="mobilenet_v1", dtype="int8",
                factor=2.0):
     """Optimization priorities from the measured breakdown.
@@ -393,7 +559,14 @@ def run_whatif(runs=12, seed=0, model_key="mobilenet_v1", dtype="int8",
     )
 
 
-@experiment("init_time")
+INIT_TIME_CLAIMS = (
+    Claim("gpu_init_ms", "worth measuring", "> 50",
+          cell("target", "init ms", "gpu"),
+          "GPU delegate initialization (shader compile) is expensive"),
+)
+
+
+@experiment("init_time", claims=INIT_TIME_CLAIMS)
 def run_init_time(seed=0, switches=5):
     """Model initialization and switching cost (§IV-C).
 
@@ -478,7 +651,27 @@ def run_init_time(seed=0, switches=5):
     )
 
 
-@experiment("streaming")
+def _more_drops(result):
+    dropped = result.lookup("Model", "frames dropped")
+    return dropped["inception_v3"] - dropped["mobilenet_v1"]
+
+
+STREAMING_CLAIMS = (
+    Claim("mobilenet_fps", "n/a", "[29, 31]",
+          cell("Model", "achieved fps", "mobilenet_v1"),
+          "a light model keeps up with the 30 fps camera"),
+    Claim("inception_fps", "n/a", "< 5",
+          cell("Model", "achieved fps", "inception_v3"),
+          "a heavy model falls far behind the camera"),
+    Claim("inception_over_mobilenet_drops", "n/a", "> 0", _more_drops,
+          "the slow model drops more camera frames"),
+)
+
+
+@experiment(
+    "streaming", claims=STREAMING_CLAIMS, bench={"runs": 12},
+    fast={"runs": 10},
+)
 def run_streaming(runs=20, seed=0):
     """Achieved frame rate and camera drops per model (app context)."""
     headers = (

@@ -7,10 +7,28 @@ the added load.
 """
 
 from repro.experiments.base import ExperimentResult, experiment
-from repro.experiments.fig9 import BACKGROUND_COUNTS, _measure
+from repro.experiments.claims import Claim, ratio
+from repro.experiments.fig9 import BACKGROUND_COUNTS, _cpu_side, _measure
 
 
-@experiment("fig10")
+def _cpu_side_growth(result):
+    cpu_side = _cpu_side(result)
+    return cpu_side[4] / cpu_side[0]
+
+
+CLAIMS = (
+    Claim("inference_growth_at_4", "~constant", "< 1.6",
+          ratio("background jobs", "inference ms", 4, 0),
+          "app inference stays ~constant (the DSP is uncontended)"),
+    Claim("cpu_side_growth_at_4", "grows", "> 1.1", _cpu_side_growth,
+          "capture + pre-processing stretch with CPU contention"),
+)
+
+
+@experiment(
+    "fig10", claims=CLAIMS, bench={"runs": 8},
+    fast={"runs": 6, "counts": (0, 4)},
+)
 def run(runs=10, seed=0, model_key="mobilenet_v1", dtype="int8",
         counts=BACKGROUND_COUNTS):
     headers = (

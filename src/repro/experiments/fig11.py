@@ -9,10 +9,27 @@ the app's pipeline and not in the benchmark loop.
 from repro.apps import PipelineConfig, run_pipeline
 from repro.core.variability import VariabilityStats, histogram_of
 from repro.experiments.base import ExperimentResult, experiment
+from repro.experiments.claims import Claim, cell, ratio
 from repro.sim import units
 
 
-@experiment("fig11")
+CLAIMS = (
+    Claim("app_over_benchmark_mean", "app slower", "> 1",
+          ratio("context", "mean ms", "app", "benchmark"),
+          "the app is slower than the benchmark loop"),
+    Claim("app_over_benchmark_cv", "app wider", "> 1",
+          ratio("context", "CV", "app", "benchmark"),
+          "apps vary run-to-run far more than benchmark loops"),
+    Claim("app_over_benchmark_max_deviation", "app wider", ">= 1",
+          ratio("context", "max |dev| from median", "app", "benchmark"),
+          "the app strays further from its median than the benchmark"),
+    Claim("app_max_deviation", "~30%", "<= 0.3",
+          cell("context", "max |dev| from median", "app"),
+          "app latency strays up to ~30% from its median"),
+)
+
+
+@experiment("fig11", claims=CLAIMS, bench={"runs": 120}, fast={"runs": 60})
 def run(runs=150, seed=0, model_key="mobilenet_v1", dtype="fp32",
         target="cpu"):
     headers = (

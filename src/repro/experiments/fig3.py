@@ -9,6 +9,7 @@ benchmark vs ~350 ms in the app).
 from repro.apps import PipelineConfig, run_pipeline
 from repro.core import breakdown
 from repro.experiments.base import ExperimentResult, experiment
+from repro.experiments.claims import Claim
 
 #: The model set shown in the figure (CPU-runnable variants).
 MODELS = (
@@ -23,7 +24,30 @@ MODELS = (
 CONTEXTS = ("cli", "bench_app", "app")
 
 
-@experiment("fig3")
+def _lowest(result, over):
+    """The smallest ``over`` / cli latency ratio across the models."""
+    cli_ms = result.column("cli ms")
+    return min(ms / cli for ms, cli in zip(result.column(over), cli_ms))
+
+
+def _inception_gap_ms(result):
+    app_ms = result.lookup("Model", "app ms")["inception_v3"]
+    return app_ms - result.lookup("Model", "cli ms")["inception_v3"]
+
+
+CLAIMS = (
+    Claim("app_over_cli", "app slower", "> 1",
+          lambda result: _lowest(result, "app ms"),
+          "both benchmark utilities hide the app's end-to-end penalty"),
+    Claim("bench_app_over_cli", "bench_app >= cli", ">= 0.98",
+          lambda result: _lowest(result, "bench_app ms"),
+          "the benchmark app costs at least what the CLI benchmark does"),
+    Claim("inception_app_gap_ms", "+100 ms", "> 0", _inception_gap_ms,
+          "Inception v3 fp32: app ~350 ms vs benchmark ~250 ms"),
+)
+
+
+@experiment("fig3", claims=CLAIMS, bench={"runs": 8}, fast={"runs": 6})
 def run(runs=10, seed=0, models=MODELS):
     """End-to-end CPU latency per model across the three packagings."""
     headers = (

@@ -10,6 +10,7 @@ DeepLab ~1%; Inception is the only model where inference dominates.
 from repro.apps import PipelineConfig, run_pipeline
 from repro.core import breakdown
 from repro.experiments.base import ExperimentResult, experiment
+from repro.experiments.claims import Claim
 
 MODELS = (
     ("mobilenet_v1", "int8"),
@@ -23,7 +24,35 @@ MODELS = (
 )
 
 
-@experiment("fig4")
+def _value(model_key, dtype, context, header):
+    """Measure: one model's ``header`` value in one context."""
+
+    def measure(result):
+        rows = {tuple(row[:3]): row for row in result.rows}
+        row = rows[(model_key, dtype, context)]
+        return row[result.headers.index(header)]
+
+    return measure
+
+
+CLAIMS = (
+    Claim("mobilenet_int8_app_capture_pre", "~2x", "> 1.4",
+          _value("mobilenet_v1", "int8", "app", "(capture+pre)/inference"),
+          "quantized MobileNet apps spend ~2x inference on capture + pre"),
+    Claim("inception_fp32_app_capture_pre", "inference wins", "< 0.4",
+          _value("inception_v3", "fp32", "app", "(capture+pre)/inference"),
+          "Inception is the only model where inference dominates"),
+    Claim("mobilenet_int8_benchmark_capture_ms", "noticeable", "> 0",
+          _value("mobilenet_v1", "int8", "benchmark", "capture ms"),
+          "benchmarks fake quantized models' capture with random data"),
+)
+
+
+@experiment(
+    "fig4", claims=CLAIMS, bench={"runs": 8},
+    fast={"runs": 6, "models": (("mobilenet_v1", "int8"),
+                                ("inception_v3", "fp32"))},
+)
 def run(runs=10, seed=0, models=MODELS):
     headers = (
         "Model", "dtype", "context",

@@ -9,11 +9,25 @@ runtime's reference kernels.
 from repro.apps import PipelineConfig, run_pipeline
 from repro.core import breakdown
 from repro.experiments.base import ExperimentResult, experiment
+from repro.experiments.claims import Claim, ratio
 
 TARGETS = ("hexagon", "cpu", "cpu1", "nnapi")
 
 
-@experiment("fig5")
+CLAIMS = (
+    Claim("hexagon_over_cpu", "fastest", "< 1",
+          ratio("Target", "inference ms", "hexagon", "cpu"),
+          "the Hexagon delegate beats the 4-thread CPU"),
+    Claim("cpu_over_cpu1", "4T faster", "< 1",
+          ratio("Target", "inference ms", "cpu", "cpu1"),
+          "four CPU threads beat one"),
+    Claim("nnapi_over_cpu1", "~7x", "(4, 11)",
+          ratio("Target", "inference ms", "nnapi", "cpu1"),
+          "NNAPI's reference-kernel fallback runs ~7x slower than one thread"),
+)
+
+
+@experiment("fig5", claims=CLAIMS, bench={"runs": 8}, fast={"runs": 6})
 def run(runs=10, seed=0, model_key="efficientnet_lite0", dtype="int8"):
     headers = ("Target", "inference ms", "slowdown vs cpu1")
     latencies = {}

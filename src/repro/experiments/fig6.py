@@ -11,6 +11,7 @@ profile: per-track utilization timelines plus counter totals.
 from repro.apps import PipelineConfig
 from repro.apps.harness import run_pipeline_with_rig
 from repro.experiments.base import ExperimentResult, experiment
+from repro.experiments.claims import Claim, cell, ratio
 from repro.sim import units
 
 TARGETS = ("cpu", "hexagon", "nnapi")
@@ -57,7 +58,44 @@ def _profile(target, runs, seed, model_key, dtype, bucket_ms):
     return profile
 
 
-@experiment("fig6")
+CLAIMS = (
+    Claim("cpu_big_util", "cores 4-7 at 100%", "> 0.5",
+          cell("Target", "big CPU util", "cpu"),
+          "(1) the 4-thread CPU run keeps the big cores busy"),
+    Claim("cpu_dsp_util", "idle", "= 0",
+          cell("Target", "cDSP util", "cpu"),
+          "(1) the CPU run leaves the cDSP idle"),
+    Claim("hexagon_dsp_util", "cDSP at 100%", "> 0.2",
+          cell("Target", "cDSP util", "hexagon"),
+          "(2) the Hexagon delegate keeps the cDSP busy"),
+    Claim("hexagon_axi_mb", "AXI traffic", "> 0",
+          cell("Target", "AXI MB", "hexagon"),
+          "(2) the Hexagon delegate moves data over AXI"),
+    Claim("hexagon_over_cpu_big_util", "CPU mostly idle", "< 1",
+          ratio("Target", "big CPU util", "hexagon", "cpu"),
+          "(2) the CPU is mostly idle under the Hexagon delegate"),
+    Claim("nnapi_dsp_spans", "brief cDSP spike", ">= 1",
+          cell("Target", "cDSP spans", "nnapi"),
+          "(3) NNAPI touches the cDSP briefly at the start..."),
+    Claim("nnapi_dsp_util", "cDSP idle", "< 0.05",
+          cell("Target", "cDSP util", "nnapi"),
+          "(3) ...and then runs on the CPU"),
+    Claim("nnapi_busiest_core_util", "single-threaded", "> 0.8",
+          cell("Target", "busiest core util", "nnapi"),
+          "(3) NNAPI's fallback saturates a single core..."),
+    Claim("nnapi_big_util", "single-threaded", "< 0.6",
+          cell("Target", "big CPU util", "nnapi"),
+          "(3) ...while the big cluster as a whole stays lightly loaded"),
+    Claim("nnapi_over_cpu_migrations", "frequent migrations", "> 1",
+          ratio("Target", "migrations", "nnapi", "cpu"),
+          "(4) NNAPI's thread migrates between cores frequently"),
+    Claim("nnapi_over_cpu_wall", "far longer", "> 3",
+          ratio("Target", "wall ms", "nnapi", "cpu"),
+          "NNAPI's run takes far longer than the CPU run"),
+)
+
+
+@experiment("fig6", claims=CLAIMS, bench={"runs": 6}, fast={"runs": 5})
 def run(runs=8, seed=0, model_key="efficientnet_lite0", dtype="int8",
         bucket_ms=10.0):
     headers = (

@@ -9,12 +9,24 @@ cost decomposition of the channel.
 from repro.android import FastRpcChannel, Kernel
 from repro.android.fastrpc import call_flow_stages
 from repro.experiments.base import ExperimentResult, experiment
+from repro.experiments.claims import Claim
 from repro.models import load_model
 from repro.sim import Simulator
 from repro.soc import make_soc
 
 
-@experiment("fig7")
+def _cold_over_warm(result):
+    cold_us, warm_us = result.series["durations_us"]
+    return cold_us / warm_us
+
+
+CLAIMS = (
+    Claim("cold_over_warm", "cold > warm", "> 1", _cold_over_warm,
+          "the first call pays the one-time DSP process mapping"),
+)
+
+
+@experiment("fig7", claims=CLAIMS)
 def run(seed=0, model_key="mobilenet_v1", payload_frames=1):
     sim = Simulator(seed=seed, trace=True)
     soc = make_soc(sim, "sd845", governor_mode="performance")

@@ -9,6 +9,7 @@ offload share of total time falls.
 from repro.android import Kernel
 from repro.apps.sessions import make_session
 from repro.experiments.base import ExperimentResult, experiment
+from repro.experiments.claims import Claim, cell
 from repro.models import load_model
 from repro.sim import Simulator
 from repro.sim import units
@@ -38,7 +39,38 @@ def _measure(count, seed, model_key, dtype, target):
     return total_us, pure_compute_us
 
 
-@experiment("fig8")
+def _falls(result):
+    shares = result.column("offload share")
+    return all(a >= b for a, b in zip(shares, shares[1:]))
+
+
+def _at_most_inferences(result, header):
+    """``header`` at the largest inference count."""
+    values = result.lookup("inferences", header)
+    return values[max(values)]
+
+
+def _single_over_most(result):
+    mean_ms = result.lookup("inferences", "mean ms/inf")
+    return mean_ms[1] / mean_ms[max(mean_ms)]
+
+
+CLAIMS = (
+    Claim("share_falls", "falls", "= yes", _falls,
+          "the offload share falls as the one-time setup amortizes"),
+    Claim("cold_share", "62%", "> 0.4",
+          cell("inferences", "offload share", 1),
+          "offload dominates a single inference"),
+    Claim("amortized_share", "~3%", "< 0.1",
+          lambda result: _at_most_inferences(result, "offload share"),
+          "offload is a small share once amortized over many inferences"),
+    Claim("cold_over_amortized_mean", "amortizes", "> 1.5",
+          _single_over_most,
+          "a single inference costs far more than an amortized one"),
+)
+
+
+@experiment("fig8", claims=CLAIMS, fast={"counts": (1, 5, 20, 100)})
 def run(seed=0, model_key="mobilenet_v1", dtype="int8", target="nnapi",
         counts=COUNTS):
     headers = (

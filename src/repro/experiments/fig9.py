@@ -10,6 +10,7 @@ CPU is untouched.
 from repro.apps import PipelineConfig, run_pipeline
 from repro.core import breakdown
 from repro.experiments.base import ExperimentResult, experiment
+from repro.experiments.claims import Claim, ratio
 
 BACKGROUND_COUNTS = (0, 1, 2, 3, 4)
 
@@ -35,7 +36,33 @@ def _measure(background_count, background_target, runs, seed,
     return breakdown(run_pipeline(config))
 
 
-@experiment("fig9")
+def _cpu_side(result):
+    """Capture + pre-processing ms by background job count."""
+    series = result.series
+    return dict(zip(series["counts"], series["capture_plus_pre_ms"]))
+
+
+def _cpu_side_spread(result):
+    cpu_side = _cpu_side(result).values()
+    return max(cpu_side) / min(cpu_side)
+
+
+CLAIMS = (
+    Claim("inference_growth_at_2", "grows ~linearly", "> 1.5",
+          ratio("background jobs", "inference ms", 2, 0),
+          "app inference queues behind background DSP jobs"),
+    Claim("inference_growth_at_4", "grows ~linearly", "> 2.5",
+          ratio("background jobs", "inference ms", 4, 0),
+          "app inference queues behind background DSP jobs"),
+    Claim("cpu_side_spread", "~constant", "< 2", _cpu_side_spread,
+          "capture + pre-processing stay ~constant (the CPU is untouched)"),
+)
+
+
+@experiment(
+    "fig9", claims=CLAIMS, bench={"runs": 8},
+    fast={"runs": 6, "counts": (0, 2, 4)},
+)
 def run(runs=10, seed=0, model_key="mobilenet_v1", dtype="int8",
         counts=BACKGROUND_COUNTS, background_target="nnapi"):
     headers = (

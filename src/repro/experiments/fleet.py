@@ -11,9 +11,30 @@ post-processing (Takeaway 1).
 """
 
 from repro.experiments.base import experiment
+from repro.experiments.claims import Claim
 
 
-@experiment("fleet_percentiles")
+def _tail_ratio(result):
+    series = result.series
+    return series["app_tail_ratio"][0] / series["benchmark_tail_ratio"][0]
+
+
+CLAIMS = (
+    Claim("app_over_benchmark_tail", "app wider", "> 1", _tail_ratio,
+          "Fig. 11 at fleet scale: the app's run-to-run tail is heavier"),
+    Claim("quantized_app_tax", "~50%", "[0.35, 0.8]",
+          lambda result: result.series["quantized_app_tax_fraction"][0],
+          "Takeaway 1 at fleet scale: quantized apps' capture + pre/post"),
+    Claim("cold_start_penalty", "n/a", "> 1",
+          lambda result: result.series["cold_start_penalty"][0],
+          "a session's first run costs more than its steady state"),
+)
+
+
+@experiment(
+    "fleet_percentiles", claims=CLAIMS,
+    bench={"sessions": 64, "runs": 6, "seed": 0},
+)
 def run(sessions=64, runs=6, workers=1, seed=0, cache_dir=None):
     # Imported lazily: repro.fleet renders through repro.experiments.base,
     # so a top-level import here would be circular.

@@ -19,6 +19,7 @@ from repro.apps.sessions import make_session
 from repro.capture import CameraHal
 from repro.core import breakdown
 from repro.experiments.base import ExperimentResult, experiment
+from repro.experiments.claims import Claim, cell, ratio
 from repro.models import load_model, model_card
 from repro.processing import build_preprocessor
 from repro.sim import Simulator
@@ -30,7 +31,17 @@ from repro.soc import make_soc
 _DSP_IMAGE_SPEEDUP = 4.0
 
 
-@experiment("pipelining")
+PIPELINING_CLAIMS = (
+    Claim("throughput_gain", "n/a", "> 1.05",
+          ratio("Mode", "throughput fps", "pipelined", "sequential"),
+          "overlapping capture/pre with inference raises throughput..."),
+    Claim("frame_latency_cost", "n/a", "> 1",
+          ratio("Mode", "frame ms", "pipelined", "sequential"),
+          "...at the cost of per-frame latency (queueing between stages)"),
+)
+
+
+@experiment("pipelining", claims=PIPELINING_CLAIMS, bench={"frames": 15})
 def run_pipelining(frames=20, seed=0, model_key="efficientnet_lite0",
                    dtype="fp32", target="gpu"):
     """Sequential vs pipelined app: latency and throughput."""
@@ -73,7 +84,27 @@ def run_pipelining(frames=20, seed=0, model_key="efficientnet_lite0",
     )
 
 
-@experiment("arvr_multimodel")
+def _all_dsp_model_spread_ms(result):
+    """Spread of the per-model latencies when all three share the DSP."""
+    per_model = result.lookup("placement", "per-model ms")["all-dsp"]
+    latencies = [float(ms) for ms in per_model.split(", ")]
+    return max(latencies) - min(latencies)
+
+
+ARVR_CLAIMS = (
+    Claim("split_over_all_dsp_fps", "one model at a time", "> 1",
+          ratio("placement", "achieved fps", "split dsp+gpu+cpu", "all-dsp"),
+          "spreading models over DSP+GPU+CPU runs them in parallel"),
+    Claim("all_dsp_over_all_cpu_fps", "n/a", "> 1",
+          ratio("placement", "achieved fps", "all-dsp", "all-cpu"),
+          "the DSP still beats running everything on the CPU"),
+    Claim("all_dsp_model_spread_ms", "one model at a time", "< 2",
+          _all_dsp_model_spread_ms,
+          "hardware runs one model at a time: models sharing the DSP queue"),
+)
+
+
+@experiment("arvr_multimodel", claims=ARVR_CLAIMS, bench={"frames": 8})
 def run_arvr_multimodel(frames=12, seed=0):
     """Concurrent multi-model execution — the paper's AR/VR use case.
 
@@ -166,7 +197,24 @@ def run_arvr_multimodel(frames=12, seed=0):
     )
 
 
-@experiment("mlperf_gap")
+MLPERF_CLAIMS = (
+    Claim("app_over_benchmark_latency", "benchmark hides it", "> 1.5",
+          cell("Metric", "value", "app/benchmark latency gap"),
+          "a benchmark score describes a fraction of what users wait for"),
+    Claim("hidden_tax", "hidden", "(0.3, 0.95)",
+          cell("Metric", "value", "AI tax hidden by the benchmark"),
+          "most of the app's latency is AI tax the benchmark never sees"),
+    Claim("app_inference_over_single_stream", "n/a", "[0.5, 1.5]",
+          ratio("Metric", "value", "app inference-only ms",
+                "single-stream mean latency ms"),
+          "the app's inference stage matches the benchmark's score"),
+)
+
+
+@experiment(
+    "mlperf_gap", claims=MLPERF_CLAIMS, bench={"queries": 20, "runs": 10},
+    fast={"queries": 15, "runs": 8},
+)
 def run_mlperf_gap(queries=40, runs=15, seed=0, model_key="mobilenet_v1",
                    dtype="int8", target="nnapi"):
     """MLPerf scores vs app-experienced latency — the paper's thesis.
@@ -221,7 +269,29 @@ def run_mlperf_gap(queries=40, runs=15, seed=0, model_key="mobilenet_v1",
     )
 
 
-@experiment("driver_versions")
+DRIVER_CLAIMS = (
+    Claim("fallback_at_1_1", "falls back", "= yes",
+          cell("feature level", "reference fallback", 1.1),
+          "the paper's SD845 drivers fall back to reference kernels"),
+    Claim("fallback_at_1_2", "predicted fix", "= no",
+          cell("feature level", "reference fallback", 1.2),
+          "future iterations may likely fix this performance bug..."),
+    Claim("fallback_at_1_3", "predicted fix", "= no",
+          cell("feature level", "reference fallback", 1.3),
+          "...and the fix holds at the next feature level"),
+    Claim("fix_speedup", "predicted fix", "> 10",
+          ratio("feature level", "inference ms", 1.1, 1.2),
+          "feature level 1.2 removes the fallback's slowdown"),
+    Claim("accelerated_at_1_2", "n/a", "= 1",
+          cell("feature level", "accelerated FLOPs", 1.2),
+          "feature level 1.2 delegates the whole graph"),
+)
+
+
+@experiment(
+    "driver_versions", claims=DRIVER_CLAIMS, bench={"invokes": 6},
+    fast={"invokes": 5},
+)
 def run_driver_versions(invokes=8, seed=0, model_key="efficientnet_lite0",
                         dtype="int8"):
     """The Fig.-5 pathology across NNAPI driver feature levels.
@@ -317,7 +387,34 @@ def _fastcv_app_run(sim, kernel, runs, model_key, dtype, pre_on_dsp,
     )
 
 
-@experiment("ablation_fastcv")
+def _dsp_over_cpu_pre(inference_on, header):
+    """Measure: ``header`` with FastCV pre-processing over Java's."""
+
+    def measure(result):
+        rows = {tuple(row[:2]): row for row in result.rows}
+        index = result.headers.index(header)
+        return (
+            rows[("dsp (FastCV)", inference_on)][index]
+            / rows[("cpu (Java)", inference_on)][index]
+        )
+
+    return measure
+
+
+FASTCV_CLAIMS = (
+    Claim("dsp_over_cpu_pre", "cheaper DSP wins", "< 0.6",
+          _dsp_over_cpu_pre("cpu", "pre ms"),
+          "a DSP that also does pre-processing beats the CPU at it"),
+    Claim("shared_dsp_inference", "serialize", ">= 0.99",
+          _dsp_over_cpu_pre("hexagon", "inference ms"),
+          "when inference shares the DSP the stages serialize on it..."),
+    Claim("shared_dsp_end_to_end", "cheaper DSP wins", "< 1",
+          _dsp_over_cpu_pre("hexagon", "pre+inference ms"),
+          "...yet DSP pre-processing still wins end to end here"),
+)
+
+
+@experiment("ablation_fastcv", claims=FASTCV_CLAIMS, bench={"runs": 8})
 def run_fastcv(runs=10, seed=0, model_key="mobilenet_v1", dtype="int8"):
     """Pre-processing on CPU vs on the DSP, with inference on DSP or CPU."""
     headers = (

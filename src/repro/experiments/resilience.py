@@ -26,6 +26,7 @@ machinery alone.
 """
 
 from repro.experiments.base import ExperimentResult, experiment
+from repro.experiments.claims import Claim, cell, ratio
 
 #: Fraction of pool capacity offered during the incident.
 STORM_LOAD = 0.6
@@ -46,7 +47,23 @@ def _row(sweep, knob, result):
     )
 
 
-@experiment("resilience")
+CLAIMS = (
+    Claim("breakers_over_off_goodput", "n/a", "> 1",
+          ratio("mode", "goodput rps", "breakers", "off"),
+          "in an outage, ejecting the rebooting backend beats queueing on it"),
+    Claim("brownout_over_breakers_goodput", "n/a", ">= 1",
+          ratio("mode", "goodput rps", "breakers+brownout", "breakers"),
+          "degrading under the resulting backlog recovers more goodput"),
+    Claim("storm_breaker_opens", "n/a", ">= 1",
+          cell("mode", "breaker opens", "breakers"),
+          "the incident trips the breaker"),
+    Claim("storm_failed", "n/a", "= 0",
+          lambda result: sum(result.series["storm_failed"]),
+          "the redispatch budget covers one reboot: no request fails"),
+)
+
+
+@experiment("resilience", claims=CLAIMS)
 def run(devices=2, duration_s=1.2, seed=3, slo_ms=100.0,
         fault_rates=DEFAULT_FAULT_RATES, max_batch=4, max_delay_ms=5.0,
         queue_capacity=128, policy="reject", calibration_runs=3,

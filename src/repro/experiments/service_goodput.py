@@ -24,6 +24,7 @@ Two registered experiments exercise :mod:`repro.service` end to end:
 """
 
 from repro.experiments.base import ExperimentResult, experiment
+from repro.experiments.claims import Claim, ratio
 
 #: Batch sizes swept at fixed offered load.
 DEFAULT_BATCH_SIZES = (1, 2, 4, 8)
@@ -46,7 +47,47 @@ def _service_row(kind, knob, result):
     )
 
 
-@experiment("service_goodput")
+def _load_sweep(result, value):
+    """The load sweep's ``value`` series by offered load factor."""
+    return dict(zip(result.series["load_factor"], result.series[value]))
+
+
+def _goodput_peak_over_saturation_load(result):
+    goodput = _load_sweep(result, "load_goodput_rps")
+    throughput = _load_sweep(result, "load_throughput_rps")
+    return max(goodput, key=goodput.get) / max(throughput, key=throughput.get)
+
+
+def _overload_share(value):
+    """Measure: ``value`` at the heaviest offered load over its peak."""
+
+    def measure(result):
+        by_load = _load_sweep(result, value)
+        return by_load[max(by_load)] / max(by_load.values())
+
+    return measure
+
+
+GOODPUT_CLAIMS = (
+    Claim("goodput_peak_over_saturation_load", "n/a", "<= 1",
+          _goodput_peak_over_saturation_load,
+          "goodput peaks at or before the load where throughput saturates"),
+    Claim("overload_goodput_share", "n/a", "< 0.5",
+          _overload_share("load_goodput_rps"),
+          "goodput collapses under overload..."),
+    Claim("overload_throughput_share", "n/a", "> 0.6",
+          _overload_share("load_throughput_rps"),
+          "...while throughput merely flattens"),
+    Claim("batch2_over_batch1_throughput", "n/a", "> 1",
+          ratio("knob", "throughput rps", "max_batch=2", "max_batch=1"),
+          "batching amortizes inference compute"),
+    Claim("batch2_over_batch1_p99", "n/a", "< 1",
+          ratio("knob", "p99 ms", "max_batch=2", "max_batch=1"),
+          "off the batch=1 queueing cliff, batching cuts tail latency too"),
+)
+
+
+@experiment("service_goodput", claims=GOODPUT_CLAIMS)
 def run(devices=4, duration_s=1.0, seed=0, slo_ms=50.0,
         batch_sizes=DEFAULT_BATCH_SIZES, load_factors=DEFAULT_LOAD_FACTORS,
         max_batch=4, max_delay_ms=5.0, queue_capacity=128,

@@ -1,10 +1,20 @@
 """Table I: the benchmark list with processing tasks and support matrix."""
 
 from repro.experiments.base import ExperimentResult, experiment
+from repro.experiments.claims import Claim, cell
 from repro.models import MODEL_CARDS, load_model
 
+CLAIMS = (
+    Claim("alexnet_nnapi_fp32", "N", "= no",
+          cell("Model", "NNAPI-fp32", "AlexNet"),
+          "AlexNet has no NNAPI path"),
+    Claim("alexnet_cpu_fp32", "Y", "= yes",
+          cell("Model", "CPU-fp32", "AlexNet"),
+          "AlexNet runs on the CPU"),
+)
 
-@experiment("table1")
+
+@experiment("table1", claims=CLAIMS)
 def run():
     """Regenerate Table I, extended with measured graph statistics."""
     headers = (

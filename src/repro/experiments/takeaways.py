@@ -1,90 +1,50 @@
-"""The paper's takeaway boxes, each validated by measurement.
+"""The paper's takeaway boxes, each re-validated by measurement.
 
-Section IV closes each subsection with a boxed takeaway. This module
-re-measures the evidence for every sentence and reports pass/fail —
-the reproduction's self-check, and the experiment behind the summary
+Section IV closes each subsection with a boxed takeaway. Each one is a
+claim declared beside the experiment that measures it; this module runs
+those experiments and renders the claims' rows — the headline summary
 table in EXPERIMENTS.md.
 """
 
-from repro.apps import PipelineConfig, run_pipeline
-from repro.core import breakdown
 from repro.experiments.base import ExperimentResult, experiment
+from repro.experiments.claims import CLAIM_HEADERS, evaluate
+from repro.experiments.extensions import run_whatif
 from repro.experiments.fig5 import run as run_fig5
 from repro.experiments.fig8 import run as run_fig8
 from repro.experiments.fig11 import run as run_fig11
 
-
-def _algorithms_takeaway(runs, seed):
-    """Capture + pre/post can reach ~50% of total execution time."""
-    config = PipelineConfig(
-        model_key="mobilenet_v1", dtype="int8", context="app",
-        target="nnapi", runs=runs, seed=seed,
-    )
-    result = breakdown(run_pipeline(config))
-    algo_share = (
-        result.capture_ms + result.pre_ms + result.post_ms
-    ) / result.total_ms
-    return (
-        "algorithms",
-        "capture + pre/post-processing can be ~50% of execution time",
-        f"measured {algo_share:.0%} for the quantized MobileNet app",
-        algo_share >= 0.4,
-    )
+#: (takeaway, claim id) in the order the paper boxes them.
+TAKEAWAYS = (
+    ("algorithms", "whatif.algorithm_share"),
+    ("frameworks", "fig5.nnapi_over_cpu1"),
+    ("hardware/cold start", "fig8.cold_share"),
+    ("hardware/cold start", "fig8.amortized_share"),
+    ("hardware/variability", "fig11.app_over_benchmark_cv"),
+)
 
 
-def _frameworks_takeaway(runs, seed):
-    """Poorly supported models fall back and lose to the plain CPU."""
-    result = run_fig5(runs=runs, seed=seed)
-    latency = dict(zip(result.column("Target"), result.column("inference ms")))
-    ratio = latency["nnapi"] / latency["cpu1"]
-    return (
-        "frameworks",
-        "framework fallback makes the accelerator path slower than CPU",
-        f"NNAPI {ratio:.1f}x slower than single-thread CPU (paper ~7x)",
-        ratio > 3.0,
-    )
-
-
-def _coldstart_takeaway(seed):
-    """Cold-start penalties are real and amortize."""
-    result = run_fig8(seed=seed, counts=(1, 50))
-    shares = result.series["offload_share"]
-    return (
-        "hardware/cold start",
-        "cold-start penalty dominates few-inference uses",
-        f"offload share {shares[0]:.0%} at n=1 vs {shares[-1]:.0%} at n=50",
-        shares[0] > 0.4 and shares[-1] < 0.15,
-    )
-
-
-def _variability_takeaway(runs, seed):
-    """Run-to-run variability matters and is app-specific."""
-    result = run_fig11(runs=max(runs * 6, 60), seed=seed)
-    rows = result.row_map("context")
-    app_cv = rows["app"][8]
-    bench_cv = rows["benchmark"][8]
-    return (
-        "hardware/variability",
-        "apps vary run-to-run far more than benchmark loops",
-        f"CV: app {app_cv:.1%} vs benchmark {bench_cv:.1%}",
-        app_cv > bench_cv,
-    )
-
-
-@experiment("takeaways")
+@experiment("takeaways", bench={"runs": 8})
 def run(runs=10, seed=0):
     """Re-validate every boxed takeaway; one row per claim."""
+    results = (
+        run_whatif(runs=runs, seed=seed),
+        run_fig5(runs=runs, seed=seed),
+        run_fig8(seed=seed, counts=(1, 50)),
+        run_fig11(runs=max(runs * 6, 60), seed=seed),
+    )
+    claims = {
+        row.id: row
+        for result in results
+        for row in evaluate(result.experiment_id, result)
+    }
     rows = [
-        _algorithms_takeaway(runs, seed),
-        _frameworks_takeaway(runs, seed),
-        _coldstart_takeaway(seed),
-        _variability_takeaway(runs, seed),
+        (takeaway, claims[claim_id].statement, *claims[claim_id][:5])
+        for takeaway, claim_id in TAKEAWAYS
     ]
-    headers = ("takeaway", "paper claim", "measured evidence", "holds")
     return ExperimentResult(
         experiment_id="takeaways",
         title="Paper takeaways, re-validated on the simulated substrate",
-        headers=headers,
+        headers=("takeaway", "paper claim", *CLAIM_HEADERS),
         rows=rows,
         notes=[
             "every row should read Y; a N means a calibration regression",

@@ -97,27 +97,3 @@ def test_dsp_target_beats_cpu_on_p90():
     cpu = make_loadgen(target="cpu").run(SINGLE_STREAM, queries=15)
     dsp = make_loadgen(target="hexagon").run(SINGLE_STREAM, queries=15)
     assert dsp.p90_latency_ms < cpu.p90_latency_ms
-
-
-def test_mlperf_gap_experiment():
-    from repro.experiments import run_experiment
-
-    result = run_experiment("mlperf_gap", queries=15, runs=8)
-    rows = {row[0]: row[1] for row in result.rows}
-    assert rows["app/benchmark latency gap"] > 1.5
-    assert 0.3 < rows["AI tax hidden by the benchmark"] < 0.95
-    assert rows["app inference-only ms"] == pytest.approx(
-        rows["single-stream mean latency ms"], rel=0.5
-    )
-
-
-def test_driver_versions_fix_the_fig5_bug():
-    from repro.experiments import run_experiment
-
-    result = run_experiment("driver_versions", invokes=5)
-    rows = result.row_map("feature level")
-    assert rows[1.1][2] is True  # reference fallback on 1.1
-    assert rows[1.2][2] is False
-    assert rows[1.3][2] is False
-    assert rows[1.2][1] < rows[1.1][1] / 10  # bug fixed: >10x faster
-    assert rows[1.2][3] == 1.0

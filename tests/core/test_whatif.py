@@ -53,30 +53,3 @@ def test_accelerator_ceiling_is_inverse_tax():
     ceiling = accelerator_upgrade_ceiling(b)
     assert ceiling == pytest.approx(30.0 / 20.0)
     assert ceiling == pytest.approx(1.0 / b.tax_fraction)
-
-
-def test_whatif_experiment_prioritizes_capture():
-    from repro.experiments import run_experiment
-
-    result = run_experiment("whatif", runs=8)
-    assert result.rows[0][0] == "data_capture"
-    ceiling = result.series["accelerator_ceiling"][0]
-    assert ceiling < 2.0  # AI tax caps inference-only silicon gains
-
-
-def test_resolution_sweep_capture_grows():
-    from repro.experiments import run_experiment
-
-    result = run_experiment("resolution_sweep", runs=6)
-    capture = result.column("capture ms")
-    inference = result.column("inference ms")
-    assert capture[-1] > 2 * capture[0]  # 1080p >> QVGA
-    assert max(inference) < 1.2 * min(inference)  # resolution-independent
-
-
-def test_takeaways_all_hold():
-    from repro.experiments import run_experiment
-
-    result = run_experiment("takeaways", runs=8)
-    assert all(row[3] for row in result.rows)
-    assert len(result.rows) == 4

@@ -12,6 +12,21 @@ def test_run_until_event_drained_queue_raises():
         sim.run(until=never)
 
 
+def test_run_until_failed_event_raises_its_exception():
+    sim = Simulator()
+    target = sim.event("target")
+    error = ValueError("target failed")
+    sim.schedule_callback(1.0, lambda _e: target.fail(error))
+    sim.schedule_callback(5.0, lambda _e: None)
+    with pytest.raises(ValueError) as raised:
+        sim.run(until=target)
+    assert raised.value is error
+    # The loop stopped on the pop that processed the failed target; the
+    # later event is still queued.
+    assert sim.now == 1.0
+    assert sim.peek() == 5.0
+
+
 def test_event_fail_requires_exception():
     sim = Simulator()
     with pytest.raises(TypeError):

@@ -1,8 +1,11 @@
 """CLI tests."""
 
+import dataclasses
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import REGISTRY, claims
 
 
 def test_models_command(capsys):
@@ -127,11 +130,38 @@ def test_trace_rejects_unknown_scenario():
         build_parser().parse_args(["trace", "no-such-scenario"])
 
 
-def test_summary_command(capsys):
+@pytest.fixture
+def summary_results(monkeypatch, fast_result):
+    """Serve ``summary``'s experiment runs from the session's fast results."""
+    monkeypatch.setattr(
+        claims, "run_experiment",
+        lambda experiment_id, **_kwargs: fast_result(experiment_id),
+    )
+
+
+def test_summary_command(capsys, summary_results):
     assert main(["summary"]) == 0
     out = capsys.readouterr().out
-    assert "all takeaways hold:       yes" in out
+    assert "fig5.nnapi_over_cpu1 " in out
+    assert "~7x" in out
+    assert "(4, 11)" in out
     assert "registered experiments" in out
+    assert "claims holding:" in out
+    assert "claims failing" not in out
+
+
+def test_summary_exits_1_naming_a_failing_claim(
+    capsys, monkeypatch, summary_results
+):
+    run = REGISTRY["fig5"]
+    monkeypatch.setattr(run, "claims", tuple(
+        dataclasses.replace(claim, band="< 1")
+        if claim.id == "nnapi_over_cpu1" else claim
+        for claim in run.claims
+    ))
+    assert main(["summary"]) == 1
+    out = capsys.readouterr().out
+    assert "claims failing:           fig5.nnapi_over_cpu1\n" in out
 
 
 def test_chaos_command(capsys):

@@ -113,7 +113,7 @@ def test_experiment_result_column_and_rowmap_roundtrip():
         rows=[(1, "one"), (2, "two")],
     )
     assert result.column("b") == ["one", "two"]
-    assert result.row_map("a")[2] == (2, "two")
+    assert result.lookup("a", "b") == {1: "one", 2: "two"}
     rendered = result.render()
     assert "[x] t" in rendered
 
