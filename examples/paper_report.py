@@ -2,27 +2,22 @@
 """Regenerate every table and figure of the paper in one run.
 
 Prints each registered experiment's table at its bench settings, the
-ones ``benchmarks/results/`` is committed at; pass ``--fast`` for a
-quicker pass at the settings the tier-1 claim tests use. This is the
-script behind EXPERIMENTS.md.
+ones ``benchmarks/results/`` is committed at and every claim is checked
+at. This is the script behind EXPERIMENTS.md.
 
-Run:  python examples/paper_report.py [--fast]
+Run:  python examples/paper_report.py
 """
 
-import sys
 import time
 
 from repro.experiments import REGISTRY, run_experiment
 
 
-def main(argv):
-    fast = "--fast" in argv
+def main():
     total_start = time.perf_counter()
     for experiment_id, run in sorted(REGISTRY.items()):
         start = time.perf_counter()
-        result = run_experiment(
-            experiment_id, **(run.fast if fast else run.bench)
-        )
+        result = run_experiment(experiment_id, **run.bench)
         elapsed = time.perf_counter() - start
         print(result.render())
         print(f"(regenerated in {elapsed:.1f}s)\n")
@@ -33,4 +28,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()

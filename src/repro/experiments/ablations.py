@@ -31,9 +31,7 @@ SNPE_CLAIMS = (
 )
 
 
-@experiment(
-    "ablation_snpe", claims=SNPE_CLAIMS, bench={"runs": 6}, fast={"runs": 5},
-)
+@experiment("ablation_snpe", claims=SNPE_CLAIMS, bench={"runs": 6})
 def run_snpe(runs=10, seed=0, model_key="efficientnet_lite0", dtype="int8"):
     """SNPE DSP vs NNAPI vs tuned CPU for a quantized model."""
     headers = ("Runtime", "inference ms", "vs snpe-dsp")
@@ -70,10 +68,7 @@ PROBE_CLAIMS = (
 )
 
 
-@experiment(
-    "ablation_probe", claims=PROBE_CLAIMS, bench={"runs": 6},
-    fast={"runs": 5},
-)
+@experiment("ablation_probe", claims=PROBE_CLAIMS, bench={"runs": 6})
 def run_probe(runs=10, seed=0, model_key="mobilenet_v1"):
     """Instrumentation overhead: accelerated runs slow 4-7%, CPU runs 0%."""
     probe = ProbeEffect()
@@ -124,7 +119,7 @@ COUPLING_CLAIMS = (
 )
 
 
-@experiment("ablation_coupling", claims=COUPLING_CLAIMS, fast={"invokes": 10})
+@experiment("ablation_coupling", claims=COUPLING_CLAIMS)
 def run_coupling(seed=0, model_key="mobilenet_v1", invokes=20):
     """Loosely vs tightly coupled accelerator integration (§II-D)."""
     headers = ("Coupling", "mean invoke ms", "flush+transfer us/call")

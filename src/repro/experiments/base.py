@@ -5,22 +5,20 @@ from repro.core.result import ExperimentResult  # noqa: F401 - re-export
 REGISTRY = {}
 
 
-def experiment(experiment_id, claims=(), bench=None, fast=None):
+def experiment(experiment_id, claims=(), bench=None):
     """Decorator registering an experiment ``run`` function.
 
     ``claims`` is the experiment's CLAIMS table (see
     :mod:`repro.experiments.claims`). ``bench`` holds the keyword
-    arguments the benchmark suite, ``repro summary`` and
-    ``examples/paper_report.py`` run it with; ``fast`` those of the
-    tier-1 claim tests and the example's ``--fast`` pass (default:
-    ``bench``).
+    arguments its claims are checked at: the tier-1 claim tests, the
+    benchmark suite, ``repro summary`` and ``examples/paper_report.py``
+    all run it with them.
     """
 
     def register(func):
         REGISTRY[experiment_id] = func
         func.claims = tuple(claims)
         func.bench = dict(bench or {})
-        func.fast = func.bench if fast is None else dict(fast)
         return func
 
     return register

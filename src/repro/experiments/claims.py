@@ -4,8 +4,8 @@ Every experiment registers a ``CLAIMS`` table with ``@experiment``. A
 :class:`Claim` row holds an id, the paper's value, the band the measured
 value must fall in, a measure over the experiment's
 :class:`ExperimentResult`, and the paper's statement. :func:`evaluate`
-is the single evaluator: the tier-1 claim tests (fast settings), the
-benchmark suite and ``repro summary`` (bench settings) and the
+is the single evaluator: the tier-1 claim tests, the benchmark suite
+and ``repro summary`` (all at the experiment's bench settings) and the
 ``takeaways`` experiment all read a band from the one row declaring it.
 """
 

@@ -389,10 +389,7 @@ SCALING_CLAIMS = (
 )
 
 
-@experiment(
-    "model_scaling", claims=SCALING_CLAIMS,
-    fast={"resolutions": (128, 224)},
-)
+@experiment("model_scaling", claims=SCALING_CLAIMS)
 def run_model_scaling(runs=6, seed=0, resolutions=(128, 160, 192, 224)):
     """Input resolution vs inference and pre-processing cost (§II-B).
 
@@ -668,10 +665,7 @@ STREAMING_CLAIMS = (
 )
 
 
-@experiment(
-    "streaming", claims=STREAMING_CLAIMS, bench={"runs": 12},
-    fast={"runs": 10},
-)
+@experiment("streaming", claims=STREAMING_CLAIMS, bench={"runs": 12})
 def run_streaming(runs=20, seed=0):
     """Achieved frame rate and camera drops per model (app context)."""
     headers = (

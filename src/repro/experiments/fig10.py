@@ -25,10 +25,7 @@ CLAIMS = (
 )
 
 
-@experiment(
-    "fig10", claims=CLAIMS, bench={"runs": 8},
-    fast={"runs": 6, "counts": (0, 4)},
-)
+@experiment("fig10", claims=CLAIMS, bench={"runs": 8})
 def run(runs=10, seed=0, model_key="mobilenet_v1", dtype="int8",
         counts=BACKGROUND_COUNTS):
     headers = (

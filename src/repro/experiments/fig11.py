@@ -17,6 +17,9 @@ CLAIMS = (
     Claim("app_over_benchmark_mean", "app slower", "> 1",
           ratio("context", "mean ms", "app", "benchmark"),
           "the app is slower than the benchmark loop"),
+    Claim("app_over_benchmark_p5", "app slower", ">= 1",
+          ratio("context", "p5 ms", "app", "benchmark"),
+          "even the app's fastest runs are no faster than the benchmark's"),
     Claim("app_over_benchmark_cv", "app wider", "> 1",
           ratio("context", "CV", "app", "benchmark"),
           "apps vary run-to-run far more than benchmark loops"),
@@ -29,7 +32,7 @@ CLAIMS = (
 )
 
 
-@experiment("fig11", claims=CLAIMS, bench={"runs": 120}, fast={"runs": 60})
+@experiment("fig11", claims=CLAIMS, bench={"runs": 120})
 def run(runs=150, seed=0, model_key="mobilenet_v1", dtype="fp32",
         target="cpu"):
     headers = (

@@ -47,7 +47,7 @@ CLAIMS = (
 )
 
 
-@experiment("fig3", claims=CLAIMS, bench={"runs": 8}, fast={"runs": 6})
+@experiment("fig3", claims=CLAIMS, bench={"runs": 8})
 def run(runs=10, seed=0, models=MODELS):
     """End-to-end CPU latency per model across the three packagings."""
     headers = (

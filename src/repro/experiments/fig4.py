@@ -48,11 +48,7 @@ CLAIMS = (
 )
 
 
-@experiment(
-    "fig4", claims=CLAIMS, bench={"runs": 8},
-    fast={"runs": 6, "models": (("mobilenet_v1", "int8"),
-                                ("inception_v3", "fp32"))},
-)
+@experiment("fig4", claims=CLAIMS, bench={"runs": 8})
 def run(runs=10, seed=0, models=MODELS):
     headers = (
         "Model", "dtype", "context",

@@ -27,7 +27,7 @@ CLAIMS = (
 )
 
 
-@experiment("fig5", claims=CLAIMS, bench={"runs": 8}, fast={"runs": 6})
+@experiment("fig5", claims=CLAIMS, bench={"runs": 8})
 def run(runs=10, seed=0, model_key="efficientnet_lite0", dtype="int8"):
     headers = ("Target", "inference ms", "slowdown vs cpu1")
     latencies = {}

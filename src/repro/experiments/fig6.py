@@ -95,7 +95,7 @@ CLAIMS = (
 )
 
 
-@experiment("fig6", claims=CLAIMS, bench={"runs": 6}, fast={"runs": 5})
+@experiment("fig6", claims=CLAIMS, bench={"runs": 6})
 def run(runs=8, seed=0, model_key="efficientnet_lite0", dtype="int8",
         bucket_ms=10.0):
     headers = (

@@ -70,7 +70,7 @@ CLAIMS = (
 )
 
 
-@experiment("fig8", claims=CLAIMS, fast={"counts": (1, 5, 20, 100)})
+@experiment("fig8", claims=CLAIMS)
 def run(seed=0, model_key="mobilenet_v1", dtype="int8", target="nnapi",
         counts=COUNTS):
     headers = (

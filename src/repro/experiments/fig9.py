@@ -59,10 +59,7 @@ CLAIMS = (
 )
 
 
-@experiment(
-    "fig9", claims=CLAIMS, bench={"runs": 8},
-    fast={"runs": 6, "counts": (0, 2, 4)},
-)
+@experiment("fig9", claims=CLAIMS, bench={"runs": 8})
 def run(runs=10, seed=0, model_key="mobilenet_v1", dtype="int8",
         counts=BACKGROUND_COUNTS, background_target="nnapi"):
     headers = (

@@ -213,7 +213,6 @@ MLPERF_CLAIMS = (
 
 @experiment(
     "mlperf_gap", claims=MLPERF_CLAIMS, bench={"queries": 20, "runs": 10},
-    fast={"queries": 15, "runs": 8},
 )
 def run_mlperf_gap(queries=40, runs=15, seed=0, model_key="mobilenet_v1",
                    dtype="int8", target="nnapi"):
@@ -288,10 +287,7 @@ DRIVER_CLAIMS = (
 )
 
 
-@experiment(
-    "driver_versions", claims=DRIVER_CLAIMS, bench={"invokes": 6},
-    fast={"invokes": 5},
-)
+@experiment("driver_versions", claims=DRIVER_CLAIMS, bench={"invokes": 6})
 def run_driver_versions(invokes=8, seed=0, model_key="efficientnet_lite0",
                         dtype="int8"):
     """The Fig.-5 pathology across NNAPI driver feature levels.

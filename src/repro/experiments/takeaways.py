@@ -7,7 +7,7 @@ table in EXPERIMENTS.md.
 """
 
 from repro.experiments.base import ExperimentResult, experiment
-from repro.experiments.claims import CLAIM_HEADERS, evaluate
+from repro.experiments.claims import CLAIM_HEADERS, Claim, evaluate
 from repro.experiments.extensions import run_whatif
 from repro.experiments.fig5 import run as run_fig5
 from repro.experiments.fig8 import run as run_fig8
@@ -22,8 +22,14 @@ TAKEAWAYS = (
     ("hardware/variability", "fig11.app_over_benchmark_cv"),
 )
 
+CLAIMS = (
+    Claim("all_hold", "every box", "= yes",
+          lambda result: all(result.column("holds")),
+          "every boxed takeaway holds at the settings this table runs"),
+)
 
-@experiment("takeaways", bench={"runs": 8})
+
+@experiment("takeaways", claims=CLAIMS, bench={"runs": 8})
 def run(runs=10, seed=0):
     """Re-validate every boxed takeaway; one row per claim."""
     results = (

@@ -1,4 +1,4 @@
-"""Every paper claim holds at its experiment's fast settings.
+"""Every paper claim holds at its experiment's bench settings.
 
 The claims and their bands live beside the experiments that measure
 them (the ``CLAIMS`` tables registered with ``@experiment``); this
@@ -19,9 +19,9 @@ CLAIM_IDS = [
 
 
 @pytest.mark.parametrize("claim_id", CLAIM_IDS)
-def test_claim_holds(fast_result, claim_id):
+def test_claim_holds(bench_result, claim_id):
     experiment_id = claim_id.split(".")[0]
-    rows = evaluate(experiment_id, fast_result(experiment_id))
+    rows = evaluate(experiment_id, bench_result(experiment_id))
     row = next(row for row in rows if row.id == claim_id)
     assert row.holds, (
         f"{row.statement} (paper: {row.paper}): measured {row.measured}, "

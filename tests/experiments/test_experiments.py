@@ -28,23 +28,23 @@ def test_unknown_experiment_raises():
         run_experiment("fig99")
 
 
-def test_table1_lists_all_models(fast_result):
-    result = fast_result("table1")
+def test_table1_lists_all_models(bench_result):
+    result = bench_result("table1")
     assert len(result.rows) == 11
     with pytest.raises(KeyError):
         result.column("Latency")
 
 
-def test_table2_lists_all_platforms(fast_result):
-    result = fast_result("table2")
+def test_table2_lists_all_platforms(bench_result):
+    result = bench_result("table2")
     assert len(result.rows) == 4
     assert any("Pixel 3" in row[0] for row in result.rows)
     assert "render" in dir(result)
     assert "[table2]" in result.render()
 
 
-def test_fig7_decomposition_covers_flow(fast_result):
-    result = fast_result("fig7")
+def test_fig7_decomposition_covers_flow(bench_result):
+    result = bench_result("fig7")
     stages = result.column("Stage")
     assert "dsp compute" in stages
     assert "cache flush/invalidate" in stages
@@ -52,8 +52,8 @@ def test_fig7_decomposition_covers_flow(fast_result):
     assert sum(shares) == pytest.approx(1.0, abs=0.01)
 
 
-def test_fig11_histogram_counts_every_run(fast_result):
-    result = fast_result("fig11")
+def test_fig11_histogram_counts_every_run(bench_result):
+    result = bench_result("fig11")
     histogram = result.series["app_histogram"]
     runs = result.lookup("context", "n")["app"]
     assert sum(count for _lo, _hi, count in histogram) == runs

@@ -131,11 +131,11 @@ def test_trace_rejects_unknown_scenario():
 
 
 @pytest.fixture
-def summary_results(monkeypatch, fast_result):
-    """Serve ``summary``'s experiment runs from the session's fast results."""
+def summary_results(monkeypatch, bench_result):
+    """Serve ``summary``'s experiment runs from the session-wide results."""
     monkeypatch.setattr(
         claims, "run_experiment",
-        lambda experiment_id, **_kwargs: fast_result(experiment_id),
+        lambda experiment_id, **_kwargs: bench_result(experiment_id),
     )
 
 

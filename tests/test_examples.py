@@ -55,8 +55,8 @@ def test_dashcam_detection(monkeypatch, capsys):
 
 
 @pytest.mark.slow
-def test_paper_report_fast(monkeypatch, capsys):
-    out = run_example(monkeypatch, capsys, "paper_report", argv=["--fast"])
+def test_paper_report(monkeypatch, capsys):
+    out = run_example(monkeypatch, capsys, "paper_report")
     assert "experiments regenerated" in out
     assert "[fig5]" in out
     assert "[takeaways]" in out
