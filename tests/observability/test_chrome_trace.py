@@ -51,7 +51,10 @@ def test_expected_tracks_and_counters_present(quickstart_trace):
     counters = {e["name"] for e in events if e["ph"] == "C"}
     assert {"cdsp", "fastrpc", "nnapi", "pipeline"} <= tracks
     assert any(track.startswith("cpu") for track in tracks)
-    assert {"freq:big", "freq:little", "temp_c", "runqueue"} <= counters
+    assert {
+        "freq:big", "freq:little", "temp_c", "runqueue", "ctx_switch",
+        "migration",
+    } <= counters
 
 
 def test_thread_metadata_names_every_span_track(quickstart_trace):
