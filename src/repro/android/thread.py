@@ -111,8 +111,6 @@ class ThreadStats:
     """Per-thread accounting surfaced in profiles and tests."""
 
     cpu_time_us: float = 0.0
-    wall_work_us: float = 0.0
     context_switches: int = 0
     migrations: int = 0
-    slices: int = 0
     cores_used: set = field(default_factory=set)

@@ -4,7 +4,7 @@ A :class:`CpuCore` executes work measured in *reference microseconds*
 (see :mod:`repro.soc.params`): the instantaneous execution rate is
 ``perf_index * governor.speed_fraction * thermal_factor`` reference
 seconds per wall second. Scheduling of threads onto cores lives in
-:mod:`repro.android.scheduler`; this module only models capability.
+:mod:`repro.android.kernel`; this module only models capability.
 """
 
 from dataclasses import dataclass, field
@@ -30,15 +30,6 @@ class CpuCore:
     def name(self):
         return f"cpu{self.core_id}"
 
-    @property
-    def speed(self):
-        """Reference-work-per-microsecond execution rate right now."""
-        return (
-            self.perf_index
-            * self.cluster.governor.speed_fraction
-            * self.cluster.thermal_factor
-        )
-
 
 @dataclass
 class CpuCluster:
@@ -59,9 +50,3 @@ class CpuCluster:
             CpuCore(core_id=self.first_core_id + i, cluster=self, perf_index=self.perf_index)
             for i in range(self.core_count)
         ]
-
-    def utilization(self, window_busy_us, window_us):
-        """Average core utilization of the cluster over a window."""
-        if window_us <= 0:
-            return 0.0
-        return min(1.0, window_busy_us / (window_us * self.core_count))

@@ -157,6 +157,82 @@ def test_processed_event_drops_callback_list():
         timeout.callbacks.append(lambda _e: None)
 
 
+# -- restarted timeouts -------------------------------------------------
+
+
+def test_restart_raises_while_the_timeout_is_scheduled():
+    sim = Simulator(seed=0)
+    timeout = sim.timeout(1.0)
+    with pytest.raises(RuntimeError, match="still scheduled"):
+        timeout.restart(2.0, lambda _e: None)
+    assert len(sim._queue) == 1
+
+
+def test_restart_rejects_a_negative_delay():
+    sim = Simulator(seed=0)
+    timeout = sim.timeout(1.0)
+    sim.run()
+    with pytest.raises(ValueError, match="negative timeout delay"):
+        timeout.restart(-1.0, lambda _e: None)
+    assert timeout.processed and not sim._queue
+
+
+def _timer_chain(restart):
+    """A sanitized run of three back-to-back waits, each re-arming one
+    timeout or allocating a fresh one, beside a bystander timeout."""
+    sim = Simulator(seed=0, sanitize=True)
+    fired = []
+
+    def wait(event, delay, then):
+        if restart:
+            event.restart(delay, then)
+        else:
+            sim.timeout(delay).callbacks.append(then)
+
+    def last(event):
+        fired.append((sim.now, event))
+
+    first = sim.timeout(5.0)
+    first.callbacks.append(
+        lambda event: wait(event, 7.0, lambda e: wait(e, 0.0, last))
+    )
+    sim.timeout(6.0)
+    sim.run()
+    return sim, first, fired
+
+
+def test_restarted_timeout_schedules_like_a_new_one():
+    sim, first, fired = _timer_chain(restart=True)
+    records = [
+        (r.time, r.priority, r.sequence, r.label)
+        for r in sim.sanitizer.stream.records
+    ]
+    assert records == [
+        (5.0, 1, 0, "timeout(5.0)"),
+        (6.0, 1, 1, "timeout(6.0)"),
+        (12.0, 1, 2, "timeout(7.0)"),
+        (12.0, 1, 3, "timeout(0.0)"),
+    ]
+    assert fired == [(12.0, first)]
+    fresh, _first, _fired = _timer_chain(restart=False)
+    assert sim.sanitizer.stream.digest() == fresh.sanitizer.stream.digest()
+
+
+def test_restarted_timeout_drops_its_callback_list_at_pop():
+    sim = Simulator(seed=0)
+    timeout = sim.timeout(1.0)
+    sim.run()
+    fired = []
+    timeout.restart(2.0, fired.append)
+    assert timeout.triggered and not timeout.processed
+    assert timeout.callbacks == [fired.append]
+    sim.run()
+    assert fired == [timeout] and sim.now == 3.0
+    assert timeout.callbacks is None
+    with pytest.raises(AttributeError):
+        timeout.callbacks.append(lambda _e: None)
+
+
 # -- determinism under the sanitizer ------------------------------------
 
 
