@@ -297,9 +297,25 @@ class _Analyzer(ast.NodeVisitor):
         self.generic_visit(node)
 
     def _visit_comprehension(self, node):
-        for generator in node.generators:
-            self._check_set_iteration(generator.iter)
+        if not self._sorted_without_key(node):
+            for generator in node.generators:
+                self._check_set_iteration(generator.iter)
         self.generic_visit(node)
+
+    def _sorted_without_key(self, node):
+        """``node`` is the only positional argument of ``sorted()`` and
+        no ``key=`` is given, so iteration order cannot reach the result:
+        elements that compare equal are interchangeable. With ``key=``,
+        ties keep iteration order, so a set's hash order would survive.
+        """
+        call = self._parents.get(node)
+        return (
+            isinstance(call, ast.Call)
+            and self._dotted(call.func) == "sorted"
+            and len(call.args) == 1
+            and call.args[0] is node
+            and all(keyword.arg == "reverse" for keyword in call.keywords)
+        )
 
     visit_ListComp = _visit_comprehension
     visit_SetComp = _visit_comprehension
