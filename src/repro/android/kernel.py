@@ -354,12 +354,8 @@ class _CoreLoop:
         self._duration = 0.0
         self._span = None
         # Bootstrap identical to ``sim.process(..., name=f"{core.name}:loop")``:
-        # a triggered urgent event labelled ``<name>:start`` whose pop
-        # runs the first dispatch round.
-        start = Event(sim, name=core.name + ":loop:start")
-        start.callbacks.append(self._run)
-        start._state = TRIGGERED
-        sim._schedule(start, priority=sim.PRIORITY_URGENT)
+        # its pop runs the first dispatch round.
+        sim.bootstrap(core.name + ":loop", self._run)
 
     def _run(self, _event):
         if self._state == 0 and not self.runqueue:
@@ -540,10 +536,7 @@ class _GovernorLoop:
         self.governor = cluster.governor
         self.update = cluster.governor.update
         self.freq_label = "freq:" + cluster.name
-        start = Event(sim, name="gov:" + cluster.name + ":start")
-        start.callbacks.append(self._start)
-        start._state = TRIGGERED
-        sim._schedule(start, priority=sim.PRIORITY_URGENT)
+        sim.bootstrap("gov:" + cluster.name, self._start)
 
     def _start(self, _event):
         timeout = Timeout(self.sim, _GOVERNOR_WINDOW_US)

@@ -12,7 +12,7 @@ import gc
 from heapq import heappop, heappush
 import os
 
-from repro.sim.events import PROCESSED, Event, AllOf, AnyOf, Timeout
+from repro.sim.events import PROCESSED, TRIGGERED, Event, AllOf, AnyOf, Timeout
 from repro.sim.process import Process
 from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceRecorder
@@ -72,7 +72,6 @@ class Simulator:
         self.trace = TraceRecorder(self) if trace else None
         self._queue = []
         self._sequence = 0
-        self._active_process = None
         self._id_counters = {}
         self.sanitizer = None
         if sanitize is None:
@@ -102,6 +101,21 @@ class Simulator:
             self.sanitizer.on_schedule(time, priority, self._sequence, event)
         heappush(self._queue, (time, priority, self._sequence, event))
         self._sequence += 1
+
+    def bootstrap(self, name, callback):
+        """Run ``callback(event)`` at the current time, before normal events.
+
+        Schedules a triggered, urgent event labelled ``<name>:start``
+        whose one callback is ``callback`` — the first step of every
+        :class:`Process` and of every callback loop written in its
+        place, so their event streams match to the label. Returns the
+        event.
+        """
+        event = Event(self, name=name + ":start")
+        event.callbacks.append(callback)
+        event._state = TRIGGERED
+        self._schedule(event, priority=self.PRIORITY_URGENT)
+        return event
 
     def schedule_callback(self, delay, callback, name=None):
         """Run ``callback(value)`` after ``delay`` microseconds."""

@@ -27,11 +27,7 @@ class Process(Event):
         self._generator = generator
         self._waiting_on = None
         self._relay_name = self._name + ":relay"
-        # Kick off on the next schedule slot at the current time.
-        bootstrap = Event(sim, name=self._name + ":start")
-        bootstrap.callbacks.append(self._resume)
-        bootstrap._state = TRIGGERED
-        sim._schedule(bootstrap, priority=sim.PRIORITY_URGENT)
+        sim.bootstrap(self._name, self._resume)
 
     def interrupt(self, cause=None):
         """Throw :class:`Interrupted` into the process at its yield point."""
@@ -62,22 +58,14 @@ class Process(Event):
         if event._exception is not None:
             self._step(event._exception, throw=True)
             return
-        sim = self.sim
-        previous, sim._active_process = sim._active_process, self
         try:
             target = self._generator.send(event._value)
         except StopIteration as stop:
             self.succeed(getattr(stop, "value", None))
-            sim._active_process = previous
             return
         except Interrupted as exc:
             self.fail(exc)
-            sim._active_process = previous
             return
-        except BaseException:
-            sim._active_process = previous
-            raise
-        sim._active_process = previous
         if not isinstance(target, Event):
             raise TypeError(
                 f"process {self.name!r} yielded {target!r}; expected an Event"
@@ -89,8 +77,6 @@ class Process(Event):
             target.callbacks.append(self._resume)
 
     def _step(self, payload, throw):
-        sim = self.sim
-        previous, sim._active_process = sim._active_process, self
         try:
             if throw:
                 target = self._generator.throw(payload)
@@ -102,8 +88,6 @@ class Process(Event):
         except Interrupted as exc:
             self.fail(exc)
             return
-        finally:
-            sim._active_process = previous
         if not isinstance(target, Event):
             raise TypeError(
                 f"process {self.name!r} yielded {target!r}; expected an Event"
