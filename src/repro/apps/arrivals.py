@@ -17,6 +17,8 @@ request timeline bit-identically, run after run, worker after worker.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.sim import RngStreams, units
 
 #: Stream name the arrival draws come from (one stream per process
@@ -57,14 +59,28 @@ class PoissonArrivals:
         """
         _check_window(duration_us, count)
         rng = RngStreams(self.seed).stream(_STREAM)
+        mean_gap_us = self.mean_gap_us
+        if count is not None:
+            gaps = rng.exponential(mean_gap_us, count)
+            return tuple(np.cumsum(gaps).tolist())
+        # Gaps are drawn in bulk, a window's expected count at a time,
+        # and summed left to right with the running total carried into
+        # each draw: every time is the same float the one-draw-per-gap
+        # loop gave, since the generator fills an array with the same
+        # per-element routine as a scalar call. Draws past the window
+        # are discarded.
+        size = int(duration_us / mean_gap_us) + 1
         times = []
         now_us = 0.0
-        while _more(times, now_us, duration_us, count):
-            now_us += rng.exponential(self.mean_gap_us)
-            if duration_us is not None and now_us >= duration_us:
-                break
-            times.append(now_us)
-        return tuple(times)
+        while True:
+            gaps = rng.exponential(mean_gap_us, size)
+            gaps[0] += now_us
+            arrivals = np.cumsum(gaps)
+            inside = int(np.searchsorted(arrivals, duration_us))
+            times.extend(arrivals[:inside].tolist())
+            if inside < size:
+                return tuple(times)
+            now_us = float(arrivals[-1])
 
     def peak_rate_rps(self):
         return self.rate_rps

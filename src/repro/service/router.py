@@ -2,11 +2,13 @@
 
 A :class:`Backend` pairs one calibrated
 :class:`~repro.service.backends.BackendProfile` with a
-:class:`~repro.service.batcher.DynamicBatcher` and a simulator process
-that forms and serves batches. The :class:`Router` spreads admitted
-requests across the pool with deterministic join-shortest-queue
-(ties break toward the lowest backend id, so identical runs route
-identically).
+:class:`~repro.service.batcher.DynamicBatcher` and a serving loop that
+forms and serves batches, written as event callbacks rather than a
+generator process (one callback frame per event instead of a
+``Process`` resume and a generator frame; the events are the same).
+The :class:`Router` spreads admitted requests across the pool with
+deterministic join-shortest-queue (ties break toward the lowest
+backend id, so identical runs route identically).
 
 Each backend's depth (requests queued in its batcher or in the batch
 it is serving) and the pool's outstanding total are plain counts,
@@ -31,14 +33,37 @@ and an SSR fault additionally costs the backend a reboot window.
 from operator import attrgetter
 
 from repro.faults import FAULT_SSR
-from repro.sim.probes import counter, instant
+from repro.sim.events import Event, Timeout
+from repro.sim.probes import instant
 from repro.service.request import OUTCOME_FAILED, OUTCOME_OK
 
 _DEPTH = attrgetter("depth")
 
 
 class Backend:
-    """One pool member: a batcher plus a serving process."""
+    """One pool member: a batcher plus a serving loop.
+
+    The loop is a callback state machine, like the kernel's core loops.
+    Semantically it is the generator::
+
+        while True:
+            while nothing is queued:
+                wait for a wakeup
+            while the batch is not ready:
+                wait for the oldest request's deadline or a wakeup
+            serve the batch (one timeout), then either complete it or
+            fail it (plus an SSR reboot timeout)
+
+    driven directly by event callbacks instead of through a
+    :class:`~repro.sim.process.Process`. It creates the same events in
+    the same order as that generator did: the ``service:backend<N>:start``
+    bootstrap, each wait's deadline timeout, wakeup event and
+    ``any_of`` (in that order), ``service:batch[<n>]`` and
+    ``service:backend<N>:ssr_reboot`` timeouts. No wait reuses an
+    event: an enqueue at the instant a deadline pops can still trigger
+    that wait's wakeup, which then sits in the queue after the backend
+    has moved on.
+    """
 
     def __init__(self, sim, profile, batcher, on_complete,
                  injector=None, health=None, on_failed=None,
@@ -55,24 +80,35 @@ class Backend:
         self.depth = 0
         #: The :class:`Router` that owns the pool count (set by it).
         self.router = None
-        self._depth_track = f"service:backend{profile.backend_id}:depth"
         self.served_batches = 0
         self.served_requests = 0
         self.failed_batches = 0
         self.failed_requests = 0
         #: Total simulated time this backend spent serving.
         self.busy_us = 0.0
-        self._wakeup = None
-        sim.process(
-            self._loop(), name=f"service:backend{profile.backend_id}"
+        self._trace = sim.trace  # fixed at Simulator construction
+        name = f"service:backend{profile.backend_id}"
+        self._depth_track = name + ":depth"
+        self._wakeup_name = name + ":wakeup"
+        self._reboot_name = name + ":ssr_reboot"
+        self._batch_names = tuple(
+            f"service:batch[{size}]" for size in range(batcher.max_batch + 1)
         )
+        #: The pending wait's wakeup (``None`` while serving).
+        self._wakeup = None
+        #: ``(batch, start_us, inference_us, service_us, fault)`` of the
+        #: batch being served.
+        self._serving = None
+        sim.bootstrap(name, self._form)
 
     def _count(self, delta):
         """Move this backend's depth and the pool's count together."""
         self.depth += delta
-        self.router.outstanding += delta
-        counter(self.sim, self._depth_track, self.depth)
-        counter(self.sim, "service:depth", self.router.outstanding)
+        router = self.router
+        router.outstanding += delta
+        if self._trace is not None:
+            self._trace.count(self._depth_track, self.depth)
+            self._trace.count("service:depth", router.outstanding)
 
     def enqueue(self, request):
         """Accept a routed request into the batching queue."""
@@ -82,47 +118,55 @@ class Backend:
         if self._wakeup is not None and not self._wakeup.triggered:
             self._wakeup.succeed()
 
-    def _wait(self, *events):
-        self._wakeup = self.sim.event(
-            name=f"service:backend{self.profile.backend_id}:wakeup"
-        )
-        if events:
-            return self.sim.any_of([*events, self._wakeup])
-        return self._wakeup
+    def _form(self, _event=None):
+        """Serve the next batch, or wait until one is ready.
 
-    def _loop(self):
-        """Form and serve batches forever (parks when the queue drains).
-
-        The process never returns: after the last arrival it blocks on a
-        wakeup that never fires, and the simulation ends when the
-        schedule drains around it.
+        Parks on a wakeup while nothing is queued; otherwise waits for
+        the oldest request's deadline or a wakeup, whichever pops first.
+        After the last arrival the backend stays parked on a wakeup that
+        never fires, and the run ends when the schedule drains.
         """
-        while True:
-            while not self.batcher.pending:
-                yield self._wait()
-                self._wakeup = None
-            while not self.batcher.ready(self.sim.now):
-                remaining_us = self.batcher.deadline_us() - self.sim.now
-                yield self._wait(self.sim.timeout(remaining_us))
-                self._wakeup = None
-            batch = self.batcher.take()
-            yield from self._serve(batch)
+        sim = self.sim
+        batcher = self.batcher
+        if not batcher.pending:
+            self._wakeup = Event(sim, name=self._wakeup_name)
+            self._wakeup.callbacks.append(self._woken)
+        elif not batcher.ready(sim.now):
+            deadline = Timeout(sim, batcher.deadline_us() - sim.now)
+            self._wakeup = Event(sim, name=self._wakeup_name)
+            sim.any_of([deadline, self._wakeup]).callbacks.append(
+                self._woken
+            )
+        else:
+            self._serve(batcher.take())
+
+    def _woken(self, _event):
+        self._wakeup = None
+        self._form()
 
     def _serve(self, batch):
+        profile = self.profile
         flags = tuple(request.degraded for request in batch)
-        inference_total_us = self.profile.batch_inference_us(flags)
-        service_us = inference_total_us + self.profile.batch_tax_us(flags)
-        start_us = self.sim.now
+        inference_total_us = profile.batch_inference_us(flags)
+        service_us = inference_total_us + profile.batch_tax_us(flags)
+        now = self.sim.now
         fault = (
-            self.injector.draw(self.sim.now)
-            if self.injector is not None else None
+            self.injector.draw(now) if self.injector is not None else None
         )
-        yield self.sim.timeout(
-            service_us, name=f"service:batch[{len(batch)}]"
+        self._serving = (batch, now, inference_total_us, service_us, fault)
+        Timeout(
+            self.sim, service_us, name=self._batch_names[len(batch)]
+        ).callbacks.append(self._served)
+
+    def _served(self, _event):
+        batch, start_us, inference_total_us, service_us, fault = (
+            self._serving
         )
+        self._serving = None
         if fault is not None:
-            yield from self._fail(batch, fault, service_us)
+            self._fail(batch, fault, service_us)
             return
+        profile = self.profile
         done_us = self.sim.now
         inference_share_us = inference_total_us / len(batch)
         for request in batch:
@@ -131,8 +175,7 @@ class Backend:
             request.done_us = done_us
             request.inference_us = inference_share_us
             request.tax_us = (
-                self.profile.tax_us
-                * self.profile._item_scale(request.degraded)
+                profile.tax_us * profile._item_scale(request.degraded)
             )
             # Everything that is not this request's own work — admission
             # wait, batch formation, and batch mates' shares — is
@@ -149,9 +192,10 @@ class Backend:
         self.served_requests += len(batch)
         self._count(-len(batch))
         if self.health is not None:
-            self.health.record_success(self.profile.backend_id)
+            self.health.record_success(profile.backend_id)
         for request in batch:
             self._on_complete(request)
+        self._form()
 
     def _fail(self, batch, fault, service_us):
         """A faulted batch: the service time is burned, nothing finishes.
@@ -175,13 +219,11 @@ class Backend:
             if self._on_failed is not None:
                 self._on_failed(request)
         if fault.kind == FAULT_SSR and self.ssr_recovery_us > 0:
-            yield self.sim.timeout(
-                self.ssr_recovery_us,
-                name=(
-                    f"service:backend{self.profile.backend_id}"
-                    ":ssr_reboot"
-                ),
-            )
+            Timeout(
+                self.sim, self.ssr_recovery_us, name=self._reboot_name
+            ).callbacks.append(self._form)
+        else:
+            self._form()
 
     def to_dict(self):
         from repro.sim import units

@@ -3,10 +3,27 @@
 import pytest
 
 from repro.apps.arrivals import (
+    _STREAM,
     DiurnalArrivals,
     PoissonArrivals,
     make_arrivals,
 )
+from repro.sim import RngStreams
+
+
+def scalar_poisson_times(arrivals, duration_us=None, count=None):
+    """Reference: the one-draw-per-gap loop the bulk draw replaced."""
+    rng = RngStreams(arrivals.seed).stream(_STREAM)
+    times = []
+    now_us = 0.0
+    while (
+        len(times) < count if count is not None else now_us < duration_us
+    ):
+        now_us += rng.exponential(arrivals.mean_gap_us)
+        if duration_us is not None and now_us >= duration_us:
+            break
+        times.append(now_us)
+    return tuple(times)
 
 
 def test_poisson_same_seed_replays_identically():
@@ -30,6 +47,38 @@ def test_poisson_rate_matches_long_run_mean():
     times = PoissonArrivals(rate_rps=500.0, seed=3).times_us(count=4000)
     mean_gap_us = times[-1] / (len(times) - 1)
     assert mean_gap_us == pytest.approx(2000.0, rel=0.1)
+
+
+@pytest.mark.parametrize("rate_rps", [3.0, 47.5, 200.0, 950.0, 4000.0])
+def test_poisson_bulk_draw_matches_the_scalar_loop(rate_rps):
+    # A window's first bulk draw holds one gap more than its expected
+    # arrival count; a window with more arrivals than expected used it
+    # up, drew again and carried the running sum over.
+    carried = 0
+    for seed in range(40):
+        arrivals = PoissonArrivals(rate_rps=rate_rps, seed=seed)
+        for duration_us in (2_000.0, 50_000.0, 333_333.3, 2_000_000.0):
+            times = arrivals.times_us(duration_us=duration_us)
+            assert times == scalar_poisson_times(
+                arrivals, duration_us=duration_us
+            )
+            assert all(type(time) is float for time in times)
+            if len(times) > duration_us / arrivals.mean_gap_us:
+                carried += 1
+        assert arrivals.times_us(count=257) == scalar_poisson_times(
+            arrivals, count=257
+        )
+    assert carried >= 20
+
+
+def test_poisson_window_shorter_than_the_first_gap_is_empty():
+    arrivals = PoissonArrivals(rate_rps=1.0, seed=0)
+    first_gap_us = arrivals.times_us(count=1)[0]
+    assert arrivals.times_us(duration_us=first_gap_us) == ()
+    assert arrivals.times_us(duration_us=first_gap_us / 2) == ()
+    assert arrivals.times_us(duration_us=first_gap_us * 1.0001) == (
+        first_gap_us,
+    )
 
 
 def test_diurnal_same_seed_replays_identically():
