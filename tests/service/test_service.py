@@ -214,3 +214,25 @@ def test_chaos_faults_shrink_the_pool():
     for failure in faulty_failures:
         assert failure["target"] == "snpe-dsp"
         assert failure["error"]
+
+
+def test_pool_with_no_surviving_backend_raises():
+    # SNPE-DSP performs no fault recovery, so at fault rate 1 every
+    # calibration session fails and there is no pool to serve from.
+    from dataclasses import replace
+
+    from repro.fleet import Axis, chaos_population
+
+    population = replace(
+        chaos_population(),
+        target=Axis("target", (("snpe-dsp", 1.0),)),
+        workload=Axis("workload", ((("mobilenet_v1", "int8"), 1.0),)),
+    )
+    with pytest.raises(
+        RuntimeError,
+        match="no backend survived calibration: 3 of 3 sessions failed",
+    ):
+        build_pool(
+            population=population, devices=3, seed=0, runs=2,
+            fault_rate=1.0,
+        )
