@@ -233,6 +233,33 @@ def test_restarted_timeout_drops_its_callback_list_at_pop():
         timeout.callbacks.append(lambda _e: None)
 
 
+def test_bootstrap_schedules_the_start_event_of_a_process():
+    # A callback loop started through bootstrap pops exactly as a
+    # generator process of the same name starts: urgent, at the current
+    # time, ahead of a normal event scheduled before it.
+    def body():
+        return
+        yield
+
+    sim = Simulator(seed=0, sanitize=True)
+    sim.timeout(0.0)
+    fired = []
+    start = sim.bootstrap("loop", fired.append)
+    sim.process(body(), name="proc")
+    sim.run()
+    records = [
+        (r.time, r.priority, r.sequence, r.label)
+        for r in sim.sanitizer.stream.records
+    ]
+    assert records == [
+        (0.0, 0, 1, "loop:start"),
+        (0.0, 0, 2, "proc:start"),
+        (0.0, 1, 0, "timeout(0.0)"),
+        (0.0, 1, 3, "proc"),
+    ]
+    assert fired == [start]
+
+
 # -- determinism under the sanitizer ------------------------------------
 
 
