@@ -225,6 +225,21 @@ class Backend:
         else:
             self._form()
 
+    def close(self):
+        """Let go of the pool once the run has drained.
+
+        Drops the parked wakeup (whose callback list holds this
+        backend), the router back-reference and both callbacks. Each
+        is part of a reference cycle that would otherwise keep the
+        window's backends, router and completed requests alive until
+        the cyclic collector ran. The backend cannot serve afterwards;
+        :meth:`to_dict` still works.
+        """
+        self._wakeup = None
+        self.router = None
+        self._on_complete = None
+        self._on_failed = None
+
     def to_dict(self):
         from repro.sim import units
 
@@ -270,6 +285,16 @@ class Router:
         self.outstanding = 0
         for backend in self.backends:
             backend.router = self
+
+    def close(self):
+        """End the run: drop the failure callback and close every backend.
+
+        Call it once the schedule has drained and the result is read;
+        the pool then frees itself by reference counting.
+        """
+        self._on_failed = None
+        for backend in self.backends:
+            backend.close()
 
     def _candidates(self, exclude_id=None):
         """Routable backends, pool order (never empty).

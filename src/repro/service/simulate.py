@@ -338,9 +338,7 @@ def run_service(config=None, population=None, profiles=None, **overrides):
         pool_failures = []
 
     sim = Simulator(seed=config.seed, trace=config.trace)
-    requests = []
     completed = []
-    failed = []
     depth_series = []
 
     def on_complete(request):
@@ -351,8 +349,7 @@ def run_service(config=None, population=None, profiles=None, **overrides):
         if brownout is not None:
             brownout.update(router.outstanding, sim)
 
-    def on_request_failed(request):
-        failed.append(request)
+    def on_request_failed(_request):
         depth_series.append(
             [units.to_ms(sim.now), router.outstanding]
         )
@@ -444,14 +441,21 @@ def run_service(config=None, population=None, profiles=None, **overrides):
     )
 
     _Driver(
-        sim, times_us, config.slo_us, admission, router, requests,
-        depth_series,
+        sim, times_us, config.slo_us, admission, router, depth_series,
     )
-    sim.run()
-    return _assemble(
-        config, backends, pool_failures, admission, requests, completed,
-        depth_series, router=router, monitor=monitor, brownout=brownout,
-    )
+    # The result reads the backends, so the pool closes after it. Closing
+    # cuts the cycles among router, backends and the callbacks above:
+    # the window's simulator, backends and requests are then freed by
+    # reference counting when this returns.
+    try:
+        sim.run()
+        return _assemble(
+            config, backends, pool_failures, admission, len(times_us),
+            completed, depth_series, router=router, monitor=monitor,
+            brownout=brownout,
+        )
+    finally:
+        router.close()
 
 
 class _Driver:
@@ -466,10 +470,10 @@ class _Driver:
 
     __slots__ = (
         "sim", "times_us", "index", "slo_us", "admission", "router",
-        "requests", "depth_series", "_timer",
+        "depth_series", "_timer",
     )
 
-    def __init__(self, sim, times_us, slo_us, admission, router, requests,
+    def __init__(self, sim, times_us, slo_us, admission, router,
                  depth_series):
         self.sim = sim
         self.times_us = times_us
@@ -478,7 +482,6 @@ class _Driver:
         self.slo_us = slo_us
         self.admission = admission
         self.router = router
-        self.requests = requests
         self.depth_series = depth_series
         self._timer = None
         sim.bootstrap("service:driver", self._arrive)
@@ -511,7 +514,6 @@ class _Driver:
             request = Request(
                 request_id=index, arrival_us=now, slo_us=self.slo_us
             )
-            self.requests.append(request)
             index += 1
             decision = self.admission.admit(request, router.outstanding)
             if decision == TURN_AWAY:
@@ -521,7 +523,7 @@ class _Driver:
         Event(self.sim, name="service:driver").succeed()
 
 
-def _assemble(config, backends, pool_failures, admission, requests,
+def _assemble(config, backends, pool_failures, admission, offered,
               completed, depth_series, router=None, monitor=None,
               brownout=None):
     latencies_ms = []
@@ -545,7 +547,7 @@ def _assemble(config, backends, pool_failures, admission, requests,
         config=config.to_dict(),
         backends=[backend.to_dict() for backend in backends],
         pool_failures=pool_failures,
-        offered=len(requests),
+        offered=offered,
         completed=len(completed),
         met_slo=met,
         dropped=counters["dropped"],

@@ -11,6 +11,13 @@ are rendered *lazily* through the :attr:`Event.name` property so that an
 untraced, unsanitized run never pays for a string it never reads. The
 rendered text is byte-identical to the eager form, which the replay
 digest (:mod:`repro.sim.sanitizer`) depends on.
+
+A condition (:class:`AllOf`, :class:`AnyOf`) registers a callback on
+each child while it is pending, and once triggered removes that
+callback from every child that has not popped yet. A child that never
+fires, such as the wakeup that lost to a deadline, then holds no
+reference to the condition, so both are freed by reference counting
+instead of waiting for the cyclic collector.
 """
 
 from heapq import heappush
@@ -181,6 +188,10 @@ class _Condition(Event):
             self.succeed({})
             return
         for event in self.events:
+            # A processed child can trigger the condition right here;
+            # from then on no child needs the callback.
+            if self._state != PENDING:
+                break
             if event._state == PROCESSED:
                 self._on_child(event)
             else:
@@ -192,6 +203,21 @@ class _Condition(Event):
             for index, event in enumerate(self.events)
             if event._state == PROCESSED and event._exception is None
         }
+
+    def _detach(self):
+        """Drop this triggered condition's callback from the children
+        that have not popped yet.
+
+        The callback would return at once, but it holds the condition
+        and the condition holds the child: a child that never fires
+        (the losing wakeup of an ``any_of``) would keep both alive
+        until the cyclic collector ran.
+        """
+        callback = self._on_child
+        for event in self.events:
+            callbacks = event.callbacks
+            if callbacks is not None and callback in callbacks:
+                callbacks.remove(callback)
 
     def _on_child(self, event):
         raise NotImplementedError
@@ -210,6 +236,7 @@ class AllOf(_Condition):
             return
         if event._exception is not None:
             self.fail(event._exception)
+            self._detach()
             return
         self._done += 1
         if self._done == len(self.events):
@@ -229,5 +256,6 @@ class AnyOf(_Condition):
             return
         if event._exception is not None:
             self.fail(event._exception)
-            return
-        self.succeed(self._collect())
+        else:
+            self.succeed(self._collect())
+        self._detach()

@@ -129,6 +129,14 @@ def test_accounting_conserves_busy_plus_idle():
     assert report["cpu0"]["elapsed_us"] == pytest.approx(20.0)
 
 
+def test_audit_rejects_a_negative_span():
+    # Unsanitized, no span-close hook raises first: the audit meets it.
+    sim = Simulator(trace=True, sanitize=False)
+    sim.trace.record("cpu0", "bad", 10.0, 4.0)
+    with pytest.raises(SanitizerError, match="negative span"):
+        audit_accounting(sim.trace, 20.0)
+
+
 def test_partially_overlapping_spans_raise():
     sim = Simulator(trace=True)
     sim.trace.record("cpu0", "a", 0.0, 10.0)

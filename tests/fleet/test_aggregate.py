@@ -1,7 +1,9 @@
 """Fleet aggregation: slices, percentiles, and the paper shapes."""
 
+import pytest
+
 from repro.experiments import REGISTRY, run_experiment
-from repro.fleet import aggregate_fleet, run_fleet
+from repro.fleet import FleetResult, aggregate_fleet, run_fleet
 
 
 def test_aggregate_slices_cover_every_session():
@@ -14,6 +16,11 @@ def test_aggregate_slices_cover_every_session():
     # Cold start pools exactly one run per session; steady the rest.
     assert aggregate.cold.runs == 24
     assert aggregate.steady.runs == 24 * 3
+
+
+def test_aggregate_rejects_an_empty_fleet():
+    with pytest.raises(ValueError, match="cannot aggregate an empty fleet"):
+        aggregate_fleet(FleetResult(seed=0, workers=1))
 
 
 def test_aggregate_percentiles_ordered():

@@ -17,6 +17,7 @@ cannot silently stop covering a path. Recapture deliberately with::
         print(json.dumps(regenerate(), indent=2, sort_keys=True))"
 """
 
+import gc
 import json
 import pathlib
 
@@ -131,3 +132,25 @@ def test_service_run_matches_the_golden(name):
     _build, covers = CASES[name]
     assert covers(result), name
     assert fingerprint == json.loads(GOLDEN.read_text())[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_finished_window_frees_itself(name, monkeypatch):
+    """A finished window leaves nothing for the cyclic collector: its
+    simulator, backends and requests are freed by reference counting
+    when ``run_service`` returns. Unsanitized, as the serve benchmark
+    runs it (a sanitizer and its simulator refer to each other)."""
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    build, _covers = CASES[name]
+    config, profiles = build()
+    # Calibration garbage can take more than one pass to free.
+    while gc.collect():
+        pass
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run_service(config, profiles=profiles)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

@@ -260,6 +260,52 @@ def test_bootstrap_schedules_the_start_event_of_a_process():
     assert fired == [start]
 
 
+# -- conditions ---------------------------------------------------------
+
+
+def test_any_of_detaches_from_the_child_that_lost():
+    sim = Simulator(seed=0, sanitize=True)
+    deadline = sim.timeout(1.0)
+    wakeup = sim.event(name="wakeup")
+    fired = []
+    sim.any_of([deadline, wakeup]).callbacks.append(fired.append)
+    sim.run()
+    assert len(fired) == 1
+    # The losing child no longer holds the condition ...
+    assert wakeup.callbacks == []
+    # ... so succeeding it later pops only its own event.
+    wakeup.succeed()
+    sim.run()
+    assert len(fired) == 1
+    assert [r.label for r in sim.sanitizer.stream.records] == [
+        "timeout(1.0)", "any_of", "wakeup",
+    ]
+
+
+def test_all_of_detaches_from_the_rest_when_a_child_fails():
+    sim = Simulator(seed=0)
+    first, second = sim.event(), sim.event()
+    later = sim.timeout(5.0)
+    condition = sim.all_of([first, second, later])
+    first.fail(ValueError("boom"))
+    with pytest.raises(ValueError, match="boom"):
+        sim.run(until=condition)
+    assert second.callbacks == [] and later.callbacks == []
+    assert sim.peek() == 5.0
+
+
+def test_any_of_over_a_processed_child_triggers_in_its_constructor():
+    sim = Simulator(seed=0)
+    processed = sim.timeout(0.0, value="v")
+    sim.run()
+    pending = sim.event()
+    condition = sim.any_of([processed, pending])
+    assert condition.triggered
+    assert pending.callbacks == []
+    sim.run()
+    assert condition.value == {0: "v"}
+
+
 # -- determinism under the sanitizer ------------------------------------
 
 
