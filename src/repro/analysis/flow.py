@@ -15,8 +15,11 @@ flow; a subclass owns the state and supplies
 * optionally ``enter_loop(stmt)`` and ``begin_pass()``.
 
 The predicates every DES checker needs — what a request, a release and
-an Interrupted-catching handler look like, and whether a generator is a
-process body at all — live here too, so the checkers agree on them.
+an interrupt-catching handler look like, and whether a generator is a
+process body at all — live here too, so the checkers agree on them. An
+*interrupt* is any exception that arrives at a yield: thrown from a
+failed event the body waits on, or raised by a ``yield from`` delegate
+(``FastRpcTimeout`` out of ``FastRpcChannel.invoke``).
 """
 
 import ast
@@ -118,7 +121,8 @@ def released_names(nodes):
 
 
 def catches_interrupt(handler):
-    """Whether an except clause would catch :class:`Interrupted`."""
+    """Whether an except clause would catch any interrupt: a bare
+    ``except``, ``Exception`` or ``BaseException``."""
     if handler.type is None:
         return True
     names = set()
@@ -132,7 +136,7 @@ def catches_interrupt(handler):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-    return bool(names & {"Interrupted", "Exception", "BaseException"})
+    return bool(names & {"Exception", "BaseException"})
 
 
 def _is_eventish(node, request_names):
@@ -195,7 +199,7 @@ class FlowWalker:
     def __init__(self, state):
         self.state = state
         #: One frame per enclosing interrupt guard: a try body with a
-        #: ``finally`` or an Interrupted-catching handler (the handle
+        #: ``finally`` or an interrupt-catching handler (the handle
         #: names that cleanup releases), or a ``finally`` body (empty).
         #: Subclasses may push frames of their own (``with`` blocks).
         self.guards = []

@@ -2,14 +2,15 @@
 
 The engine (:mod:`repro.sim.process`) runs process bodies as
 generators: between two ``yield``\\ s a body executes atomically, and a
-yield is the *only* place another process — or an engine callback, or
-an :class:`~repro.sim.events.Interrupted` thrown by ``interrupt()`` —
-can run. That discipline makes most locking unnecessary, but it also
-means every multi-step update of shared state that straddles a yield
-is a race with whoever else can touch that state while the body is
-suspended. Such a bug replays bit-identically (the interleaving is
-deterministic per seed) and fails no invariant check; it just shifts
-the contention numbers the paper's Figs. 5-10 report.
+yield is the *only* place another process or an engine callback can
+run, and the only place an interrupt — an exception from a failed event
+the body waits on, or from a ``yield from`` delegate — can arrive. That
+discipline makes most locking unnecessary, but it also means every
+multi-step update of shared state that straddles a yield is a race with
+whoever else can touch that state while the body is suspended. Such a
+bug replays bit-identically (the interleaving is deterministic per
+seed) and fails no invariant check; it just shifts the contention
+numbers the paper's Figs. 5-10 report.
 
 ``python -m repro racecheck`` adapts classic dynamic-race machinery to
 this cooperative world, statically:
@@ -116,7 +117,7 @@ RULES = (
     ),
     RuleInfo(
         "interrupt-unsafe-update",
-        "multi-step shared update can be torn by Interrupted at an "
+        "multi-step shared update can be torn by an interrupt at an "
         "interior yield",
         "wrap the update in try/finally that commits the balancing "
         "write, or accumulate into locals and commit after the last "
@@ -405,8 +406,8 @@ class _ModuleModel:
 # them), a record per shared location of its latest read and latest
 # write, and the shared-derived locals. Every yield marks all records
 # "crossed" (and "unprotected" when no enclosing try/finally or
-# Interrupted handler covers it); rule checks then reduce to record
-# flags at the second access. Branches are walked on copies and
+# interrupt-catching handler covers it); rule checks then reduce to
+# record flags at the second access. Branches are walked on copies and
 # merged conservatively (flags OR, locksets intersect).
 
 
@@ -785,7 +786,7 @@ class _BodyPass(FlowWalker):
                 loc,
                 f"`{loc.render()}` is adjusted at line "
                 f"{prev['node'].lineno} and balanced here across an "
-                "unprotected yield; an Interrupted delivered between "
+                "unprotected yield; an interrupt delivered between "
                 "them leaves the counter permanently skewed",
             )
         if len(loc.path) >= 2:
@@ -807,7 +808,7 @@ class _BodyPass(FlowWalker):
                     f"`{owner}` is updated field-by-field across an "
                     f"unprotected yield (`{other_loc.leaf}` at line "
                     f"{other_rec['node'].lineno}, `{loc.leaf}` here); "
-                    "an Interrupted at the interior yield leaves it "
+                    "an interrupt at the interior yield leaves it "
                     "half-updated",
                 )
                 break

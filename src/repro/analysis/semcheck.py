@@ -11,8 +11,8 @@ latency or utilization value, so the two silent corruptions are
   missed conversion shifts a figure by 1000x (or worse, by 1000x only
   on one code path); and
 * **leaked simulated resources** — a CPU core, DSP queue slot, or GPU
-  grant still held when an exception or :class:`~repro.sim.events.
-  Interrupted` unwinds a process distorts exactly the queueing and
+  grant still held when an exception unwinds a process (an interrupt:
+  one that arrives at a yield) distorts exactly the queueing and
   contention behaviour Figs. 5-10 measure, and only for the *rest* of
   that run.
 
@@ -509,7 +509,7 @@ class _ProtocolPass(FlowWalker):
 
     The state maps a handle name to the set of its states on the paths
     reaching here. Guard frames name the handles an enclosing
-    ``finally``, Interrupted handler, or handle-``with`` releases.
+    ``finally``, interrupt-catching handler, or handle-``with`` releases.
     """
 
     def __init__(self, module, func):

@@ -89,8 +89,9 @@ class _StatsCommitLog:
     """Deferred :class:`FastRpcStats` updates, committed atomically.
 
     :meth:`FastRpcChannel.invoke` spans many yields; bumping the stats
-    fields inline would let an ``Interrupted`` (or a driver error) at
-    an interior yield leave the object torn between fields mid-call —
+    fields inline would let an interrupt at an interior yield (an
+    exception arriving there, such as a driver error or a queue
+    timeout) leave the object torn between fields mid-call —
     ``offload_overhead_us`` reads seven of them and assumes they move
     together. Stage times are appended here instead and land on the
     stats object in one step when the call settles, on *every* exit
@@ -280,9 +281,10 @@ class FastRpcChannel:
                                                queue_start, pending)
             # The grant is held in a with-block so the queue slot is
             # returned on *every* exit — the old try/finally started
-            # after the queue wait, so an Interrupted thrown at the
-            # WaitFor (fault injection, watchdog abort) leaked the slot
-            # and wedged the capacity-1 DSP for the rest of the run.
+            # after the queue wait, so an exception thrown at the
+            # WaitFor (a failed event: fault injection, watchdog abort)
+            # leaked the slot and wedged the capacity-1 DSP for the rest
+            # of the run.
             with self.dsp.resource.request() as request:
                 with probe(sim, "fastrpc", "dsp:queue") as queue_span:
                     if queue_span is not None:

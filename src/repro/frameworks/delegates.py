@@ -49,8 +49,8 @@ class GpuDelegate:
             memory.dram_copy_us(model.input_bytes), label="gpu:upload"
         )
         # with-block instead of try/finally: the old finally began only
-        # after the queue wait, so an interrupt at the WaitFor leaked
-        # the GPU grant.
+        # after the queue wait, so an exception thrown at the WaitFor
+        # leaked the GPU grant.
         with self.gpu.resource.request() as request:
             yield WaitFor(request)
             compute_us = self.gpu.graph_time_us(model.ops, dtype)

@@ -353,8 +353,8 @@ class NnapiSession(InferenceSession):
             in_bytes, out_bytes = self._boundary_bytes(partition)
             yield Work(soc.memory.dram_copy_us(in_bytes), label="nnapi:upload")
             # with-block instead of try/finally: the old finally began
-            # only after the queue wait, so an interrupt at the WaitFor
-            # leaked the GPU grant.
+            # only after the queue wait, so an exception thrown at the
+            # WaitFor leaked the GPU grant.
             with soc.gpu.resource.request() as request:
                 yield WaitFor(request)
                 compute = soc.gpu.graph_time_us(

@@ -1,9 +1,16 @@
 """Discrete-event simulation kernel.
 
-A compact, deterministic, generator-based simulator in the style of simpy.
-Every timed behaviour in the reproduction (CPU scheduling, DSP offload,
-camera frames, thermal updates) is expressed as a :class:`Process` whose
-body is a Python generator yielding :class:`Event` objects.
+A compact, deterministic, event-driven simulator in the style of simpy.
+Every timed behaviour in the reproduction runs off :class:`Event`
+objects popped from one schedule, in one of three forms:
+
+* simulated threads (:class:`repro.android.SimThread`; app, framework,
+  driver and camera code): generators the Android kernel drives through
+  their ``Work``, ``Sleep`` and ``WaitFor`` requests;
+* callback loops for the hot loops: the per-core scheduler and DVFS
+  governor loops, and the service tier's arrival driver and backends;
+* :class:`Process`, a generator that yields events, for low-rate loops
+  (the thermal model, the trace sampler) and for tests.
 
 Time is a float in **microseconds**; helpers in :mod:`repro.sim.units`
 convert to and from milliseconds and seconds.
@@ -14,9 +21,9 @@ from repro.sim.engine import (
     sanitize_enabled,
     set_sanitize_default,
 )
-from repro.sim.events import Event, Timeout, AllOf, AnyOf, Interrupted
+from repro.sim.events import Event, Timeout, AllOf, AnyOf
 from repro.sim.process import Process
-from repro.sim.resources import Resource, PriorityResource, Store
+from repro.sim.resources import Resource, Store
 from repro.sim.rng import RngStreams
 from repro.sim.sanitizer import Sanitizer, SanitizerError
 from repro.sim.trace import Span, TraceRecorder
@@ -32,10 +39,8 @@ __all__ = [
     "Timeout",
     "AllOf",
     "AnyOf",
-    "Interrupted",
     "Process",
     "Resource",
-    "PriorityResource",
     "Store",
     "RngStreams",
     "Span",

@@ -2,10 +2,9 @@
 
 Hot-path notes (see ``docs/performance.md``): the schedule is a binary
 heap of ``(time, priority, sequence, event)`` entries; :meth:`Simulator.run`
-inlines the pop-and-dispatch step with local bindings because it retires
-tens of thousands of events per simulated session. This is observably
-free — the popped-event stream (and hence the sanitizer's replay digest)
-is identical to a ``while sim.step()`` loop's.
+pops and dispatches in one loop with local bindings, because it retires
+tens of thousands of events per simulated session. That one loop serves
+every run mode: a drain, a time bound and a stop-on-event.
 """
 
 import gc
@@ -147,52 +146,27 @@ class Simulator:
 
     # -- run loop -----------------------------------------------------
 
-    def step(self):
-        """Process a single event. Returns False when the queue is empty."""
-        queue = self._queue
-        if not queue:
-            return False
-        time, priority, sequence, event = heappop(queue)
-        if time < self.now:
-            raise RuntimeError("schedule went backwards in time")
-        if self.sanitizer is not None:
-            self.sanitizer.on_pop(time, priority, sequence, event)
-        self.now = time
-        callbacks = event.callbacks
-        # Processed events drop their callback list entirely (an
-        # accidental late append raises instead of silently never
-        # running) — and the run loop avoids allocating a fresh list
-        # per retired event.
-        event.callbacks = None
-        event._state = PROCESSED
-        for callback in callbacks:
-            callback(event)
-        return True
-
     def run(self, until=None):
         """Run until the schedule drains, a time, or an event.
 
         ``until`` may be ``None`` (drain the queue), a number (absolute
         simulation time in microseconds), or an :class:`Event` (stop once
-        it has been processed and return its value).
+        it has been processed and return its value). A time bound pops
+        every event at or before it and leaves the clock there; an event
+        bound stops on the pop that processes the event.
         """
-        if until is not None and not isinstance(until, Event):
+        deadline = None
+        stopped = []
+        if isinstance(until, Event):
+            until.callbacks.append(stopped.append)
+        elif until is not None:
             deadline = float(until)
             if deadline < self.now:
                 raise ValueError(f"until={deadline} is in the past (now={self.now})")
-            while self._queue and self._queue[0][0] <= deadline:
-                self.step()
-            self.now = deadline
-            return None
-        stopped = []
-        if until is not None:
-            until.callbacks.append(stopped.append)
-        # Inlined step(): identical semantics, minus a method call and
-        # attribute reloads per event. Cyclic GC is paused for the
-        # duration — the collector otherwise walks the full object graph
-        # every few thousand event allocations, and nothing in the loop
-        # relies on collection. Purely a wall-clock effect; the event
-        # stream is untouched.
+        # Cyclic GC is paused for the duration — the collector otherwise
+        # walks the full object graph every few thousand event
+        # allocations, and nothing in the loop relies on collection.
+        # Purely a wall-clock effect; the event stream is untouched.
         queue = self._queue
         sanitizer = self.sanitizer  # fixed at Simulator construction
         gc_was_enabled = gc.isenabled()
@@ -200,6 +174,8 @@ class Simulator:
             gc.disable()
         try:
             while queue and not stopped:
+                if deadline is not None and queue[0][0] > deadline:
+                    break
                 time, priority, sequence, event = heappop(queue)
                 if time < self.now:
                     raise RuntimeError("schedule went backwards in time")
@@ -207,6 +183,9 @@ class Simulator:
                     sanitizer.on_pop(time, priority, sequence, event)
                 self.now = time
                 callbacks = event.callbacks
+                # Processed events drop their callback list entirely (an
+                # accidental late append raises instead of silently
+                # never running).
                 event.callbacks = None
                 event._state = PROCESSED
                 if len(callbacks) == 1:
@@ -217,6 +196,9 @@ class Simulator:
         finally:
             if gc_was_enabled:
                 gc.enable()
+        if deadline is not None:
+            self.now = deadline
+            return None
         if until is None:
             return None
         if not stopped:

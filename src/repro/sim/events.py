@@ -27,14 +27,6 @@ TRIGGERED = "triggered"
 PROCESSED = "processed"
 
 
-class Interrupted(Exception):
-    """Raised inside a process that another process interrupted."""
-
-    def __init__(self, cause=None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Event:
     """A one-shot occurrence that processes can wait on.
 

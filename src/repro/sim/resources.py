@@ -1,12 +1,10 @@
-"""Shared resources with FIFO and priority queueing.
+"""Shared resources with FIFO queueing.
 
 The DSP in the simulated SoC is a capacity-1 :class:`Resource`: the paper
 observes that "most hardware today supports the execution of one model at
 a time", and the linear latency growth in Fig. 9 is exactly the queueing
 delay this models.
 """
-
-import heapq
 
 from repro.sim.events import Event
 
@@ -16,8 +14,8 @@ class _RequestEvent(Event):
 
     A request is also a context manager: ``with resource.request() as
     req: yield WaitFor(req); ...`` releases the slot on *every* exit
-    path — including :class:`~repro.sim.events.Interrupted` thrown into
-    the process at a yield inside the block, the path a bare
+    path — including an exception thrown into the body at a yield
+    inside the block (a failed event it waits on), the path a bare
     ``try/finally`` placed after the wait misses. ``release()`` is
     idempotent through the ``released`` flag, so an early explicit
     release (e.g. withdrawing a timed-out queue entry) composes with
@@ -69,7 +67,7 @@ class Resource:
 
         The caller must eventually call ``.release()`` on the returned
         request. The robust pattern is the with-block — it releases on
-        every exit path, including an interrupt delivered at a yield::
+        every exit path, including an exception thrown at a yield::
 
             with resource.request() as req:
                 yield WaitFor(req)
@@ -95,44 +93,12 @@ class Resource:
             raise ValueError("release() of a request this resource never granted")
         self._grant()
 
-    def _pop_next(self):
-        return self._waiting.pop(0)
-
     def _grant(self):
         while self._waiting and len(self.users) < self.capacity:
-            request = self._pop_next()
+            request = self._waiting.pop(0)
             request.granted = True
             self.users.append(request)
             request.succeed(self)
-
-
-class PriorityResource(Resource):
-    """Resource whose queue is ordered by ``priority`` (lower first)."""
-
-    def __init__(self, sim, capacity=1, name=None):
-        super().__init__(sim, capacity=capacity, name=name)
-        self._heap = []
-
-    def request(self, priority=0):
-        request = _RequestEvent(self.sim, self, name=f"{self.name}:request")
-        # Engine-scoped FIFO tiebreak: ids reset with the simulator, so
-        # replays see the same sequence whatever ran earlier in the
-        # process (an itertools.count here would not).
-        heapq.heappush(
-            self._heap,
-            (priority, self.sim.next_id("resource_request"), request),
-        )
-        self._waiting.append(request)
-        self._grant()
-        return request
-
-    def _pop_next(self):
-        while self._heap:
-            _prio, _seq, request = heapq.heappop(self._heap)
-            if request in self._waiting:
-                self._waiting.remove(request)
-                return request
-        return self._waiting.pop(0)
 
 
 class Store:

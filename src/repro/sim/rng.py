@@ -31,11 +31,6 @@ class RngStreams:
     def __getitem__(self, name):
         return self.stream(name)
 
-    def fork(self, salt):
-        """A new :class:`RngStreams` with an independent derived seed."""
-        digest = hashlib.sha256(f"{self.seed}/fork:{salt}".encode()).digest()
-        return RngStreams(int.from_bytes(digest[:8], "little"))
-
     def spawn(self, session_id):
         """A new :class:`RngStreams` for fleet session ``session_id``.
 

@@ -36,8 +36,8 @@ def _seed_hazard(module, extra):
 
 
 def test_seeded_module_counter_is_caught():
-    # The exact hazard PriorityResource used to have (a process-global
-    # itertools.count for request ids) must not be reintroducible.
+    # A process-global itertools.count for request ids, the hazard a
+    # resource module once shipped, must not be reintroducible.
     rules = _seed_hazard(
         "sim/resources.py",
         "import itertools\n_request_ids = itertools.count()\n",

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import PriorityResource, Simulator
+from repro.sim import Resource, Simulator
 
 
 def test_run_until_event_drained_queue_raises():
@@ -57,33 +57,34 @@ def test_process_requires_generator():
 
 def test_resource_release_of_foreign_request_raises():
     sim = Simulator()
-    first = PriorityResource(sim, capacity=1)
-    second = PriorityResource(sim, capacity=1)
+    first = Resource(sim, capacity=1)
+    second = Resource(sim, capacity=1)
     request = first.request()
     sim.run()
     with pytest.raises(ValueError, match="never granted"):
         second.release(request)
 
 
-def test_priority_resource_cancel_waiting_request():
+def test_resource_cancel_waiting_request():
     """Releasing a not-yet-granted request withdraws it from the queue."""
     sim = Simulator()
-    resource = PriorityResource(sim, capacity=1)
+    resource = Resource(sim, capacity=1)
     holder = resource.request()
-    waiter = resource.request(priority=5)
+    waiter = resource.request()
     sim.run()
     assert resource.queue_length == 1
     waiter.release()  # cancel while still queued
     assert resource.queue_length == 0
     holder.release()
-    # The stale heap entry must not be granted.
+    # The withdrawn request must not be granted.
     assert resource.in_use == 0
+    assert not waiter.granted
 
 
 def test_resource_capacity_validation():
     sim = Simulator()
     with pytest.raises(ValueError):
-        PriorityResource(sim, capacity=0)
+        Resource(sim, capacity=0)
 
 
 def test_all_of_empty_succeeds_immediately():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Simulator, Interrupted
+from repro.sim import Simulator
 
 
 def test_timeout_advances_clock():
@@ -145,27 +145,6 @@ def test_any_of_returns_at_first_event():
     assert sim.run(until=sim.process(body())) == 5
 
 
-def test_interrupt_raises_inside_process():
-    sim = Simulator()
-    log = []
-
-    def victim():
-        try:
-            yield sim.timeout(100)
-        except Interrupted as exc:
-            log.append((sim.now, exc.cause))
-        return "done"
-
-    def attacker(proc):
-        yield sim.timeout(20)
-        proc.interrupt(cause="preempt")
-
-    proc = sim.process(victim())
-    sim.process(attacker(proc))
-    assert sim.run(until=proc) == "done"
-    assert log == [(20, "preempt")]
-
-
 def test_yielding_non_event_raises():
     sim = Simulator()
 
@@ -177,17 +156,32 @@ def test_yielding_non_event_raises():
         sim.run()
 
 
-def test_waiting_on_already_processed_event_resumes_at_now():
-    sim = Simulator()
-    gate = sim.event()
-    gate.succeed("v")
-    sim.run()  # process the event
+@pytest.mark.parametrize("failed", [False, True], ids=["succeeded", "failed"])
+def test_waiting_on_already_processed_event_resumes_at_now(failed):
+    sim = Simulator(sanitize=True)
+    gate = sim.event(name="gate")
+    payload, error = object(), ValueError("gate failed")
+    if failed:
+        gate.fail(error)
+    else:
+        gate.succeed(payload)
+    sim.run(until=5.0)  # process the event; the clock moves past it
 
     def late():
-        value = yield gate
+        try:
+            value = yield gate
+        except ValueError as exc:
+            value = exc
         return (sim.now, value)
 
-    assert sim.run(until=sim.process(late())) == (0.0, "v")
+    now, value = sim.run(until=sim.process(late(), name="late"))
+    # The body resumes at the current time, through the relay, with the
+    # event's value or with its exception raised at the yield.
+    assert now == 5.0
+    assert value is (error if failed else payload)
+    assert [r.label for r in sim.sanitizer.stream.records] == [
+        "gate", "late:start", "late:relay", "late",
+    ]
 
 
 def test_negative_timeout_rejected():

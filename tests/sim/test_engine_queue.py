@@ -1,4 +1,4 @@
-"""Event-queue semantics the optimized run loops must preserve.
+"""Event-queue semantics the optimized run loop must preserve.
 
 The engine's inlined run loop and lazily-rendered event names (see
 ``docs/performance.md``) are required to be *observably free*: same
@@ -91,16 +91,21 @@ def test_plain_event_default_name_is_none():
 # -- run-loop housekeeping ----------------------------------------------
 
 
-#: Both entry points of the inlined loop: drain (``run()``) and
-#: stop-on-event (``run(until=event)``), which every pipeline, fleet
-#: session and experiment uses.
+#: Every mode of the one run loop: drain (``run()``), a time bound
+#: (``run(until=<time>)``) and stop-on-event (``run(until=event)``),
+#: which every pipeline, fleet session and experiment uses.
 RUN_MODES = pytest.mark.parametrize(
-    "until_event", [False, True], ids=["drain", "until_event"]
+    "mode", ["drain", "until_time", "until_event"]
 )
 
 
+def _until(mode, target):
+    """The ``until`` argument of ``mode`` for a ``target`` due at 1.0."""
+    return {"drain": None, "until_time": 1.0, "until_event": target}[mode]
+
+
 @RUN_MODES
-def test_run_restores_gc_state_even_on_callback_error(until_event):
+def test_run_restores_gc_state_even_on_callback_error(mode):
     assert gc.isenabled()
     sim = Simulator(seed=0)
 
@@ -110,20 +115,37 @@ def test_run_restores_gc_state_even_on_callback_error(until_event):
 
     target = sim.schedule_callback(1.0, boom)
     with pytest.raises(ValueError):
-        sim.run(until=target if until_event else None)
+        sim.run(until=_until(mode, target))
     assert gc.isenabled()
 
 
 @RUN_MODES
-def test_run_leaves_disabled_gc_disabled(until_event):
+def test_run_leaves_disabled_gc_disabled(mode):
     sim = Simulator(seed=0)
     target = sim.timeout(1.0)
     gc.disable()
     try:
-        sim.run(until=target if until_event else None)
+        sim.run(until=_until(mode, target))
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+def test_run_until_time_pops_the_deadline_and_stops_the_clock_there():
+    sim = Simulator(seed=0)
+    fired = []
+    sim.schedule_callback(2.0, lambda _e: fired.append("at"))
+    sim.schedule_callback(3.0, lambda _e: fired.append("after"))
+    assert sim.run(until=2.0) is None
+    # An event exactly at the deadline pops; a later one stays queued.
+    assert fired == ["at"]
+    assert sim.now == 2.0
+    assert sim.peek() == 3.0
+    # The clock ends at the deadline even when the queue drains first.
+    sim.run(until=10.0)
+    assert fired == ["at", "after"]
+    assert sim.now == 10.0
+    assert sim.peek() == float("inf")
 
 
 def test_run_until_event_stops_with_later_events_still_queued():

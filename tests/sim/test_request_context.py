@@ -3,14 +3,14 @@
 The static side (semcheck's ``resource-leak`` rule) flags request/release
 pairings whose release is unreachable on some path; these tests pin the
 runtime contract that makes the with-block the fix: release on normal
-exit, release on interrupt delivered at a yield inside the block, and
-idempotent ``release()`` so an early explicit release composes.
+exit, release on an interrupt — an exception arriving at a yield inside
+the block, here a failed event the body waits on — and idempotent
+``release()`` so an early explicit release composes.
 """
 
 import pytest
 
 from repro.sim import Resource, Simulator
-from repro.sim.events import Interrupted
 
 
 def test_with_block_releases_on_normal_exit():
@@ -36,6 +36,7 @@ def test_with_block_releases_on_normal_exit():
 def test_interrupt_inside_with_block_releases_the_slot():
     sim = Simulator()
     res = Resource(sim, capacity=1)
+    cancel = sim.event(name="cancel")
     log = []
 
     def holder():
@@ -47,27 +48,27 @@ def test_interrupt_inside_with_block_releases_the_slot():
     def victim():
         try:
             with res.request() as request:
-                yield request
+                yield sim.any_of([request, cancel])
                 log.append(("victim-acquired", sim.now))
                 yield sim.timeout(100)
-        except Interrupted:
-            log.append(("victim-interrupted", sim.now))
+        except ValueError:
+            log.append(("victim-cancelled", sim.now))
 
     sim.process(holder())
-    victim_proc = sim.process(victim())
+    sim.process(victim())
 
-    def interrupter():
+    def canceller():
         # The victim is still queued behind the holder at t=5: the
         # with-block must withdraw the pending request, not leak it.
         yield sim.timeout(5)
         assert res.queue_length == 1
-        victim_proc.interrupt("preempted")
+        cancel.fail(ValueError("cancelled"))
         yield sim.timeout(1)
         assert res.queue_length == 0
 
-    sim.process(interrupter())
+    sim.process(canceller())
     sim.run()
-    assert ("victim-interrupted", 5) in log
+    assert ("victim-cancelled", 5) in log
     # The holder's slot was never disturbed by the withdrawal.
     assert ("holder-done", 100) in log
     assert res.in_use == 0
@@ -76,14 +77,15 @@ def test_interrupt_inside_with_block_releases_the_slot():
 def test_interrupt_while_holding_releases_the_slot():
     sim = Simulator()
     res = Resource(sim, capacity=1)
+    abort = sim.event(name="abort")
     log = []
 
     def victim():
         try:
             with res.request() as request:
                 yield request
-                yield sim.timeout(100)
-        except Interrupted:
+                yield abort
+        except ValueError:
             log.append(("interrupted", sim.now))
 
     def successor():
@@ -91,17 +93,12 @@ def test_interrupt_while_holding_releases_the_slot():
             yield request
             log.append(("successor-acquired", sim.now))
 
-    victim_proc = sim.process(victim())
+    sim.process(victim())
     sim.process(successor())
-
-    def interrupter():
-        yield sim.timeout(5)
-        victim_proc.interrupt("preempted")
-
-    sim.process(interrupter())
+    sim.schedule_callback(5, lambda _e: abort.fail(ValueError("aborted")))
     sim.run()
-    # The interrupt freed the slot immediately: the successor got it at
-    # the same tick instead of t=100.
+    # The failed wait freed the slot at once: the successor got it at
+    # the same tick the victim unwound.
     assert log == [("interrupted", 5), ("successor-acquired", 5)]
     assert res.in_use == 0
 

@@ -1,14 +1,11 @@
 """Tests for resources, stores, RNG streams, and traces."""
 
-from repro.sim import Simulator, Resource, PriorityResource, Store, RngStreams
+from repro.sim import Simulator, Resource, Store, RngStreams
 
 
-def make_holder(sim, resource, log, name, hold, results=None, priority=None):
+def make_holder(sim, resource, log, name, hold):
     def body():
-        if priority is None:
-            request = resource.request()
-        else:
-            request = resource.request(priority=priority)
+        request = resource.request()
         yield request
         log.append((name, "acquired", sim.now))
         yield sim.timeout(hold)
@@ -52,23 +49,6 @@ def test_queue_length_tracks_waiters():
         return res.queue_length, res.in_use
 
     assert sim.run(until=sim.process(probe())) == (2, 1)
-
-
-def test_priority_resource_grants_lowest_priority_first():
-    sim = Simulator()
-    res = PriorityResource(sim, capacity=1)
-    log = []
-    make_holder(sim, res, log, "first", hold=10, priority=5)
-
-    def late_arrivals():
-        yield sim.timeout(1)
-        make_holder(sim, res, log, "low", hold=5, priority=9)
-        make_holder(sim, res, log, "high", hold=5, priority=0)
-
-    sim.process(late_arrivals())
-    sim.run()
-    acquired = [n for n, kind, _t in log if kind == "acquired"]
-    assert acquired == ["first", "high", "low"]
 
 
 def test_store_fifo_and_blocking_get():
