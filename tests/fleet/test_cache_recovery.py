@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.fleet import ResultCache, run_fleet
 
 
@@ -48,6 +50,16 @@ def test_entry_deleted_between_get_and_put_is_harmless(tmp_path):
     path.parent.rmdir()
     cache.put(key, PAYLOAD)
     assert cache.get(key) == PAYLOAD
+
+
+def test_failed_put_raises_and_leaves_no_temp_file(tmp_path):
+    cache, key = make_cache(tmp_path)
+    # json.dump writes part of the entry before it meets the object it
+    # cannot encode; the partial temp file must not survive.
+    with pytest.raises(TypeError):
+        cache.put(key, {"spec": {"session_id": 0}, "runs": [object()]})
+    assert list(cache.cache_dir.rglob("*.tmp")) == []
+    assert cache.get(key) is None
 
 
 def test_len_survives_foreign_files(tmp_path):

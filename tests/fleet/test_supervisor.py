@@ -65,6 +65,12 @@ def _sim_error_task(payload):
     return _ok_task(payload)
 
 
+def _raise_for_victim_task(payload):
+    if payload.get("victim"):
+        raise ValueError(f"bad spec {payload['x']}")
+    return _ok_task(payload)
+
+
 def _items(count, victim=None, flag=None):
     return [
         (
@@ -153,6 +159,23 @@ def test_sim_errors_retry_individually_without_blocking_others():
     assert supervisor.stats.timeouts == 0
 
 
+def test_task_exception_is_a_structured_error_for_its_key_only():
+    items = _items(2, victim=1)
+    supervisor = Supervisor(workers=2, task=_raise_for_victim_task)
+    results = supervisor.run(items)
+    assert results[0] == _ok_task(items[0][1])
+    assert results[1] == {
+        "spec": dict(items[1][1]),
+        "runs": [],
+        "error": {"type": "ValueError", "message": "bad spec 1"},
+    }
+    # An exception raised by the task is neither a host strike nor a
+    # simulation retry.
+    assert supervisor.stats.crashes == 0
+    assert supervisor.stats.timeouts == 0
+    assert supervisor.stats.sim_retries == 0
+
+
 def test_serial_and_pooled_results_are_identical(tmp_path):
     items = _items(6, victim=4, flag=tmp_path / "killed")
     serial = Supervisor(workers=1, task=_kill_once_task)
@@ -192,6 +215,21 @@ def test_run_journal_truncates_torn_tail(tmp_path):
     ]
     assert lines[0] == {"journal": JOURNAL_VERSION, "run_key": "key-a"}
     assert [line["digest"] for line in lines[1:]] == ["d1", "d3"]
+
+
+def test_run_journal_truncates_at_a_corrupt_complete_line(tmp_path):
+    path = tmp_path / "run.jsonl"
+    with RunJournal(path, "key-a") as journal:
+        journal.record("d1", {"spec": {"x": 1}, "runs": []})
+    good_size = path.stat().st_size
+    good_line = {"digest": "d3", "payload": {"spec": {"x": 3}, "runs": []}}
+    with open(path, "a") as handle:
+        handle.write('{"digest": "d2", "payload": }\n')  # newline-ended
+        handle.write(json.dumps(good_line) + "\n")
+    with RunJournal(path, "key-a") as journal:
+        # Nothing after the corrupt line is trusted, good lines included.
+        assert set(journal.recorded) == {"d1"}
+    assert path.stat().st_size == good_size
 
 
 def test_run_journal_discards_foreign_run(tmp_path):
