@@ -154,3 +154,29 @@ def test_finished_window_frees_itself(name, monkeypatch):
     finally:
         if enabled:
             gc.enable()
+
+
+def test_depth_samples_hold_no_object_per_sample(monkeypatch):
+    """A kept result's queue-depth samples are flat columns, not one
+    GC-tracked ``[time_ms, outstanding]`` list each; iterating them
+    renders exactly the pairs the JSON export holds."""
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    config, profiles = saturation()
+    while gc.collect():
+        pass
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        result = run_service(config, profiles=profiles)
+        while gc.collect():
+            pass
+        grown = len(gc.get_objects()) - before
+    finally:
+        if enabled:
+            gc.enable()
+    samples = len(result.depth_series)
+    assert samples > 1000
+    assert grown < samples // 10, (grown, samples)
+    exported = json.loads(result.to_json())["depth_series"]
+    assert list(result.depth_series) == exported
