@@ -18,8 +18,8 @@ class MemorySystem:
         self.sim = sim
         self.dram_gbps = dram_gbps or params.DRAM_BANDWIDTH_GBPS
         self.axi_gbps = axi_gbps or params.AXI_BANDWIDTH_GBPS
-        #: (time_us, bytes) samples of AXI transfers.
-        self.axi_transfers = []
+        #: Bytes moved across the AXI fabric so far.
+        self.axi_bytes = 0
         #: EnergyMeter attached by the owning Soc (may stay None).
         self.energy = None
 
@@ -36,7 +36,7 @@ class MemorySystem:
 
     def axi_transfer_us(self, nbytes):
         """Time to move ``nbytes`` between CPU memory and the DSP."""
-        self.axi_transfers.append((self.sim.now, nbytes))
+        self.axi_bytes += nbytes
         if self.energy is not None:
             self.energy.add_dram_transfer(nbytes)
         if self.sim.trace is not None:
@@ -47,10 +47,4 @@ class MemorySystem:
         """Clean+invalidate ``nbytes`` of cache lines by virtual address."""
         return params.CACHE_FLUSH_BASE_US + self._time_us(
             nbytes, params.CACHE_FLUSH_GBPS
-        )
-
-    def axi_bytes_between(self, start, end):
-        """Total AXI bytes moved in a time window (for profiles)."""
-        return sum(
-            nbytes for time, nbytes in self.axi_transfers if start <= time < end
         )

@@ -79,7 +79,7 @@ def test_memory_costs_scale_linearly():
     flush_small = soc.memory.cache_flush_us(100_000)
     flush_large = soc.memory.cache_flush_us(1_000_000)
     assert flush_large > flush_small
-    assert soc.memory.axi_bytes_between(0, 1) == 1_100_000
+    assert soc.memory.axi_bytes == 1_100_000
 
 
 def test_opp_table_validation_and_lookup():
