@@ -1,6 +1,8 @@
 """ResultCache resilience: torn, empty, and vanishing entries."""
 
 import json
+import os
+import pathlib
 
 import pytest
 
@@ -60,6 +62,36 @@ def test_failed_put_raises_and_leaves_no_temp_file(tmp_path):
         cache.put(key, {"spec": {"session_id": 0}, "runs": [object()]})
     assert list(cache.cache_dir.rglob("*.tmp")) == []
     assert cache.get(key) is None
+
+
+def test_corrupt_entry_that_cannot_be_evicted_is_still_a_miss(
+    tmp_path, monkeypatch,
+):
+    cache, key = make_cache(tmp_path)
+    path = cache.put(key, PAYLOAD)
+    path.write_text("")
+
+    def refuse(self, missing_ok=False):
+        raise PermissionError(f"read-only cache: {self}")
+
+    monkeypatch.setattr(pathlib.Path, "unlink", refuse)
+    assert cache.get(key) is None
+    assert (cache.hits, cache.misses) == (0, 1)
+    assert path.exists()
+
+
+def test_failed_put_whose_cleanup_fails_raises_the_write_error(
+    tmp_path, monkeypatch,
+):
+    cache, key = make_cache(tmp_path)
+
+    def refuse(name):
+        raise PermissionError(f"read-only cache: {name}")
+
+    monkeypatch.setattr(os, "unlink", refuse)
+    with pytest.raises(TypeError):
+        cache.put(key, {"spec": {"session_id": 0}, "runs": [object()]})
+    assert len(list(cache.cache_dir.rglob("*.tmp"))) == 1
 
 
 def test_len_survives_foreign_files(tmp_path):
