@@ -41,6 +41,7 @@ pragmas, an (empty, committed) baseline, ``--format=json``, exit codes
 
 import ast
 import pathlib
+import tomllib
 from dataclasses import dataclass, field
 
 from repro.analysis.common import (
@@ -223,64 +224,6 @@ class ArchContract:
         )
 
 
-def _parse_toml(text, path):
-    """Parse the contract TOML.
-
-    Uses :mod:`tomllib` where available (3.11+); otherwise a fallback
-    parser for the subset the contract uses — ``[dotted.tables]``,
-    string values, and (nested, multiline) string arrays, whose syntax
-    is identical to Python literals.
-    """
-    try:
-        import tomllib
-    except ImportError:
-        tomllib = None
-    if tomllib is not None:
-        return tomllib.loads(text)
-    return _parse_toml_subset(text, path)
-
-
-def _parse_toml_subset(text, path):
-    data = {}
-    table = data
-    pending_key = None
-    pending_value = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if pending_key is None and (not line or line.startswith("#")):
-            continue
-        if pending_key is None and line.startswith("["):
-            if not line.endswith("]"):
-                raise ValueError(f"{path}:{lineno}: malformed table header")
-            table = data
-            for part in line[1:-1].split("."):
-                table = table.setdefault(part.strip(), {})
-            continue
-        if pending_key is None:
-            key, _, value = line.partition("=")
-            if not _:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            pending_key, pending_value = key.strip(), [value.strip()]
-        else:
-            pending_value.append(line)
-        joined = " ".join(pending_value)
-        if joined.count("[") > joined.count("]"):
-            continue  # multiline array still open
-        # Comments may trail a closed value; strings in the contract
-        # never contain '#', so a plain split is enough here.
-        joined = joined.split("#")[0].strip()
-        try:
-            table[pending_key] = ast.literal_eval(joined)
-        except (ValueError, SyntaxError) as exc:
-            raise ValueError(
-                f"{path}: bad value for {pending_key!r}: {exc}"
-            ) from exc
-        pending_key, pending_value = None, []
-    if pending_key is not None:
-        raise ValueError(f"{path}: unterminated array for {pending_key!r}")
-    return data
-
-
 def load_contract(path=None):
     """Load the contract; returns ``(ArchContract | None, errors)``.
 
@@ -295,7 +238,7 @@ def load_contract(path=None):
     except OSError as exc:
         return None, [LintError(display, 0, f"unreadable contract: {exc}")]
     try:
-        data = _parse_toml(text, display)
+        data = tomllib.loads(text)
     except ValueError as exc:
         return None, [LintError(display, 0, f"malformed contract: {exc}")]
     layers = data.get("layers", {})
