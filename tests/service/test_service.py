@@ -101,6 +101,7 @@ def test_diurnal_traffic_runs_and_replays():
     b = run_synthetic(arrivals="diurnal", slo_ms=40.0)
     assert a.offered > 0
     assert a.to_json() == b.to_json()
+    assert a == b
 
 
 def test_depth_series_is_time_ordered():
