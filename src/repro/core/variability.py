@@ -67,12 +67,6 @@ class VariabilityStats:
             cv=std / mean if mean else 0.0,
         )
 
-    def histogram(self, bins=10):
-        """Not the data itself — a (lo, hi, count) summary for reports."""
-        raise NotImplementedError(
-            "histogram needs the raw collection; use histogram_of()"
-        )
-
 
 def histogram_of(collection, bins=10, drop_warmup=1):
     """(bin_low_ms, bin_high_ms, count) triples over total latency."""

@@ -67,9 +67,6 @@ class EventStream:
     def __init__(self):
         self.records = []
 
-    def add(self, time, priority, sequence, label):
-        self.records.append(EventRecord(time, priority, sequence, label))
-
     def digest(self):
         """sha256 over the canonical rendering of every record."""
         digest = hashlib.sha256()
