@@ -35,8 +35,7 @@ Rule families (see :data:`RULES` and ``docs/analysis.md``)
 ========================  =============================================
 
 Same dialect as the other checkers: ``# repro: allow[rule-id]``
-pragmas, an (empty, committed) baseline, ``--format=json``, exit codes
-0/1/2.
+pragmas, ``--format=json``, exit codes 0/1/2.
 """
 
 import ast

@@ -2,9 +2,9 @@
 
 Every checker speaks the same dialect: findings located at
 ``path:line:col`` with a stable rule id and a fix-it hint, suppression
-through ``# repro: allow[rule-id]`` pragmas, an acknowledged-findings
-baseline, and the 0/1/2 exit-code contract (clean / findings / the run
-itself cannot be trusted). This module holds the dialect, plus the
+through ``# repro: allow[rule-id]`` pragmas (the only suppression
+there is), and the 0/1/2 exit-code contract (clean / findings / the
+run itself cannot be trusted). This module holds the dialect, plus the
 per-module driver (:func:`check_module`) that parses, filters and sorts
 for the per-file checkers, so :mod:`repro.analysis.lint`,
 :mod:`repro.analysis.semcheck`, :mod:`repro.analysis.archcheck`, and
@@ -46,7 +46,7 @@ class Finding:
     message: str
 
     def key(self):
-        """Identity used for baseline matching and de-duplication."""
+        """Identity used for de-duplication and report order."""
         return (self.path, self.line, self.rule)
 
     def render(self):
@@ -55,10 +55,11 @@ class Finding:
 
 @dataclass(frozen=True)
 class LintError:
-    """A configuration problem (bad pragma, stale/unknown baseline).
+    """A configuration problem (syntax error, bad pragma, unreadable file).
 
     Errors are not findings: they mean the check run itself cannot be
-    trusted, so the CLI exits 2 instead of 1.
+    trusted, so the CLI exits 2 instead of 1. archcheck reports a bad
+    contract the same way.
     """
 
     path: str

@@ -59,9 +59,8 @@ Scope and honesty: the analysis is per-module (cross-module aliasing
 is undecidable here), matches multi-hop attribute paths by their leaf
 name (``self.kernel._total_busy`` vs ``kernel._total_busy``), and does
 not model re-entry of one body by two processes over the same object.
-Suppression, baselines, and exit codes are shared with the other
-checkers (``# repro: allow[rule-id]``, an empty committed baseline,
-0/1/2); see ``docs/analysis.md``.
+Suppression and exit codes are shared with the other checkers
+(``# repro: allow[rule-id]``, 0/1/2); see ``docs/analysis.md``.
 """
 
 import ast

@@ -2,9 +2,9 @@
 
 ``python -m repro check``, the per-tool subcommands and their options,
 pragma validation (:func:`repro.analysis.common.known_rule_ids`), rule
-ownership in ``--list-pragmas``, and the empty-baseline invariant all
-read :data:`CHECKERS`, so a checker exists exactly when it has an entry
-here.
+ownership in ``--list-pragmas``, and the registry invariants in
+``tests/analysis/test_registry.py`` all read :data:`CHECKERS`, so a
+checker exists exactly when it has an entry here.
 """
 
 from dataclasses import dataclass
@@ -44,8 +44,6 @@ class Checker:
     rules: dict
     #: ``(paths, **options) -> (findings, errors)``.
     run: object
-    #: Committed baseline file, looked up in the working directory.
-    baseline: str
     #: What the clean-run summary line calls the checker.
     label: str
     #: One-line description for ``--help``.
@@ -59,7 +57,6 @@ CHECKERS = (
         name="lint",
         rules=lint.RULES_BY_ID,
         run=lint.lint_paths,
-        baseline=".repro-lint-baseline.json",
         label="determinism lint",
         help="determinism lint over the source tree (docs/determinism.md)",
     ),
@@ -67,7 +64,6 @@ CHECKERS = (
         name="semcheck",
         rules=semcheck.RULES_BY_ID,
         run=semcheck.semcheck_paths,
-        baseline=".repro-semcheck-baseline.json",
         label="semcheck",
         help="semantic checks: unit consistency and resource "
              "request/release protocol (docs/determinism.md)",
@@ -76,7 +72,6 @@ CHECKERS = (
         name="archcheck",
         rules=archcheck.RULES_BY_ID,
         run=archcheck.archcheck_paths,
-        baseline=".repro-archcheck-baseline.json",
         label="archcheck",
         help="whole-program layering and cross-process safety "
              "analysis against .repro-arch.toml (docs/analysis.md)",
@@ -93,7 +88,6 @@ CHECKERS = (
         name="racecheck",
         rules=racecheck.RULES_BY_ID,
         run=racecheck.racecheck_paths,
-        baseline=".repro-racecheck-baseline.json",
         label="racecheck",
         help="yield-point atomicity and lockset analysis of the "
              "cooperative DES process bodies (docs/analysis.md)",

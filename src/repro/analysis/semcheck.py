@@ -36,9 +36,9 @@ a release of a never-requested handle, a double release, a ``yield``
 of a non-Event value, and a yieldless ``while True`` (zero-time
 livelock) are findings.
 
-Suppression, baselines, and exit codes are shared with the linter
-(``# repro: allow[rule-id]`` pragmas, an empty committed baseline,
-0/1/2); see ``docs/determinism.md``.
+Suppression and exit codes are shared with the linter
+(``# repro: allow[rule-id]`` pragmas, 0/1/2); see
+``docs/determinism.md``.
 """
 
 import ast

@@ -27,10 +27,11 @@ Commands
     self-time rollup, and export Chrome trace-event JSON for
     chrome://tracing / Perfetto (see docs/tracing.md).
 ``lint`` / ``semcheck`` / ``archcheck`` / ``racecheck``
-    One static checker each; the subcommands, their options, and their
-    baselines come from ``repro.analysis.registry`` (see
-    docs/analysis.md). Exit 1 on findings, 2 on configuration errors
-    (unknown rule ids, stale baseline entries).
+    One static checker each; the subcommands and their options come
+    from ``repro.analysis.registry`` (see docs/analysis.md). Exit 1 on
+    findings, 2 when the run cannot be trusted (a syntax error, an
+    unknown pragma rule id, an unreadable path, a bad archcheck
+    contract).
 ``check``
     Umbrella over every registry checker with a merged exit code — the
     single command CI runs; ``--sanitize TARGET`` folds dual-run replay
@@ -305,7 +306,11 @@ def _default_paths(args):
 
 
 def _run_checker(spec, args, paths):
-    """Run one registry checker over ``paths`` with its per-tool options."""
+    """Run one registry checker over ``paths`` with its per-tool options.
+
+    Returns ``(findings, errors)``: the findings no pragma allows, and
+    the configuration problems that make the run exit 2.
+    """
     options = {
         option.keyword: getattr(args, option.keyword)
         for option in spec.options
@@ -313,82 +318,29 @@ def _run_checker(spec, args, paths):
     return spec.run(paths, **options)
 
 
-def _checker_outcome(spec, args, paths):
-    """Run one checker plus its baseline handling; no printing.
-
-    The compute half shared by the single-tool commands and the
-    ``check`` umbrella. Returns a dict with the post-baseline
-    ``findings``, the ``errors`` (configuration problems: exit 2), the
-    ``stale_warnings`` (human-readable; promoted into ``errors`` under
-    ``--check``), and the ``suppressed`` count.
-    """
-    from repro.analysis import baseline as baseline_mod
-    from repro.analysis.common import LintError
-
-    findings, errors = _run_checker(spec, args, paths)
-    errors = list(errors)
-
-    baseline_path = args.baseline
-    if baseline_path is None:
-        default = pathlib.Path(spec.baseline)
-        baseline_path = default if default.exists() else None
-    entries = []
-    if baseline_path is not None:
-        entries, baseline_errors = baseline_mod.load_baseline(
-            baseline_path, spec.rules
-        )
-        errors.extend(baseline_errors)
-    new_findings, stale = baseline_mod.apply_baseline(findings, entries)
-
-    stale_warnings = []
-    for entry in stale:
-        message = (
-            f"{entry.path}:{entry.line}: stale baseline entry "
-            f"[{entry.rule}] — the finding no longer exists; remove it"
-        )
-        if args.check:
-            errors.append(LintError(entry.path, entry.line, message))
-        else:
-            stale_warnings.append(message)
-    return {
-        "findings": new_findings,
-        "errors": errors,
-        "stale_warnings": stale_warnings,
-        "suppressed": len(findings) - len(new_findings),
-    }
-
-
-def _print_outcome(outcome, spec, as_json, diag):
-    """The printing half of one checker run; returns the exit code."""
+def _print_findings(findings, errors, spec, as_json, diag):
+    """Print one checker run; returns the exit code."""
     from repro.analysis.common import findings_to_json, render_findings
 
     if as_json:
         import json
 
-        print(json.dumps(findings_to_json(outcome["findings"]), indent=2))
+        print(json.dumps(findings_to_json(findings), indent=2))
     else:
-        for line in render_findings(outcome["findings"], spec.rules):
+        for line in render_findings(findings, spec.rules):
             print(line)
-    for message in outcome["stale_warnings"]:
-        print(f"warning: {message}", file=diag)
-    for error in outcome["errors"]:
+    for error in errors:
         print(error.render(), file=diag)
-    if outcome["errors"]:
+    if errors:
         return 2
-    if outcome["findings"]:
+    if findings:
         print(
-            f"\n{len(outcome['findings'])} finding(s); suppress a true "
-            "positive with `# repro: allow[rule-id]`, see "
-            "docs/analysis.md",
+            f"\n{len(findings)} finding(s); suppress a true positive "
+            "with `# repro: allow[rule-id]`, see docs/analysis.md",
             file=diag,
         )
         return 1
-    suppressed = outcome["suppressed"]
-    print(
-        f"{spec.label}: clean"
-        + (f" ({suppressed} baselined)" if suppressed else ""),
-        file=diag,
-    )
+    print(f"{spec.label}: clean", file=diag)
     return 0
 
 
@@ -464,12 +416,10 @@ def _list_pragmas(args):
 def _cmd_checker(args):
     """Run the registry checker named by the subcommand.
 
-    Every checker speaks the same contract: pragma suppression, an
-    acknowledged-findings baseline (``--check`` makes stale entries
-    errors), a shared ``--format=json`` findings payload, and exit
-    codes 0 (clean) / 1 (findings) / 2 (the run cannot be trusted).
+    Every checker speaks the same contract: pragma suppression, a
+    shared ``--format=json`` findings payload, and exit codes 0 (clean)
+    / 1 (findings) / 2 (the run cannot be trusted).
     """
-    from repro.analysis import baseline as baseline_mod
     from repro.analysis.registry import BY_NAME
 
     spec = BY_NAME[args.command]
@@ -482,39 +432,12 @@ def _cmd_checker(args):
     if args.list_pragmas:
         return _list_pragmas(args)
 
-    if args.write_baseline:
-        findings, errors = _run_checker(spec, args, paths)
-        target = args.baseline or spec.baseline
-        count = baseline_mod.write_baseline(target, findings)
-        print(f"wrote {target} ({count} acknowledged findings)")
-        for error in errors:
-            print(error.render())
-        return 2 if errors else 0
-
-    if args.update_baseline:
-        findings, errors = _run_checker(spec, args, paths)
-        target = args.baseline or spec.baseline
-        kept, pruned, prune_errors = baseline_mod.prune_baseline(
-            target, findings, spec.rules
-        )
-        errors = list(errors) + list(prune_errors)
-        for entry in pruned:
-            print(f"pruned {entry.path}:{entry.line} [{entry.rule}]")
-        print(
-            f"{target}: pruned {len(pruned)} stale entr"
-            f"{'y' if len(pruned) == 1 else 'ies'}, "
-            f"{len(kept)} kept"
-        )
-        for error in errors:
-            print(error.render())
-        return 2 if errors else 0
-
-    outcome = _checker_outcome(spec, args, paths)
+    findings, errors = _run_checker(spec, args, paths)
     as_json = args.format == "json"
     # In json mode stdout carries the findings array and nothing else;
     # diagnostics move to stderr so the output stays machine-readable.
     diag = sys.stderr if as_json else sys.stdout
-    return _print_outcome(outcome, spec, as_json, diag)
+    return _print_findings(findings, errors, spec, as_json, diag)
 
 
 def _cmd_check(args):
@@ -526,13 +449,6 @@ def _cmd_check(args):
     """
     if args.list_pragmas:
         return _list_pragmas(args)
-    if args.write_baseline or args.update_baseline or args.baseline:
-        print(
-            "error: check runs every tool against its own default "
-            "baseline; use the per-tool commands to write, prune, or "
-            "point at one"
-        )
-        return 2
     from repro.analysis.common import findings_to_json
     from repro.analysis.registry import CHECKERS
 
@@ -542,19 +458,15 @@ def _cmd_check(args):
     payload = {}
     exit_code = 0
     for spec in CHECKERS:
-        outcome = _checker_outcome(spec, args, paths)
+        findings, errors = _run_checker(spec, args, paths)
         if as_json:
-            payload[spec.name] = findings_to_json(outcome["findings"])
-            for message in outcome["stale_warnings"]:
-                print(f"warning: {message}", file=diag)
-            for error in outcome["errors"]:
+            payload[spec.name] = findings_to_json(findings)
+            for error in errors:
                 print(error.render(), file=diag)
-            code = (
-                2 if outcome["errors"] else 1 if outcome["findings"] else 0
-            )
+            code = 2 if errors else 1 if findings else 0
         else:
             print(f"== {spec.name} ==")
-            code = _print_outcome(outcome, spec, False, diag)
+            code = _print_findings(findings, errors, spec, False, diag)
         exit_code = max(exit_code, code)
 
     if args.sanitize:
@@ -662,30 +574,12 @@ def _runs_parameter(experiment_id):
     return inspect.signature(REGISTRY[experiment_id]).parameters
 
 
-def _add_checker_arguments(parser, baseline_name, options):
+def _add_checker_arguments(parser, options):
     """Arguments shared by every static-checker command."""
     parser.add_argument(
         "paths", nargs="*", default=None, metavar="PATH",
         help="files or directories to check (default: the installed "
              "repro package)",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="baseline of acknowledged findings (default: "
-             f"{baseline_name} if present)",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="acknowledge all current findings into the baseline",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="prune stale baseline entries (acknowledged findings that "
-             "no longer exist); never adds entries",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="CI mode: stale baseline entries are errors",
     )
     parser.add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -949,7 +843,7 @@ def build_parser():
 
     for spec in CHECKERS:
         checker_parser = sub.add_parser(spec.name, help=spec.help)
-        _add_checker_arguments(checker_parser, spec.baseline, spec.options)
+        _add_checker_arguments(checker_parser, spec.options)
         if spec.listing is not None:
             checker_parser.add_argument(
                 spec.listing.flag, dest="listing", action="store_true",
@@ -965,7 +859,6 @@ def build_parser():
     )
     _add_checker_arguments(
         check_parser,
-        "<per-tool defaults>",
         [option for spec in CHECKERS for option in spec.options],
     )
     check_parser.add_argument(

@@ -3,7 +3,7 @@
 archcheck is a whole-program analysis, so its fixtures are miniature
 package trees written to ``tmp_path`` and checked against a miniature
 contract — one positive and at least one negative fixture per rule,
-plus the pragma/baseline/CLI contract the checker family shares.
+plus the pragma/CLI contract the checker family shares.
 """
 
 import json
@@ -483,34 +483,22 @@ def _write_bad_program(tmp_path):
     return root, contract_path
 
 
-def test_cli_exit_codes_and_baseline_round_trip(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys):
     root, contract_path = _write_bad_program(tmp_path)
-    baseline = tmp_path / "baseline.json"
 
     assert cli.main([
         "archcheck", str(root), "--contract", str(contract_path),
     ]) == 1
     assert "[sim-blocking-call]" in capsys.readouterr().out
 
-    assert cli.main([
-        "archcheck", str(root), "--contract", str(contract_path),
-        "--baseline", str(baseline), "--write-baseline",
-    ]) == 0
-    assert cli.main([
-        "archcheck", str(root), "--contract", str(contract_path),
-        "--baseline", str(baseline), "--check",
-    ]) == 0
-
-    # The hazard is fixed: the acknowledged entry is now stale, and
-    # --check turns staleness into a configuration error.
+    # The hazard is fixed: the same run is clean.
     (root / "base" / "proc.py").write_text(
         "def body(sim):\n    yield sim.timeout(10)\n"
     )
-    capsys.readouterr()
     assert cli.main([
         "archcheck", str(root), "--contract", str(contract_path),
-        "--baseline", str(baseline), "--check",
-    ]) == 2
+    ]) == 0
+    assert "archcheck: clean" in capsys.readouterr().out
 
 
 def test_cli_json_format_matches_the_checker_family(tmp_path, capsys):
@@ -554,14 +542,6 @@ def test_check_umbrella_json_is_keyed_by_tool(tmp_path, capsys):
     assert set(payload) == {"lint", "semcheck", "archcheck", "racecheck"}
     assert payload["archcheck"][0]["rule"] == "sim-blocking-call"
     assert payload["lint"] == []
-
-
-def test_check_umbrella_rejects_baseline_flags(tmp_path, capsys):
-    root, contract_path = _write_bad_program(tmp_path)
-    assert cli.main([
-        "check", str(root), "--contract", str(contract_path),
-        "--write-baseline",
-    ]) == 2
 
 
 def test_list_pragmas_inventories_suppressions(tmp_path, capsys):

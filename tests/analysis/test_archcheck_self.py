@@ -2,8 +2,8 @@
 
 Mirrors test_selflint.py / test_semcheck_self.py: the committed
 contract describes the real layering and the tree holds it —
-architecture violations are fixed at the source, never acknowledged
-away (test_registry.py pins the empty baseline).
+architecture violations are fixed at the source; a true positive is
+suppressed only by a ``# repro: allow[...]`` pragma in the source.
 """
 
 import pathlib

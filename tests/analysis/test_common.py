@@ -1,14 +1,14 @@
-"""The shared checker machinery itself: pragmas, baselines, JSON.
+"""The shared checker machinery itself: pragmas, file reading, JSON.
 
-lint/semcheck/archcheck all ride on analysis/common.py and
-analysis/baseline.py; these tests pin the cross-tool contract — one
-pragma namespace spanning every checker, baselines that only shrink,
-and a stable JSON finding schema.
+Every checker rides on analysis/common.py; these tests pin the
+cross-tool contract — one pragma namespace spanning every checker, an
+unreadable path as a configuration error, and a stable JSON finding
+schema.
 """
 
 import json
 
-from repro.analysis import baseline, common, lint, semcheck
+from repro.analysis import common, lint, semcheck
 
 
 def test_pragma_for_another_checker_is_inert_not_an_error(tmp_path):
@@ -37,43 +37,6 @@ def test_findings_to_json_schema():
         "col": 7,
         "message": "tick",
     }]
-
-
-def test_baseline_round_trip_preserves_unknown_free_entries(tmp_path):
-    path = tmp_path / "baseline.json"
-    findings = [
-        common.Finding("wall-clock", "b.py", 9, 0, "m"),
-        common.Finding("wall-clock", "a.py", 4, 0, "m"),
-    ]
-    count = baseline.write_baseline(path, findings)
-    assert count == 2
-    entries, errors = baseline.load_baseline(
-        path, known_rules=common.known_rule_ids()
-    )
-    assert errors == []
-    assert [e.key() for e in entries] == [
-        ("a.py", 4, "wall-clock"),
-        ("b.py", 9, "wall-clock"),
-    ]
-
-
-def test_baseline_rejects_rules_unknown_to_every_checker(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps({
-        "version": 1,
-        "entries": [
-            {"rule": "sim-blocking-call", "path": "a.py", "line": 1},
-            {"rule": "never-a-rule", "path": "a.py", "line": 2},
-        ],
-    }))
-    entries, errors = baseline.load_baseline(
-        path, known_rules=common.known_rule_ids()
-    )
-    # The archcheck rule parses (family-wide namespace); the junk
-    # entry is a hard error, not a silent skip.
-    assert [e.rule for e in entries] == ["sim-blocking-call"]
-    assert len(errors) == 1
-    assert "never-a-rule" in errors[0].message
 
 
 def test_inventory_pragmas_lists_every_suppression(tmp_path):
@@ -124,50 +87,6 @@ def test_rule_owners_covers_every_known_rule_exactly_once():
     assert owners["atomicity-violation"] == "racecheck"
 
 
-def test_prune_baseline_drops_only_stale_entries(tmp_path):
-    path = tmp_path / "baseline.json"
-    live = common.Finding("wall-clock", "a.py", 4, 0, "m")
-    gone = common.Finding("wall-clock", "b.py", 9, 0, "m")
-    baseline.write_baseline(path, [live, gone])
-
-    kept, pruned, errors = baseline.prune_baseline(
-        path, [live], known_rules=common.known_rule_ids()
-    )
-    assert errors == []
-    assert [e.key() for e in kept] == [("a.py", 4, "wall-clock")]
-    assert [e.key() for e in pruned] == [("b.py", 9, "wall-clock")]
-    # The file was rewritten without the stale entry.
-    entries, errors = baseline.load_baseline(
-        path, known_rules=common.known_rule_ids()
-    )
-    assert errors == []
-    assert [e.key() for e in entries] == [("a.py", 4, "wall-clock")]
-
-
-def test_prune_baseline_never_repairs_an_unreadable_file(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text("{not json")
-    before = path.read_text()
-    _kept, pruned, errors = baseline.prune_baseline(
-        path, [], known_rules=common.known_rule_ids()
-    )
-    assert pruned == []
-    assert len(errors) == 1
-    assert path.read_text() == before
-
-
-def test_prune_baseline_leaves_a_current_file_untouched(tmp_path):
-    path = tmp_path / "baseline.json"
-    live = common.Finding("wall-clock", "a.py", 4, 0, "m")
-    baseline.write_baseline(path, [live])
-    stamp = path.read_text()
-    kept, pruned, errors = baseline.prune_baseline(
-        path, [live], known_rules=common.known_rule_ids()
-    )
-    assert (len(kept), pruned, errors) == (1, [], [])
-    assert path.read_text() == stamp
-
-
 def test_list_pragmas_merges_rows_and_annotates_owning_tools(
         tmp_path, capsys):
     from repro import cli
@@ -206,32 +125,12 @@ def test_list_pragmas_flags_rules_no_tool_recognizes(tmp_path, capsys):
     assert "unrecognized by every tool: not-anyones-rule" in out
 
 
-def test_cli_update_baseline_prunes_and_reports(tmp_path, capsys):
+def test_checker_over_a_missing_path_exits_2_unreadable(tmp_path, capsys):
     from repro import cli
 
-    target = tmp_path / "mod.py"
-    target.write_text("import time\nT0 = time.time()\n")
-    path = tmp_path / "baseline.json"
-    assert cli.main([
-        "lint", str(target), "--baseline", str(path), "--write-baseline",
-    ]) == 0
-    capsys.readouterr()
-
-    # Nothing stale yet: the file is left alone.
-    assert cli.main([
-        "lint", str(target), "--baseline", str(path), "--update-baseline",
-    ]) == 0
-    assert "pruned 0 stale entries, 1 kept" in capsys.readouterr().out
-
-    # Fix the hazard; the acknowledged entry is now stale and pruned.
-    target.write_text("VALUE = 1\n")
-    assert cli.main([
-        "lint", str(target), "--baseline", str(path), "--update-baseline",
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "[wall-clock]" in out
-    assert "pruned 1 stale entry, 0 kept" in out
-    assert json.loads(path.read_text())["entries"] == []
+    missing = tmp_path / "missing.py"
+    assert cli.main(["lint", str(missing)]) == 2
+    assert f"{missing}:0: error: unreadable: " in capsys.readouterr().out
 
 
 def test_repo_pragma_inventory_is_tiny():

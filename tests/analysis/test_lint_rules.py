@@ -2,8 +2,7 @@
 
 Each rule has a positive fixture (``<rule>_bad.py``, must flag) and a
 negative fixture (``<rule>_ok.py``, must stay clean), plus targeted
-tests for pragma suppression, config scoping, the baseline workflow,
-and the CLI exit codes.
+tests for pragma suppression, config scoping, and the CLI exit codes.
 """
 
 import json
@@ -13,12 +12,6 @@ import pytest
 
 from repro import cli
 from repro.analysis import lint
-from repro.analysis.baseline import (
-    BaselineEntry,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -125,64 +118,20 @@ def test_unsorted_items_ignored_outside_export_modules():
     assert findings == []
 
 
-# -- baseline workflow ---------------------------------------------------
-
-
-def test_baseline_round_trip(tmp_path):
-    findings = lint_fixture("wall-clock", "bad")
-    path = tmp_path / "baseline.json"
-    count = write_baseline(path, findings)
-    assert count == len(findings) > 0
-    entries, errors = load_baseline(path, lint.RULES_BY_ID)
-    assert errors == []
-    new, stale = apply_baseline(findings, entries)
-    assert new == [] and stale == []
-
-
-def test_unknown_rule_in_baseline_is_a_hard_error(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps({
-        "version": 1,
-        "entries": [{"rule": "ghost-rule", "path": "x.py", "line": 1}],
-    }))
-    entries, errors = load_baseline(path, lint.RULES_BY_ID)
-    assert entries == []
-    assert len(errors) == 1 and "ghost-rule" in errors[0].message
-
-
-def test_stale_baseline_entries_are_surfaced():
-    entries = [BaselineEntry(rule="wall-clock", path="gone.py", line=3)]
-    new, stale = apply_baseline([], entries)
-    assert new == [] and stale == entries
-
-
 # -- CLI exit codes ------------------------------------------------------
 
 
 def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text("import time\nT0 = time.time()\n")
-    baseline = tmp_path / "baseline.json"
 
     assert cli.main(["lint", str(bad)]) == 1
     assert "[wall-clock]" in capsys.readouterr().out
 
-    assert cli.main(
-        ["lint", str(bad), "--baseline", str(baseline), "--write-baseline"]
-    ) == 0
-    assert cli.main(
-        ["lint", str(bad), "--baseline", str(baseline), "--check"]
-    ) == 0
-
-    # The hazard is fixed: the baseline entry is now stale, which is a
-    # warning normally but a config error (exit 2) under --check.
+    # The hazard is fixed: the same run is clean.
     bad.write_text("T0 = 1\n")
-    capsys.readouterr()
-    assert cli.main(["lint", str(bad), "--baseline", str(baseline)]) == 0
-    assert "stale" in capsys.readouterr().out
-    assert cli.main(
-        ["lint", str(bad), "--baseline", str(baseline), "--check"]
-    ) == 2
+    assert cli.main(["lint", str(bad)]) == 0
+    assert "determinism lint: clean" in capsys.readouterr().out
 
 
 def test_cli_unknown_pragma_rule_exits_2(tmp_path):

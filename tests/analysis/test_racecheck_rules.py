@@ -5,8 +5,8 @@ cooperative process bodies. ``*_bad`` fixtures produce exactly the
 findings named in ``EXPECTED``; ``*_ok`` fixtures are true negatives
 exercising the guards the checker must respect (Resource locksets,
 try/finally protection, re-reads, delta idioms, terminator pruning).
-The pragma/baseline/CLI contract shared by the checker family is
-covered at the bottom.
+The pragma/CLI contract shared by the checker family is covered at
+the bottom.
 """
 
 import json
@@ -205,29 +205,17 @@ def _write_bad_module(tmp_path):
     return target
 
 
-def test_cli_exit_codes_and_baseline_round_trip(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys):
     target = _write_bad_module(tmp_path)
-    baseline = tmp_path / "baseline.json"
 
     assert cli.main(["racecheck", str(target)]) == 1
     assert "[atomicity-violation]" in capsys.readouterr().out
 
-    assert cli.main([
-        "racecheck", str(target),
-        "--baseline", str(baseline), "--write-baseline",
-    ]) == 0
-    assert cli.main([
-        "racecheck", str(target), "--baseline", str(baseline), "--check",
-    ]) == 0
-
-    # Fixed in-tree: the acknowledged entry is now stale and --check
-    # turns staleness into a configuration error.
+    # Fixed in-tree: the same run is clean.
     target.write_text(
         (FIXTURES / "atomicity_violation_ok_reread.py").read_text())
-    capsys.readouterr()
-    assert cli.main([
-        "racecheck", str(target), "--baseline", str(baseline), "--check",
-    ]) == 2
+    assert cli.main(["racecheck", str(target)]) == 0
+    assert "racecheck: clean" in capsys.readouterr().out
 
 
 def test_cli_json_format_matches_the_checker_family(tmp_path, capsys):

@@ -4,8 +4,7 @@ Each rule has a positive fixture (``<rule>_bad.py``) that must produce
 *exactly* the expected finding, and a negative fixture (``<rule>_ok.py``)
 that must stay clean — plus targeted tests for pragma sharing with the
 determinism linter, the units-module exemption, declared call
-signatures, the baseline workflow, and the CLI contract both checkers
-share.
+signatures, and the CLI contract both checkers share.
 """
 
 import json
@@ -15,7 +14,6 @@ import pytest
 
 from repro import cli
 from repro.analysis import lint, semcheck
-from repro.analysis.baseline import apply_baseline, load_baseline, write_baseline
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -250,55 +248,19 @@ def test_unknown_rule_in_pragma_is_a_hard_error():
     assert len(errors) == 1 and "unit-mismtach" in errors[0].message
 
 
-# -- baseline workflow ---------------------------------------------------
-
-
-def test_baseline_round_trip_with_semcheck_rules(tmp_path):
-    findings = check_fixture("resource-leak", "bad")
-    path = tmp_path / "baseline.json"
-    count = write_baseline(path, findings)
-    assert count == len(findings) > 0
-    entries, errors = load_baseline(path, known_rules=semcheck.RULES_BY_ID)
-    assert errors == []
-    new, stale = apply_baseline(findings, entries)
-    assert new == [] and stale == []
-
-
-def test_semcheck_rule_is_unknown_to_the_lint_baseline(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps({
-        "version": 1,
-        "entries": [{"rule": "resource-leak", "path": "x.py", "line": 1}],
-    }))
-    entries, errors = load_baseline(path, lint.RULES_BY_ID)
-    assert entries == []
-    assert len(errors) == 1 and "resource-leak" in errors[0].message
-
-
 # -- CLI contract --------------------------------------------------------
 
 
 def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text("def f(total_us):\n    return total_us / 1000.0\n")
-    baseline = tmp_path / "baseline.json"
 
     assert cli.main(["semcheck", str(bad)]) == 1
     assert "[magic-conversion]" in capsys.readouterr().out
 
-    assert cli.main(
-        ["semcheck", str(bad), "--baseline", str(baseline),
-         "--write-baseline"]
-    ) == 0
-    assert cli.main(
-        ["semcheck", str(bad), "--baseline", str(baseline), "--check"]
-    ) == 0
-
     bad.write_text("X = 1\n")
-    capsys.readouterr()
-    assert cli.main(
-        ["semcheck", str(bad), "--baseline", str(baseline), "--check"]
-    ) == 2
+    assert cli.main(["semcheck", str(bad)]) == 0
+    assert "semcheck: clean" in capsys.readouterr().out
 
 
 def test_cli_json_format_is_shared_between_checkers(tmp_path, capsys):

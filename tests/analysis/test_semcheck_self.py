@@ -1,9 +1,9 @@
 """The source tree must pass semcheck — and semcheck must stay sharp.
 
-Mirror of ``test_selflint.py`` for the semantic checker: the committed
-baseline is empty (every unit hazard and protocol hazard was fixed, not
-acknowledged), and seeding the original bugs back into the real modules
-they were fixed in proves the checker would catch a regression.
+Mirror of ``test_selflint.py`` for the semantic checker: the tree is
+clean with no pragma (every unit hazard and protocol hazard was fixed,
+not suppressed), and seeding the original bugs back into the real
+modules they were fixed in proves the checker would catch a regression.
 """
 
 import pathlib
