@@ -127,3 +127,29 @@ def test_sanitize_is_the_only_key_allowed_beyond_the_tools():
     # The umbrella may append a "sanitize" report when asked to dual-run
     # scenarios; nothing else may grow into the payload unnoticed.
     assert GOLDEN["optional_keys"] == ["sanitize"]
+
+
+def test_sanitize_report_is_appended_under_its_optional_key(tree, capsys):
+    target, contract = tree
+    target.write_text("VALUE = 1\n")
+    assert cli.main([
+        "check", str(target), "--contract", str(contract),
+        "--sanitize", "fig7", "--format=json",
+    ]) == GOLDEN["exit_status"]["clean"]
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == GOLDEN["tools"] + GOLDEN["optional_keys"]
+    [report] = payload["sanitize"]
+    assert report["target"] == "fig7"
+    assert report["identical"] is True
+
+
+def test_unknown_sanitize_target_is_an_error(tree, capsys):
+    target, contract = tree
+    target.write_text("VALUE = 1\n")
+    assert cli.main([
+        "check", str(target), "--contract", str(contract),
+        "--sanitize", "no-such-target", "--format=json",
+    ]) == GOLDEN["exit_status"]["errors"]
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["sanitize"] == []
+    assert "unknown sanitize target 'no-such-target'" in captured.err

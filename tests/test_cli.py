@@ -1,6 +1,7 @@
 """CLI tests."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -164,16 +165,21 @@ def test_summary_exits_1_naming_a_failing_claim(
     assert "claims failing:           fig5.nnapi_over_cpu1\n" in out
 
 
-def test_chaos_command(capsys):
+@pytest.mark.parametrize("gate, code", [
+    ([], 0),
+    (["--max-failure-rate", "0.0"], 1),
+], ids=["ungated", "max-failure-rate-breached"])
+def test_chaos_command(capsys, gate, code):
     assert main([
         "chaos", "--sessions", "6", "--runs", "2", "--seed", "5",
-        "--fault-rate", "0.25",
-    ]) == 0
+        "--fault-rate", "0.25", *gate,
+    ]) == code
     out = capsys.readouterr().out
     assert "[chaos]" in out
     assert "fault rate" in out
     assert "failed sessions: 1" in out
     assert "died without recovery" in out
+    assert ("exceeds --max-failure-rate" in out) == bool(code)
 
 
 def test_serve_command_exports_identically(tmp_path, capsys):
@@ -196,3 +202,51 @@ def test_serve_command_exports_identically(tmp_path, capsys):
 def test_serve_rejects_bad_policy():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["serve", "--policy", "tailshed"])
+
+
+@pytest.fixture
+def sanitize_default():
+    """``--sanitize`` turns the sanitizer on process-wide; undo that."""
+    from repro.sim import set_sanitize_default
+
+    previous = set_sanitize_default(False)
+    yield
+    set_sanitize_default(previous)
+
+
+def test_sanitize_command_replays_fig7_identically(capsys):
+    assert main(["sanitize", "fig7"]) == 0
+    assert "replay: IDENTICAL" in capsys.readouterr().out
+
+
+def test_sanitize_command_json_payload(capsys):
+    assert main(["sanitize", "fig7", "--format=json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["identical"] is True
+    assert payload["digest_a"] == payload["digest_b"]
+    assert payload["divergence"] is None
+
+
+def test_sanitize_command_rejects_an_unknown_target(capsys):
+    assert main(["sanitize", "no-such-target"]) == 2
+    out = capsys.readouterr().out
+    assert "unknown sanitize target 'no-such-target'" in out
+    assert all(f"'{name}'" in out for name in ("fig7", "fleet", "serve"))
+
+
+def test_trace_command_with_sanitizer_prints_its_audit(
+        tmp_path, capsys, sanitize_default):
+    assert main([
+        "trace", "quickstart", "--runs", "2", "--sanitize",
+        "--out", str(tmp_path / "trace.json"),
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "sanitizer: on" in out
+    assert "hardware tracks conserve busy+idle" in out
+
+
+def test_experiment_command_with_sanitizer(capsys, sanitize_default):
+    assert main(["experiment", "fig7", "--sanitize"]) == 0
+    out = capsys.readouterr().out
+    assert "sanitizer: on" in out
+    assert "[fig7]" in out
