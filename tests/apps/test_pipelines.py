@@ -1,5 +1,7 @@
 """App pipeline tests: packagings, harness, background load."""
 
+import math
+
 import pytest
 
 from repro.android import Kernel
@@ -10,6 +12,7 @@ from repro.apps import (
     PipelineConfig,
     make_session,
     run_pipeline,
+    run_pipeline_with_rig,
     start_background_inferences,
 )
 from repro.core import breakdown
@@ -163,3 +166,51 @@ def test_different_seeds_vary_app_latency():
         )
         means.add(round(run_pipeline(config).mean_us(), 3))
     assert len(means) > 1
+
+
+#: The ``pipeline`` track's stage spans, in loop order, and the
+#: ``PipelineRun`` field each one measures.
+STAGE_SPANS = (
+    ("data_capture", "capture_us"),
+    ("pre_processing", "pre_us"),
+    ("inference", "inference_us"),
+    ("post_processing", "post_us"),
+    ("other", "other_us"),
+)
+
+
+@pytest.mark.parametrize("context, target, model_key, dtype, background", [
+    ("cli", "cpu", "mobilenet_v1", "fp32", None),
+    ("bench_app", "nnapi", "mobilenet_v1", "int8", None),
+    ("app", "nnapi", "mobilenet_v1", "int8", (2, "nnapi")),
+    ("app", "cpu", "mobile_bert", "fp32", None),
+    ("app", "snpe-dsp", "mobilenet_v1", "int8", None),
+])
+def test_stage_spans_tile_each_iteration(context, target, model_key, dtype,
+                                         background):
+    """The five stage spans of an iteration abut, each lasts exactly its
+    ``PipelineRun`` field, and the stage sum is the elapsed time."""
+    config = PipelineConfig(
+        model_key=model_key, dtype=dtype, context=context, target=target,
+        runs=4, trace=True, background=background,
+    )
+    records, sim, _soc, _kernel, _packaging = run_pipeline_with_rig(config)
+    labels = {label for label, _field in STAGE_SPANS}
+    spans = [
+        span for span in sim.trace.spans_on("pipeline")
+        if span.label in labels
+    ]
+    width = len(STAGE_SPANS)
+    assert len(spans) == width * len(records) == 20
+    for index, run in enumerate(records):
+        iteration = spans[index * width:(index + 1) * width]
+        for position, (span, (label, fieldname)) in enumerate(
+            zip(iteration, STAGE_SPANS)
+        ):
+            assert span.label == label
+            assert span.meta["iteration"] == index
+            if position:
+                assert span.start == iteration[position - 1].end
+            assert span.duration == getattr(run, fieldname)
+        elapsed = iteration[-1].end - iteration[0].start
+        assert math.isclose(run.total_us, elapsed, rel_tol=1e-12)
