@@ -10,12 +10,10 @@ meters the SoC energy, and converts it to hours on a typical battery.
 Run:  python examples/battery_life.py
 """
 
-from repro.android import Kernel
 from repro.apps import make_session
+from repro.apps.harness import build_rig
 from repro.core.report import render_table
 from repro.models import load_model
-from repro.sim import Simulator
-from repro.soc import make_soc
 from repro.soc.power import idle_floor_uj
 
 #: Pixel-3-class battery: 2915 mAh at 3.85 V nominal.
@@ -27,9 +25,7 @@ TARGET_FPS = 30.0
 
 def measure_soc_power(target, dtype, frames=30, seed=0):
     """Average SoC power (W) for the inference workload at 30 fps."""
-    sim = Simulator(seed=seed)
-    soc = make_soc(sim, "sd845")
-    kernel = Kernel(sim, soc)
+    sim, soc, kernel = build_rig(seed=seed)
     model = load_model("mobilenet_v1", dtype)
     session = make_session(kernel, model, target=target)
     frame_interval_us = 1e6 / TARGET_FPS

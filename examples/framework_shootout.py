@@ -9,35 +9,21 @@ some models degrade (paper §IV-B, Fig. 5).
 Run:  python examples/framework_shootout.py
 """
 
-from repro.android import Kernel
 from repro.apps import make_session
+from repro.apps.harness import build_rig, drive
 from repro.core.report import render_table
 from repro.frameworks import NnapiSession, UnsupportedModelError
 from repro.models import load_model, model_card
-from repro.sim import Simulator
-from repro.soc import make_soc
 
 MODELS = ("mobilenet_v1", "efficientnet_lite0", "ssd_mobilenet_v2", "inception_v3")
 TARGETS = ("hexagon", "cpu", "cpu1", "nnapi", "snpe-dsp")
 
 
 def measure(model_key, target, invokes=6, seed=0):
-    sim = Simulator(seed=seed)
-    soc = make_soc(sim, "sd845", governor_mode="performance")
-    kernel = Kernel(sim, soc, enable_dvfs=False)
+    _sim, _soc, kernel = build_rig(seed=seed, governor="performance")
     model = load_model(model_key, "int8")
     session = make_session(kernel, model, target=target)
-    durations = []
-
-    def body():
-        yield from session.prepare()
-        for _ in range(invokes):
-            duration = yield from session.invoke()
-            durations.append(duration)
-
-    thread = kernel.spawn_on_big(body(), name="shootout")
-    sim.run(until=thread.done)
-    warm = durations[1:]
+    warm = drive(kernel, session, invokes, name="shootout")[1:]
     return sum(warm) / len(warm) / 1000.0, session
 
 

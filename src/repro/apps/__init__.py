@@ -15,7 +15,6 @@ scenarios and the service tier (:mod:`repro.apps.arrivals`), and a
 one-call harness used by experiments and examples.
 """
 
-from repro.apps.android_app import AndroidApp
 from repro.apps.arrivals import (
     ARRIVAL_KINDS,
     DiurnalArrivals,
@@ -23,12 +22,12 @@ from repro.apps.arrivals import (
     make_arrivals,
 )
 from repro.apps.background import start_background_inferences
-from repro.apps.benchmark_cli import BenchmarkApp, BenchmarkCli
 from repro.apps.harness import (
     PipelineConfig,
     run_pipeline,
     run_pipeline_with_rig,
 )
+from repro.apps.packaging import AndroidApp, BenchmarkApp, BenchmarkCli
 from repro.apps.sessions import make_session
 
 __all__ = [

@@ -4,14 +4,15 @@ Experiments and examples describe *what* to measure with a
 :class:`PipelineConfig`; the harness builds the simulator, SoC, kernel,
 packaging, and optional background load, applies the paper's cooldown
 protocol, runs it, and hands back the :class:`RunCollection`.
+:func:`build_rig` is the one place a simulated device is built, and
+:func:`drive` the one prepare-then-invoke loop over a bare session.
 """
 
 from dataclasses import dataclass, field
 
 from repro.android import Kernel
-from repro.apps.android_app import AndroidApp
 from repro.apps.background import start_background_inferences
-from repro.apps.benchmark_cli import BenchmarkApp, BenchmarkCli
+from repro.apps.packaging import AndroidApp, BenchmarkApp, BenchmarkCli
 from repro.sim import Simulator
 from repro.soc import make_soc
 
@@ -86,15 +87,46 @@ def config_to_dict(config):
     return dataclasses.asdict(config)
 
 
-def build_rig(config):
-    """(sim, soc, kernel) for a config."""
-    sim = Simulator(seed=config.seed, trace=config.trace)
-    soc = make_soc(sim, config.soc, governor_mode=config.governor)
-    if config.ambient_celsius is not None:
-        soc.thermal.temperature = float(config.ambient_celsius)
-        soc.thermal._apply_throttle()
-    kernel = Kernel(sim, soc, enable_dvfs=(config.governor == "schedutil"))
-    return sim, soc, kernel
+def build_rig(seed=0, soc="sd845", governor="schedutil", trace=False,
+              enable_thermal=False, ambient_celsius=None,
+              dsp_coupling="loose"):
+    """A simulated device: ``(sim, soc, kernel)``.
+
+    DVFS loops run only under ``schedutil``; the other governors hold
+    their clusters at a fixed operating point. ``ambient_celsius``
+    starts the die warm instead of at its idle temperature.
+    """
+    sim = Simulator(seed=seed, trace=trace)
+    device = make_soc(
+        sim, soc, governor_mode=governor, dsp_coupling=dsp_coupling
+    )
+    if ambient_celsius is not None:
+        device.thermal.temperature = float(ambient_celsius)
+        device.thermal._apply_throttle()
+    kernel = Kernel(
+        sim, device, enable_dvfs=(governor == "schedutil"),
+        enable_thermal=enable_thermal,
+    )
+    return sim, device, kernel
+
+
+def drive(kernel, session, invokes, name="driver"):
+    """Prepare ``session``, invoke it ``invokes`` times on a big core.
+
+    Runs the simulation until the driver thread finishes and returns
+    the per-invocation durations.
+    """
+    durations = []
+
+    def body():
+        yield from session.prepare()
+        for _ in range(invokes):
+            duration = yield from session.invoke()
+            durations.append(duration)
+
+    thread = kernel.spawn_on_big(body(), name=name)
+    kernel.sim.run(until=thread.done)
+    return durations
 
 
 def build_packaging(kernel, config):
@@ -148,7 +180,10 @@ def run_pipeline_with_rig(config):
 
     For experiments that need the trace (Fig. 6) or hardware counters.
     """
-    sim, soc, kernel = build_rig(config)
+    sim, soc, kernel = build_rig(
+        seed=config.seed, soc=config.soc, governor=config.governor,
+        trace=config.trace, ambient_celsius=config.ambient_celsius,
+    )
     packaging = build_packaging(kernel, config)
     if config.background is not None:
         count, bg_target = config.background
@@ -160,10 +195,7 @@ def run_pipeline_with_rig(config):
             dtype=config.background_dtype,
             threads=config.background_threads,
         )
-    thread = kernel.spawn(
-        packaging.body(config.runs),
-        name=f"{config.context}:{config.model_key}",
-        process=packaging.process,
+    records = packaging.execute(
+        config.runs, thread_name=f"{config.context}:{config.model_key}"
     )
-    sim.run(until=thread.done)
-    return packaging.records, sim, soc, kernel, packaging
+    return records, sim, soc, kernel, packaging

@@ -9,52 +9,26 @@ and pre-processes frame N+1 while a consumer thread runs inference on
 frame N. Throughput then tracks the *slowest* stage instead of the sum.
 
 :class:`PipelinedApp` implements that two-stage software pipeline on the
-simulated OS, reusing the same camera, plans, and sessions as
-:class:`~repro.apps.android_app.AndroidApp`.
+simulated OS, reusing the camera, plans, and session that
+:class:`~repro.apps.packaging.AndroidApp` builds.
 """
 
-from repro.android import AppProcess
 from repro.android import params as os_params
-from repro.android.interference import InterferenceProfile, start_interference
 from repro.android.thread import WaitFor, Work
-from repro.apps.sessions import make_session
-from repro.capture import CameraHal
-from repro.core.measurement import PipelineRun, RunCollection
-from repro.models import load_model, model_card
-from repro.processing import build_postprocess_plan, build_preprocessor
+from repro.apps.packaging import AndroidApp
+from repro.core.measurement import PipelineRun
 from repro.sim import Store
 
 
-class PipelinedApp:
+class PipelinedApp(AndroidApp):
     """Producer/consumer version of the Android app pipeline."""
 
-    context = "app"
-
-    def __init__(self, kernel, model_key, dtype="fp32", target="nnapi",
-                 threads=4, source_hw=(480, 640), fps=30.0,
-                 interference=None, queue_depth=2):
-        self.kernel = kernel
-        self.model_key = model_key
-        self.card = model_card(model_key)
-        self.model = load_model(model_key, dtype)
-        self.session = make_session(
-            kernel, self.model, target=target, threads=threads
+    def __init__(self, kernel, model_key, dtype="fp32", target="nnapi"):
+        super().__init__(
+            kernel, model_key, dtype=dtype, target=target,
+            name=f"pipelined:{model_key}",
         )
-        self.pre_plan = build_preprocessor(
-            self.card, self.model, context="app", source_hw=source_hw
-        )
-        self.post_plan = build_postprocess_plan(
-            self.card, self.model, context="app"
-        )
-        self.camera = CameraHal(kernel, resolution=source_hw, fps=fps)
-        self.queue = Store(kernel.sim, name="preprocessed", capacity=queue_depth)
-        self.records = RunCollection(name=f"pipelined:{model_key}:{dtype}")
-        self.process = AppProcess(kernel, f"pipelined:{model_key}",
-                                  managed_runtime=True)
-        self._interference = (
-            interference if interference is not None
-            else InterferenceProfile.app()
-        )
+        self.queue = Store(kernel.sim, name="preprocessed", capacity=2)
         self.producer_thread = None
 
     def _producer_body(self, frames):
@@ -102,8 +76,7 @@ class PipelinedApp:
 
         Also records achieved throughput in ``records.runs[i].meta``.
         """
-        self.camera.start()
-        start_interference(self.kernel, self._interference)
+        self.start()
         producer = self.process.spawn(
             self._producer_body(frames), "producer"
         )

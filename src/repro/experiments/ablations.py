@@ -6,16 +6,15 @@
 * ``ablation_stdlib`` — §IV-A: libc++ vs libstdc++ random generation.
 """
 
-from repro.android import FastRpcChannel, Kernel
+from repro.android import FastRpcChannel
 from repro.apps import PipelineConfig, run_pipeline
+from repro.apps.harness import build_rig
 from repro.core import ProbeEffect, breakdown
 from repro.experiments.base import ExperimentResult, experiment
 from repro.experiments.claims import Claim, cell, ratio
 from repro.models import load_model
 from repro.processing.costs import random_input_cost_us
-from repro.sim import Simulator
 from repro.sim import units
-from repro.soc import make_soc
 
 
 SNPE_CLAIMS = (
@@ -125,11 +124,9 @@ def run_coupling(seed=0, model_key="mobilenet_v1", invokes=20):
     headers = ("Coupling", "mean invoke ms", "flush+transfer us/call")
     rows = []
     for coupling in ("loose", "tight"):
-        sim = Simulator(seed=seed)
-        soc = make_soc(
-            sim, "sd845", governor_mode="performance", dsp_coupling=coupling
+        sim, soc, kernel = build_rig(
+            seed=seed, governor="performance", dsp_coupling=coupling
         )
-        kernel = Kernel(sim, soc, enable_dvfs=False)
         channel = FastRpcChannel(kernel, process_id=7)
         model = load_model(model_key, "int8")
         compute_us = soc.dsp.graph_time_us(model.ops, "int8")

@@ -16,43 +16,15 @@ These quantify claims the paper makes in prose but does not plot:
   camera frames per model.
 """
 
-from repro.android import Kernel
 from repro.apps import PipelineConfig, run_pipeline
-from repro.apps.harness import run_pipeline_with_rig
+from repro.apps.harness import build_rig, drive, run_pipeline_with_rig
 from repro.apps.sessions import make_session
 from repro.core import breakdown
 from repro.experiments.base import ExperimentResult, experiment
 from repro.experiments.claims import Claim, cell, ratio
 from repro.frameworks import FAST_SINGLE_ANSWER, LOW_POWER, SUSTAINED_SPEED
 from repro.models import load_model
-from repro.sim import Simulator
 from repro.sim import units
-from repro.soc import make_soc
-
-
-def _session_rig(seed=0, soc_key="sd845", governor="schedutil",
-                 enable_thermal=False):
-    sim = Simulator(seed=seed)
-    soc = make_soc(sim, soc_key, governor_mode=governor)
-    kernel = Kernel(
-        sim, soc, enable_dvfs=(governor == "schedutil"),
-        enable_thermal=enable_thermal,
-    )
-    return sim, soc, kernel
-
-
-def _drive(sim, kernel, session, invokes):
-    durations = []
-
-    def body():
-        yield from session.prepare()
-        for _ in range(invokes):
-            duration = yield from session.invoke()
-            durations.append(duration)
-
-    thread = kernel.spawn_on_big(body(), name="driver")
-    sim.run(until=thread.done)
-    return durations
 
 
 ENERGY_CLAIMS = (
@@ -92,12 +64,12 @@ def run_energy(seed=0, model_key="mobilenet_v1", invokes=20):
     )
     rows = []
     for label, dtype, target in configurations:
-        sim, soc, kernel = _session_rig(seed=seed)
+        _sim, soc, kernel = build_rig(seed=seed)
         model = load_model(model_key, dtype)
         session = make_session(kernel, model, target=target)
-        _drive(sim, kernel, session, 2)  # warm up + settle
+        drive(kernel, session, 2)  # warm up + settle
         snapshot = soc.energy.snapshot()
-        durations = _drive(sim, kernel, session, invokes)
+        durations = drive(kernel, session, invokes)
         delta = soc.energy.since(snapshot)
         mean_ms = units.to_ms(sum(durations) / len(durations))
         mj_per_inf = units.to_mj(delta["total_uj"] / invokes)
@@ -151,14 +123,14 @@ def run_preferences(seed=0, model_key="inception_v3", dtype="fp32",
     headers = ("Preference", "ms/inf", "mJ/inf")
     rows = []
     for preference in (FAST_SINGLE_ANSWER, SUSTAINED_SPEED, LOW_POWER):
-        sim, soc, kernel = _session_rig(seed=seed)
+        _sim, soc, kernel = build_rig(seed=seed)
         model = load_model(model_key, dtype)
         session = make_session(
             kernel, model, target="nnapi", preference=preference
         )
-        _drive(sim, kernel, session, 1)
+        drive(kernel, session, 1)
         snapshot = soc.energy.snapshot()
-        durations = _drive(sim, kernel, session, invokes)
+        durations = drive(kernel, session, invokes)
         delta = soc.energy.since(snapshot)
         rows.append(
             (
@@ -209,11 +181,11 @@ def run_thermal(seed=0, model_key="inception_v3", dtype="fp32",
     A shortened thermal time constant compresses minutes of sustained
     load into a tractable simulation; the dynamics are unchanged.
     """
-    sim, soc, kernel = _session_rig(seed=seed, enable_thermal=True)
+    _sim, soc, kernel = build_rig(seed=seed, enable_thermal=True)
     soc.thermal.time_constant_s = time_constant_s
     model = load_model(model_key, dtype)
     session = make_session(kernel, model, target="cpu")
-    durations = _drive(sim, kernel, session, invokes)
+    durations = drive(kernel, session, invokes)
     warm = durations[1:]
     head = warm[: len(warm) // 5]
     tail = warm[-len(warm) // 5:]
@@ -407,9 +379,9 @@ def run_model_scaling(runs=6, seed=0, resolutions=(128, 160, 192, 224)):
     rows = []
     for resolution in resolutions:
         graph = build_mobilenet_v1(resolution=resolution)
-        sim, soc, kernel = _session_rig(seed=seed, governor="performance")
+        _sim, _soc, kernel = build_rig(seed=seed, governor="performance")
         session = TfliteInterpreter(kernel, graph, threads=4)
-        durations = _drive(sim, kernel, session, 4)
+        durations = drive(kernel, session, 4)
         warm_ms = units.to_ms(sum(durations[1:]) / 3)
         rows.append(
             (
@@ -583,10 +555,10 @@ def run_init_time(seed=0, switches=5):
         ("mobilenet_v1", "fp32", "cpu"),
         ("inception_v3", "fp32", "cpu"),
     ):
-        sim, soc, kernel = _session_rig(seed=seed, governor="performance")
+        _sim, _soc, kernel = build_rig(seed=seed, governor="performance")
         model = load_model(model_key, dtype)
         session = make_session(kernel, model, target=target)
-        durations = _drive(sim, kernel, session, 4)
+        durations = drive(kernel, session, 4)
         warm_ms = units.to_ms(sum(durations[1:]) / 3)
         init_ms = units.to_ms(session.stats.init_us)
         rows.append(
@@ -602,7 +574,7 @@ def run_init_time(seed=0, switches=5):
     # Model switching: alternate two models, reloading each time, vs
     # keeping two prepared sessions resident.
     def _switching(resident):
-        sim, soc, kernel = _session_rig(seed=seed, governor="performance")
+        sim, _soc, kernel = build_rig(seed=seed, governor="performance")
         models = [
             load_model("mobilenet_v1", "int8"),
             load_model("efficientnet_lite0", "int8"),

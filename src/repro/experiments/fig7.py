@@ -6,13 +6,12 @@ experiment performs one instrumented offload and reports the per-stage
 cost decomposition of the channel.
 """
 
-from repro.android import FastRpcChannel, Kernel
+from repro.android import FastRpcChannel
 from repro.android.fastrpc import call_flow_stages
+from repro.apps.harness import build_rig
 from repro.experiments.base import ExperimentResult, experiment
 from repro.experiments.claims import Claim
 from repro.models import load_model
-from repro.sim import Simulator
-from repro.soc import make_soc
 
 
 def _cold_over_warm(result):
@@ -28,9 +27,7 @@ CLAIMS = (
 
 @experiment("fig7", claims=CLAIMS)
 def run(seed=0, model_key="mobilenet_v1", payload_frames=1):
-    sim = Simulator(seed=seed, trace=True)
-    soc = make_soc(sim, "sd845", governor_mode="performance")
-    kernel = Kernel(sim, soc, enable_dvfs=False)
+    sim, soc, kernel = build_rig(seed=seed, governor="performance", trace=True)
     channel = FastRpcChannel(kernel, process_id=42)
     model = load_model(model_key, "int8")
     input_bytes = model.input_spec.numel * payload_frames

@@ -6,37 +6,23 @@ dominates; as the count grows the one-time setup amortizes and the
 offload share of total time falls.
 """
 
-from repro.android import Kernel
+from repro.apps.harness import build_rig, drive
 from repro.apps.sessions import make_session
 from repro.experiments.base import ExperimentResult, experiment
 from repro.experiments.claims import Claim, cell
 from repro.models import load_model
-from repro.sim import Simulator
 from repro.sim import units
-from repro.soc import make_soc
 
 COUNTS = (1, 2, 5, 10, 20, 50, 100, 200, 500)
 
 
 def _measure(count, seed, model_key, dtype, target):
-    sim = Simulator(seed=seed)
-    soc = make_soc(sim, "sd845", governor_mode="performance")
-    kernel = Kernel(sim, soc, enable_dvfs=False)
+    sim, soc, kernel = build_rig(seed=seed, governor="performance")
     model = load_model(model_key, dtype)
     session = make_session(kernel, model, target=target)
     compute_us = soc.dsp.graph_time_us(model.ops, "int8")
-
-    def body():
-        yield from session.prepare()
-        for _ in range(count):
-            yield from session.invoke()
-
-    thread = kernel.spawn_on_big(body(), name="offload")
-    start_setup = 0.0
-    sim.run(until=thread.done)
-    total_us = sim.now - start_setup
-    pure_compute_us = compute_us * count
-    return total_us, pure_compute_us
+    drive(kernel, session, count, name="offload")
+    return sim.now, compute_us * count
 
 
 def _falls(result):

@@ -10,10 +10,10 @@
   two serialize.
 """
 
-from repro.android import Kernel
 from repro.android.fastrpc import FastRpcChannel
 from repro.android.thread import Work
 from repro.apps import PipelineConfig, run_pipeline
+from repro.apps.harness import build_rig, drive
 from repro.apps.pipelined import PipelinedApp
 from repro.apps.sessions import make_session
 from repro.capture import CameraHal
@@ -22,9 +22,7 @@ from repro.experiments.base import ExperimentResult, experiment
 from repro.experiments.claims import Claim, cell, ratio
 from repro.models import load_model, model_card
 from repro.processing import build_preprocessor
-from repro.sim import Simulator
 from repro.sim import units
-from repro.soc import make_soc
 
 #: HVX speedup for vectorizable image kernels vs one big CPU core
 #: (FastCV-class image processing on the DSP's vector units).
@@ -54,9 +52,7 @@ def run_pipelining(frames=20, seed=0, model_key="efficientnet_lite0",
     seq = breakdown(sequential)
     seq_fps = units.fps_from_ms(seq.total_ms) if seq.total_ms else 0.0
 
-    sim = Simulator(seed=seed)
-    soc = make_soc(sim, "sd845")
-    kernel = Kernel(sim, soc)
+    _sim, _soc, kernel = build_rig(seed=seed)
     app = PipelinedApp(kernel, model_key, dtype=dtype, target=target)
     piped_records = app.execute(frames=frames)
     piped = breakdown(piped_records)
@@ -132,9 +128,7 @@ def run_arvr_multimodel(frames=12, seed=0):
     headers = ("placement", "frame ms", "achieved fps", "per-model ms")
     rows = []
     for label, choices in placements:
-        sim = Simulator(seed=seed)
-        soc = make_soc(sim, "sd845")
-        kernel = Kernel(sim, soc)
+        sim, _soc, kernel = build_rig(seed=seed)
         sessions = [
             make_session(kernel, load_model(key, dtype), target=target,
                          threads=4)
@@ -224,15 +218,11 @@ def run_mlperf_gap(queries=40, runs=15, seed=0, model_key="mobilenet_v1",
     """
     from repro.apps.loadgen import MlperfLoadgen, OFFLINE, SINGLE_STREAM
 
-    sim = Simulator(seed=seed)
-    soc = make_soc(sim, "sd845")
-    kernel = Kernel(sim, soc)
+    _sim, _soc, kernel = build_rig(seed=seed)
     loadgen = MlperfLoadgen(kernel, model_key, dtype=dtype, target=target)
     single = loadgen.run(SINGLE_STREAM, queries=queries)
 
-    sim = Simulator(seed=seed)
-    soc = make_soc(sim, "sd845")
-    kernel = Kernel(sim, soc)
+    _sim, _soc, kernel = build_rig(seed=seed)
     offline = MlperfLoadgen(
         kernel, model_key, dtype=dtype, target=target
     ).run(OFFLINE, queries=queries)
@@ -305,22 +295,10 @@ def run_driver_versions(invokes=8, seed=0, model_key="efficientnet_lite0",
     )
     rows = []
     for level in (1.1, 1.2, 1.3):
-        sim = Simulator(seed=seed)
-        soc = make_soc(sim, "sd845", governor_mode="performance")
-        kernel = Kernel(sim, soc, enable_dvfs=False)
+        _sim, _soc, kernel = build_rig(seed=seed, governor="performance")
         model = load_model(model_key, dtype)
         session = NnapiSession(kernel, model, feature_level=level)
-        durations = []
-
-        def body():
-            yield from session.prepare()
-            for _ in range(invokes):
-                duration = yield from session.invoke()
-                durations.append(duration)
-
-        thread = kernel.spawn_on_big(body(), name="drv")
-        sim.run(until=thread.done)
-        warm = durations[1:]
+        warm = drive(kernel, session, invokes, name="drv")[1:]
         rows.append(
             (
                 level,
@@ -420,9 +398,7 @@ def run_fastcv(runs=10, seed=0, model_key="mobilenet_v1", dtype="int8"):
     rows = []
     for pre_on_dsp in (False, True):
         for inference_target in ("hexagon", "cpu"):
-            sim = Simulator(seed=seed)
-            soc = make_soc(sim, "sd845")
-            kernel = Kernel(sim, soc)
+            sim, _soc, kernel = build_rig(seed=seed)
             pre_ms, inference_ms = _fastcv_app_run(
                 sim, kernel, runs, model_key, dtype, pre_on_dsp,
                 inference_target,
