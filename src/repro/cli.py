@@ -46,6 +46,7 @@ Commands
 """
 
 import argparse
+import os
 import pathlib
 import sys
 
@@ -914,8 +915,19 @@ _HANDLERS = {
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    # Every other subcommand is a registry checker.
-    return _HANDLERS.get(args.command, _cmd_checker)(args)
+    try:
+        # Every other subcommand is a registry checker.
+        status = _HANDLERS.get(args.command, _cmd_checker)(args)
+        # Flush here, so a reader that closed early (``| head``) is seen
+        # inside this guard rather than at interpreter exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull: the exit-time flush of what is still
+        # buffered would raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

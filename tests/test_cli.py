@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -250,3 +254,22 @@ def test_experiment_command_with_sanitizer(capsys, sanitize_default):
     out = capsys.readouterr().out
     assert "sanitizer: on" in out
     assert "[fig7]" in out
+
+
+@pytest.mark.parametrize("argv", [["models"], ["experiment", "fig7"]])
+def test_closed_stdout_exits_1_without_a_traceback(argv):
+    """A reader that is gone before the first write (``| head`` that has
+    already exited) ends the command quietly with status 1."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
