@@ -182,16 +182,11 @@ class Supervisor:
     backoff_base_s / backoff_cap_s:
         Capped exponential backoff between a strike and the re-submit:
         ``min(cap, base * 2**(strikes - 1))`` host seconds.
-    pool_factory:
-        Test hook returning a :class:`_PoolHandle`-shaped object.
-    clock / sleep:
-        Host time hooks (monotonic seconds), injectable for tests.
     """
 
     def __init__(self, workers, task=simulate_session_payload,
                  session_retries=1, session_timeout_s=None, max_crashes=3,
-                 backoff_base_s=0.05, backoff_cap_s=2.0, pool_factory=None,
-                 clock=time.monotonic, sleep=time.sleep):
+                 backoff_base_s=0.05, backoff_cap_s=2.0):
         if session_retries < 0:
             raise ValueError(
                 f"session_retries must be >= 0, got {session_retries}"
@@ -209,9 +204,6 @@ class Supervisor:
         self.max_crashes = max_crashes
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
-        self._pool_factory = pool_factory or _PoolHandle
-        self._clock = clock
-        self._sleep = sleep
         self.stats = SupervisorStats()
 
     # -- entry points ---------------------------------------------------
@@ -254,7 +246,7 @@ class Supervisor:
         )
         results = {}
         inflight = {}
-        pool = self._pool_factory(self.workers)
+        pool = _PoolHandle(self.workers)
         try:
             while queue or inflight:
                 self._submit_eligible(pool, queue, inflight)
@@ -299,7 +291,7 @@ class Supervisor:
         """Top the pool up, clean sessions first, suspects isolated."""
         if any(entry.suspect for entry, _ in inflight.values()):
             return  # an isolated suspect owns the pool right now
-        now = self._clock()
+        now = time.monotonic()
         while len(inflight) < self.workers:
             entry = self._pop_eligible(queue, now, suspects=False)
             if entry is None:
@@ -319,19 +311,19 @@ class Supervisor:
 
     def _submit(self, pool, inflight, entry):
         future = pool.submit(self.task, entry.payload)
-        inflight[future] = (entry, self._clock())
+        inflight[future] = (entry, time.monotonic())
         self.stats.submitted += 1
 
     def _sleep_until_eligible(self, queue):
-        now = self._clock()
+        now = time.monotonic()
         earliest = min(entry.not_before for entry in queue)
         if earliest > now:
-            self._sleep(min(earliest - now, self.backoff_cap_s))
+            time.sleep(min(earliest - now, self.backoff_cap_s))
 
     def _wait_timeout(self, inflight):
         if self.session_timeout_s is None:
             return _TICK_S
-        now = self._clock()
+        now = time.monotonic()
         soonest = min(
             submitted + self.session_timeout_s
             for _entry, submitted in inflight.values()
@@ -341,7 +333,7 @@ class Supervisor:
     def _expired(self, inflight):
         if self.session_timeout_s is None:
             return []
-        now = self._clock()
+        now = time.monotonic()
         return [
             future
             for future, (_entry, submitted) in inflight.items()
@@ -365,7 +357,7 @@ class Supervisor:
         inflight.clear()
         pool.kill()
         self.stats.respawns += 1
-        return self._pool_factory(self.workers)
+        return _PoolHandle(self.workers)
 
     def _strike(self, results, on_result, queue, entry, crash):
         entry.strikes += 1
@@ -397,7 +389,7 @@ class Supervisor:
             self.backoff_cap_s,
             self.backoff_base_s * (2 ** (entry.strikes - 1)),
         )
-        entry.not_before = self._clock() + backoff
+        entry.not_before = time.monotonic() + backoff
         queue.append(entry)
 
     def _absorb(self, results, on_result, queue, entry, payload):
