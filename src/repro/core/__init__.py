@@ -13,7 +13,12 @@ from repro.core.analysis import (
     breakdown,
     compare_contexts,
 )
-from repro.core.measurement import PipelineRun, RunCollection, percentile
+from repro.core.measurement import (
+    PipelineRun,
+    RunCollection,
+    percentile,
+    percentiles,
+)
 from repro.core.probe import ProbeEffect
 from repro.core.report import render_table
 from repro.core.result import ExperimentResult
@@ -41,6 +46,7 @@ __all__ = [
     "PipelineRun",
     "RunCollection",
     "percentile",
+    "percentiles",
     "ProbeEffect",
     "render_table",
     "CATEGORY_ALGORITHMS",

@@ -87,15 +87,31 @@ def _percentile(sorted_values, fraction):
     return low_value + weight * (sorted_values[upper] - low_value)
 
 
+def _check_fraction(fraction):
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"fraction must be in [0,1], got {fraction}")
+
+
 def percentile(values, fraction):
     """Linear-interpolated percentile of an unsorted sequence.
 
     The same estimator :class:`RunCollection` uses, exposed for callers
     (fleet aggregation) that pool values across many collections.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0,1], got {fraction}")
+    _check_fraction(fraction)
     return _percentile(sorted(values), fraction)
+
+
+def percentiles(values, fractions):
+    """:func:`percentile` at each of ``fractions``, sorting ``values`` once.
+
+    Returns a tuple in the order of ``fractions``, each element equal
+    bit for bit to ``percentile(values, fraction)``.
+    """
+    for fraction in fractions:
+        _check_fraction(fraction)
+    ordered = sorted(values)
+    return tuple(_percentile(ordered, fraction) for fraction in fractions)
 
 
 @dataclass
@@ -124,8 +140,7 @@ class RunCollection:
         return _percentile(sorted(self._values(attribute)), 0.5)
 
     def percentile_us(self, fraction, attribute="total_us"):
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0,1], got {fraction}")
+        _check_fraction(fraction)
         return _percentile(sorted(self._values(attribute)), fraction)
 
     def std_us(self, attribute="total_us"):

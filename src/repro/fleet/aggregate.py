@@ -10,7 +10,7 @@ quantized-app capture+pre+post share (Takeaway 1).
 
 from dataclasses import dataclass, field
 
-from repro.core import percentile
+from repro.core import percentile, percentiles
 from repro.core.result import ExperimentResult
 from repro.fleet.session import STAGE_FIELDS, SessionResult
 from repro.sim import units
@@ -62,15 +62,15 @@ def _slice_stats(name, results, runs_of=None):
         session_median = percentile(session_ms, 0.5) if session_ms else 0.0
         if session_median > 0:
             normalized.extend(value / session_median for value in session_ms)
-    norm_p50 = percentile(normalized, 0.50) if normalized else 0.0
-    norm_p99 = percentile(normalized, 0.99) if normalized else 0.0
+    norm_p50, norm_p99 = percentiles(normalized, (0.50, 0.99))
+    p50_ms, p90_ms, p99_ms = percentiles(totals_ms, (0.50, 0.90, 0.99))
     return SliceStats(
         name=name,
         sessions=len(results),
         runs=len(totals_ms),
-        p50_ms=percentile(totals_ms, 0.50),
-        p90_ms=percentile(totals_ms, 0.90),
-        p99_ms=percentile(totals_ms, 0.99),
+        p50_ms=p50_ms,
+        p90_ms=p90_ms,
+        p99_ms=p99_ms,
         tail_ratio=norm_p99 / norm_p50 if norm_p50 > 0 else 0.0,
     )
 

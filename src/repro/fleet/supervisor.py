@@ -48,12 +48,7 @@ import hashlib
 import json
 import pathlib
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from dataclasses import dataclass
 
 from repro.fleet.session import simulate_session_payload
@@ -141,6 +136,11 @@ class _PoolHandle:
     """
 
     def __init__(self, workers):
+        # Imported here, not at module top: the process pool pulls in
+        # multiprocessing, socket and subprocess, which an in-process
+        # (workers <= 1) run never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         self.executor = ProcessPoolExecutor(max_workers=workers)
 
     def submit(self, task, payload):

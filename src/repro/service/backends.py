@@ -44,6 +44,12 @@ class BackendProfile:
     payload). ``batch_marginal`` is the incremental inference cost
     fraction per extra batched item; ``degraded_scale`` scales both
     components for shed-to-degraded requests.
+
+    An item is priced from two values per component: its plain cost
+    (``inference_us``, ``tax_us``) and its degraded cost
+    (``degraded_inference_us``, ``degraded_tax_us``), both fixed at
+    construction. ``x * 1.0 == x``, so these price a plain item
+    exactly as scaling it by 1.0 would.
     """
 
     backend_id: int
@@ -70,9 +76,14 @@ class BackendProfile:
                 f"degraded_scale must be in (0, 1], got "
                 f"{self.degraded_scale}"
             )
-
-    def _item_scale(self, degraded):
-        return self.degraded_scale if degraded else 1.0
+        # Derived, not fields: they stay out of __init__, eq and repr.
+        object.__setattr__(
+            self, "degraded_inference_us",
+            self.inference_us * self.degraded_scale,
+        )
+        object.__setattr__(
+            self, "degraded_tax_us", self.tax_us * self.degraded_scale
+        )
 
     def batch_inference_us(self, degraded_flags):
         """Inference compute of one batch (µs).
@@ -81,16 +92,20 @@ class BackendProfile:
         ``batch_marginal`` of its own single-request cost — weights
         load once, activations stream through together.
         """
+        plain_us = self.inference_us
+        degraded_us = self.degraded_inference_us
         total_us = 0.0
         for index, degraded in enumerate(degraded_flags):
             share = 1.0 if index == 0 else self.batch_marginal
-            total_us += self.inference_us * self._item_scale(degraded) * share
+            total_us += (degraded_us if degraded else plain_us) * share
         return total_us
 
     def batch_tax_us(self, degraded_flags):
         """Non-inference service work of one batch (µs); per item."""
+        plain_us = self.tax_us
+        degraded_us = self.degraded_tax_us
         return sum(
-            self.tax_us * self._item_scale(degraded)
+            degraded_us if degraded else plain_us
             for degraded in degraded_flags
         )
 

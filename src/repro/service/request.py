@@ -32,7 +32,7 @@ MISS_AI_TAX = "ai_tax"
 MISS_BUCKETS = (MISS_QUEUEING, MISS_INFERENCE, MISS_AI_TAX)
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     """One request: identity, SLO, lifecycle timestamps, attribution."""
 

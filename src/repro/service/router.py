@@ -7,19 +7,22 @@ forms and serves batches, written as event callbacks rather than a
 generator process (one callback frame per event instead of a
 ``Process`` resume and a generator frame; the events are the same).
 The :class:`Router` spreads admitted requests across the pool with
-deterministic join-shortest-queue (ties break toward the lowest
-backend id, so identical runs route identically).
+deterministic join-shortest-queue (ties break toward the lowest pool
+index, so identical runs route identically).
 
-Each backend's depth (requests queued in its batcher or in the batch
-it is serving) and the pool's outstanding total are plain counts,
-changed at the only three points where a request enters or leaves a
-backend: +1 when it is enqueued, -n when a batch of n completes (before
-the first completion callback) and -n when a batch of n faults (before
-its requests are redispatched). Every read is O(1), and every change
-is exported as an observability counter sample
-(``service:backend<N>:depth`` and ``service:depth``) whenever the
-service simulator records a trace, so backpressure dynamics are
-visible in the same Perfetto timeline as everything else.
+The router's ``depths`` list, one entry per backend in pool order, is
+the only copy of each backend's depth (requests queued in its batcher
+or in the batch it is serving). It and the pool's ``outstanding``
+total are plain counts, changed together by :meth:`Backend._count` at
+the only three points where a request enters or leaves a backend: +1
+when it is enqueued, -n when a batch of n completes (before the first
+completion callback) and -n when a batch of n faults (before its
+requests are redispatched). Fault-free JSQ is then
+``depths.index(min(depths))``. Every change is exported as an
+observability counter sample (``service:backend<N>:depth`` and
+``service:depth``) whenever the service simulator records a trace, so
+backpressure dynamics are visible in the same Perfetto timeline as
+everything else.
 
 Backends can also *fail*: given a per-backend
 :class:`~repro.faults.FaultInjector`, each batch draws from the fault
@@ -30,14 +33,10 @@ records the failure (ejecting the backend from routing once it trips),
 and an SSR fault additionally costs the backend a reboot window.
 """
 
-from operator import attrgetter
-
 from repro.faults import FAULT_SSR
 from repro.sim.events import Event, Timeout
 from repro.sim.probes import instant
 from repro.service.request import OUTCOME_FAILED, OUTCOME_OK
-
-_DEPTH = attrgetter("depth")
 
 
 class Backend:
@@ -76,10 +75,11 @@ class Backend:
         self.health = health
         self._on_failed = on_failed
         self.ssr_recovery_us = ssr_recovery_us
-        #: Requests queued here or in the batch being served.
-        self.depth = 0
-        #: The :class:`Router` that owns the pool count (set by it).
+        #: The :class:`Router` that holds this backend's depth and the
+        #: pool count (set by it).
         self.router = None
+        #: This backend's index in the router's pool (set by it).
+        self.index = None
         self.served_batches = 0
         self.served_requests = 0
         self.failed_batches = 0
@@ -103,11 +103,13 @@ class Backend:
 
     def _count(self, delta):
         """Move this backend's depth and the pool's count together."""
-        self.depth += delta
         router = self.router
+        depths = router.depths
+        depth = depths[self.index] + delta
+        depths[self.index] = depth
         router.outstanding += delta
         if self._trace is not None:
-            self._trace.count(self._depth_track, self.depth)
+            self._trace.count(self._depth_track, depth)
             self._trace.count("service:depth", router.outstanding)
 
     def enqueue(self, request):
@@ -175,7 +177,8 @@ class Backend:
             request.done_us = done_us
             request.inference_us = inference_share_us
             request.tax_us = (
-                profile.tax_us * profile._item_scale(request.degraded)
+                profile.degraded_tax_us if request.degraded
+                else profile.tax_us
             )
             # Everything that is not this request's own work — admission
             # wait, batch formation, and batch mates' shares — is
@@ -281,10 +284,14 @@ class Router:
         self.redispatches = 0
         #: Requests that exhausted the redispatch budget.
         self.failed = 0
+        #: Requests queued at or being served by each backend, in pool
+        #: order: the only copy of each backend's depth.
+        self.depths = [0] * len(self.backends)
         #: Requests queued at or being served by any backend.
         self.outstanding = 0
-        for backend in self.backends:
+        for index, backend in enumerate(self.backends):
             backend.router = self
+            backend.index = index
 
     def close(self):
         """End the run: drop the failure callback and close every backend.
@@ -296,34 +303,41 @@ class Router:
         for backend in self.backends:
             backend.close()
 
-    def _candidates(self, exclude_id=None):
-        """Routable backends, pool order (never empty).
+    def _routable(self, exclude_id=None):
+        """Routable backends' pool indices, pool order (never empty).
 
         Prefers healthy backends other than ``exclude_id`` (the one
         that just failed the request), then any healthy backend, then —
         when every breaker is open — the whole pool: routing must still
         land somewhere, and the half-open probes find recovery.
         """
+        pool = range(len(self.backends))
         if self.health is not None:
             allowed = [
-                backend for backend in self.backends
+                index for index, backend in enumerate(self.backends)
                 if self.health.allow(backend.profile.backend_id)
             ]
         else:
-            allowed = self.backends
+            allowed = pool
         if exclude_id is not None:
             kept = [
-                backend for backend in allowed
-                if backend.profile.backend_id != exclude_id
+                index for index in allowed
+                if self.backends[index].profile.backend_id != exclude_id
             ]
             if kept:
                 return kept
-        return allowed or self.backends
+        return allowed or pool
 
     def dispatch(self, request, exclude_id=None):
         """Route to the least-loaded routable backend; returns it."""
-        # min() keeps the first of equal depths: ties go to pool order.
-        target = min(self._candidates(exclude_id), key=_DEPTH)
+        depths = self.depths
+        # Both picks keep the first of equal depths: ties go to pool
+        # order.
+        if self.health is None and exclude_id is None:
+            index = depths.index(min(depths))
+        else:
+            index = min(self._routable(exclude_id), key=depths.__getitem__)
+        target = self.backends[index]
         if self.health is not None:
             self.health.note_dispatch(target.profile.backend_id)
         if self.brownout is not None and self.brownout.update(

@@ -22,7 +22,7 @@ import math
 from array import array
 from dataclasses import asdict, dataclass, field
 
-from repro.core import percentile
+from repro.core import percentiles
 from repro.faults import (
     FAULT_SSR,
     FAULT_TIMEOUT,
@@ -577,6 +577,7 @@ def _assemble(config, backends, pool_failures, admission, offered,
             last_done_us = done_us
     elapsed_us = max(units.seconds(config.duration_s), last_done_us)
     elapsed_s = units.to_seconds(elapsed_us)
+    p50_ms, p90_ms, p99_ms = percentiles(latencies_ms, (0.50, 0.90, 0.99))
     counters = admission.counters()
     return ServiceResult(
         config=config.to_dict(),
@@ -591,9 +592,9 @@ def _assemble(config, backends, pool_failures, admission, offered,
         elapsed_ms=units.to_ms(elapsed_us),
         throughput_rps=len(completed) / elapsed_s,
         goodput_rps=met / elapsed_s,
-        p50_ms=percentile(latencies_ms, 0.50),
-        p90_ms=percentile(latencies_ms, 0.90),
-        p99_ms=percentile(latencies_ms, 0.99),
+        p50_ms=p50_ms,
+        p90_ms=p90_ms,
+        p99_ms=p99_ms,
         miss_attribution=misses,
         depth_series=depth_series,
         failed=router.failed if router is not None else 0,

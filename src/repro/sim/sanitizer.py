@@ -173,6 +173,10 @@ def audit_accounting(trace, elapsed):
     overlap itself), merged busy time may not exceed the elapsed
     simulation time, and no span may have negative duration. Returns
     ``{track: {"busy_us", "idle_us", "elapsed_us"}}``.
+
+    The busy-over-elapsed check is an argument check: merged busy time
+    is clipped to ``[0, elapsed]``, so it fires only for a negative
+    ``elapsed``.
     """
     report = {}
     for track in sorted({span.track for span in trace.spans}):

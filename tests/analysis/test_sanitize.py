@@ -145,6 +145,15 @@ def test_partially_overlapping_spans_raise():
         audit_accounting(sim.trace, 20.0)
 
 
+def test_negative_elapsed_fails_the_busy_audit():
+    # Busy time is clipped to [0, elapsed], so only a negative elapsed
+    # can leave busy above it.
+    sim = Simulator(trace=True)
+    sim.trace.record("cpu0", "work", 0.0, 10.0)
+    with pytest.raises(SanitizerError, match="busy time exceeds elapsed"):
+        audit_accounting(sim.trace, -1.0)
+
+
 def test_span_past_end_of_run_is_clipped_not_fatal():
     sim = Simulator(trace=True)
     sim.trace.record("gpu", "tail", 0.0, 30.0)

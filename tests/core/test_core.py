@@ -16,6 +16,8 @@ from repro.core import (
     ai_tax_fraction,
     breakdown,
     compare_contexts,
+    percentile,
+    percentiles,
     render_table,
     stage_category,
 )
@@ -179,3 +181,34 @@ def test_percentiles_ordered_property(totals):
     assert p10 <= p50 <= p90
     assert collection.percentile_us(0.0) <= p10
     assert p90 <= collection.percentile_us(1.0)
+
+
+FRACTIONS = (0.0, 0.1, 0.5, 0.9, 0.99, 1.0)
+
+
+@pytest.mark.parametrize("values", [[], [7.25]], ids=["empty", "one"])
+def test_percentiles_match_percentile_on_tiny_lists(values):
+    assert percentiles(values, FRACTIONS) == tuple(
+        percentile(values, fraction) for fraction in FRACTIONS
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), max_size=40
+    ),
+    fractions=st.lists(st.floats(0.0, 1.0), max_size=5),
+)
+def test_percentiles_match_percentile_bit_for_bit(values, fractions):
+    expected = tuple(percentile(values, fraction) for fraction in fractions)
+    got = percentiles(values, fractions)
+    # repr() tells -0.0 from 0.0, so this is equality bit for bit.
+    assert [repr(value) for value in got] == [
+        repr(value) for value in expected
+    ]
+
+
+def test_percentiles_check_every_fraction():
+    with pytest.raises(ValueError, match="fraction must be in"):
+        percentiles([1.0, 2.0], (0.5, 1.5))

@@ -171,6 +171,119 @@ def test_pool_depth_track_drains_to_zero_at_the_last_completion():
     assert sim.trace.counters["service:depth"][-1] == (last_done_us, 0)
 
 
+def drive_pool(profiles, arrivals_ms, fault_on=None, breakers=False):
+    """Route hand-timed requests through a hand-built pool; log each pick.
+
+    Backends batch up to two requests or 1 ms. Backend ``fault_on``
+    times out on its first batch, and with ``breakers`` that one failure
+    ejects it for 100 ms. Returns one ``(depths, exclude_id, picked)``
+    row per dispatch, redispatches included, where ``depths`` is
+    recounted from each backend's batcher and serving batch just before
+    the pick and ``picked`` is the chosen pool index.
+    """
+    from repro.faults import (
+        FAULT_TIMEOUT,
+        FaultInjector,
+        FaultPlan,
+        FaultSpec,
+    )
+    from repro.service.batcher import DynamicBatcher
+    from repro.service.health import BreakerConfig, HealthMonitor
+    from repro.service.request import Request
+    from repro.service.router import Backend, Router
+    from repro.sim import Simulator, units
+
+    sim = Simulator(seed=0)
+    monitor = HealthMonitor(
+        sim, [profile.backend_id for profile in profiles],
+        BreakerConfig(recovery_us=units.ms(100.0)),
+    ) if breakers else None
+    backends = [
+        Backend(
+            sim,
+            profile,
+            DynamicBatcher(max_batch=2, max_delay_us=units.ms(1.0)),
+            lambda request: None,
+            injector=(
+                FaultInjector(FaultPlan(
+                    specs=(FaultSpec(FAULT_TIMEOUT, at_call=0),),
+                ))
+                if profile.backend_id == fault_on else None
+            ),
+            health=monitor,
+            on_failed=lambda request: router.redispatch(request),
+        )
+        for profile in profiles
+    ]
+    router = Router(sim, backends, health=monitor)
+    picks = []
+    dispatch = router.dispatch
+
+    def logged(request, exclude_id=None):
+        depths = [
+            len(backend.batcher)
+            + (len(backend._serving[0]) if backend._serving else 0)
+            for backend in backends
+        ]
+        assert router.depths == depths
+        target = dispatch(request, exclude_id)
+        picks.append((depths, exclude_id, target.index))
+        return target
+
+    router.dispatch = logged
+    for index, at_ms in enumerate(arrivals_ms):
+        sim.schedule_callback(
+            units.ms(at_ms),
+            lambda _event, index=index: router.dispatch(
+                Request(request_id=index, arrival_us=sim.now)
+            ),
+        )
+    sim.run()
+    assert router.depths == [0] * len(backends)
+    return picks
+
+
+def test_jsq_tie_after_a_completion_goes_to_the_lowest_index():
+    from dataclasses import replace
+
+    slow, fast = synthetic_pool()
+    fast = replace(fast, inference_us=4000.0)
+    picks = drive_pool([slow, fast], [0.0] * 4 + [5.0] * 2 + [15.0])
+    assert picks == [
+        ([0, 0], None, 0), ([1, 0], None, 1),
+        ([1, 1], None, 0), ([2, 1], None, 1),
+        # Both serve a batch of two; the 5 ms arrivals queue behind it.
+        ([2, 2], None, 0), ([3, 2], None, 1),
+        # Backend 1 finished at 9.4 ms and serves its queued request;
+        # backend 0's batch completed at 14.8 ms, tying it at one.
+        ([1, 1], None, 0),
+    ]
+
+
+def test_jsq_redispatch_skips_the_failed_backend_and_breaks_ties_low():
+    picks = drive_pool(synthetic_pool(backends=3), [0.0] * 3, fault_on=0)
+    assert picks == [
+        ([0, 0, 0], None, 0), ([1, 0, 0], None, 1), ([1, 1, 0], None, 2),
+        # Backend 0's batch timed out at 11 ms: it is the shallowest but
+        # failed the request, so the tie between 1 and 2 goes to 1.
+        ([0, 1, 1], 0, 1),
+    ]
+
+
+def test_jsq_skips_an_ejected_shallowest_backend():
+    picks = drive_pool(
+        synthetic_pool(backends=3), [0.0] * 3 + [11.5] * 2,
+        fault_on=0, breakers=True,
+    )
+    assert picks == [
+        ([0, 0, 0], None, 0), ([1, 0, 0], None, 1), ([1, 1, 0], None, 2),
+        ([0, 1, 1], 0, 1),
+        # Backend 0's breaker is open: it ties backend 2 at zero but is
+        # not routable, and then ties break among 1 and 2 alone.
+        ([0, 1, 0], None, 2), ([0, 1, 1], None, 1),
+    ]
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ServiceConfig(rate_rps=0.0)
