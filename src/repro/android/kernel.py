@@ -95,6 +95,28 @@ class Kernel:
     def now(self):
         return self.sim.now
 
+    def close(self):
+        """Let go of the device's threads once the simulation is over.
+
+        Closes every unfinished thread body (its frames hold this kernel
+        and the session's objects), drops each thread's process
+        back-reference, and empties the thread, runqueue and idle-event
+        tables; an idle event's one callback is its core loop, which
+        holds the event. Call it before :meth:`Simulator.close
+        <repro.sim.Simulator.close>`: a closing body can release a
+        resource and so schedule a grant. The kernel cannot run
+        afterwards.
+        """
+        for thread in self.threads:
+            thread.body.close()
+            thread.process = None
+        self.threads.clear()
+        self._runqueue.clear()
+        for idle in self._idle_events.values():
+            if idle is not None:
+                idle.callbacks = None
+        self._idle_events.clear()
+
     def allocate_pid(self):
         """Deterministic process-id allocation, fresh per simulation.
 

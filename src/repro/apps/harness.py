@@ -4,10 +4,12 @@ Experiments and examples describe *what* to measure with a
 :class:`PipelineConfig`; the harness builds the simulator, SoC, kernel,
 packaging, and optional background load, applies the paper's cooldown
 protocol, runs it, and hands back the :class:`RunCollection`.
-:func:`build_rig` is the one place a simulated device is built, and
+:func:`build_rig` is the one place a simulated device is built,
+:func:`close_rig` the one place a finished one is freed, and
 :func:`drive` the one prepare-then-invoke loop over a bare session.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.android import Kernel
@@ -163,6 +165,35 @@ def build_packaging(kernel, config):
     )
 
 
+def close_rig(sim, soc, kernel):
+    """Free a finished device by reference counting.
+
+    Each layer breaks the references it owns: the kernel closes its
+    threads first (a closing body can release a resource and so
+    schedule a grant), then the simulator drops its queued events and
+    the SoC its core back-references. The device cannot run afterwards.
+    """
+    kernel.close()
+    sim.close()
+    soc.close()
+
+
+@contextmanager
+def simulate_pipeline(config):
+    """Simulate ``config``; yields ``(records, packaging)``, then frees the rig.
+
+    For callers that read the run and keep nothing of the device: the
+    rig is closed (:func:`close_rig`) when the block exits, and also
+    when the simulation raises, so no session is left for the cyclic
+    collector.
+    """
+    sim, soc, kernel = _build(config)
+    try:
+        yield _execute(kernel, config)
+    finally:
+        close_rig(sim, soc, kernel)
+
+
 def run_pipeline(config):
     """Simulate one configuration end to end; returns a RunCollection.
 
@@ -170,20 +201,30 @@ def run_pipeline(config):
     temperature (§III-D) and the warm-up iteration is kept in the record
     set — analyses drop it explicitly where the paper does.
     """
-    records = run_pipeline_with_rig(config)[0]
-    records.runs = list(records.runs)  # defensive copy before sim teardown
-    return records
+    with simulate_pipeline(config) as (records, _packaging):
+        return records
 
 
 def run_pipeline_with_rig(config):
     """Like :func:`run_pipeline` but also returns (sim, soc, kernel, packaging).
 
     For experiments that need the trace (Fig. 6) or hardware counters.
+    The rig is not closed, so the cyclic collector frees it later.
     """
-    sim, soc, kernel = build_rig(
+    sim, soc, kernel = _build(config)
+    records, packaging = _execute(kernel, config)
+    return records, sim, soc, kernel, packaging
+
+
+def _build(config):
+    return build_rig(
         seed=config.seed, soc=config.soc, governor=config.governor,
         trace=config.trace, ambient_celsius=config.ambient_celsius,
     )
+
+
+def _execute(kernel, config):
+    """Start the packaging and any background load; run the iterations."""
     packaging = build_packaging(kernel, config)
     if config.background is not None:
         count, bg_target = config.background
@@ -198,4 +239,4 @@ def run_pipeline_with_rig(config):
     records = packaging.execute(
         config.runs, thread_name=f"{config.context}:{config.model_key}"
     )
-    return records, sim, soc, kernel, packaging
+    return records, packaging

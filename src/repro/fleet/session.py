@@ -164,24 +164,23 @@ def simulate_session(spec):
     Pure function of the spec: same spec, same result, on any worker.
     Raises whatever the simulation raises — an un-recovered injected
     fault propagates to the caller; :func:`simulate_session_payload`
-    is the exception-capturing form the fleet runner uses.
+    is the exception-capturing form the fleet runner uses. The device
+    is freed once its records are read, or when the simulation raises.
     """
-    from repro.apps import run_pipeline_with_rig
+    from repro.apps.harness import simulate_pipeline
 
-    records, _sim, _soc, _kernel, packaging = run_pipeline_with_rig(
-        spec.to_config()
-    )
-    runs = [
-        {fieldname: getattr(run, fieldname) for fieldname in STAGE_FIELDS}
-        for run in records
-    ]
-    degradation = None
-    report = getattr(packaging.session, "degradation", None)
-    if report is not None:
-        summary = report.summary()
-        if (summary["faults"] or summary["retries"] or summary["fallbacks"]
-                or summary["compile_fallback"]):
-            degradation = summary
+    with simulate_pipeline(spec.to_config()) as (records, packaging):
+        runs = [
+            {fieldname: getattr(run, fieldname) for fieldname in STAGE_FIELDS}
+            for run in records
+        ]
+        degradation = None
+        report = getattr(packaging.session, "degradation", None)
+        if report is not None:
+            summary = report.summary()
+            if (summary["faults"] or summary["retries"]
+                    or summary["fallbacks"] or summary["compile_fallback"]):
+                degradation = summary
     return SessionResult(spec=spec, runs=runs, degradation=degradation)
 
 

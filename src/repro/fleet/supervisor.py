@@ -48,7 +48,6 @@ import hashlib
 import json
 import pathlib
 import time
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from dataclasses import dataclass
 
 from repro.fleet.session import simulate_session_payload
@@ -241,6 +240,11 @@ class Supervisor:
     # -- pooled ---------------------------------------------------------
 
     def _run_pooled(self, items, on_result):
+        # Imported here, like the pool itself: concurrent.futures loads
+        # logging and its executor base, which an in-process run and
+        # every serve or report process never use.
+        from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
+
         queue = collections.deque(
             _Entry(key, payload) for key, payload in items
         )

@@ -212,3 +212,16 @@ class Simulator:
     def peek(self):
         """Time of the next scheduled event, or infinity when idle."""
         return self._queue[0][0] if self._queue else float("inf")
+
+    def close(self):
+        """End the simulation: drop the queued events' callbacks, then the queue.
+
+        A finished run leaves core loops, governor loops and sleeping
+        threads waiting in the queue. Their callbacks are closures and
+        bound methods that reach back to this simulator, so each queued
+        event sits in a reference cycle that only the cyclic collector
+        would free. The simulator cannot run afterwards.
+        """
+        for entry in self._queue:
+            entry[3].callbacks = None
+        self._queue.clear()

@@ -57,6 +57,18 @@ class Soc:
         except KeyError:
             raise KeyError(f"no core with id {core_id}") from None
 
+    def close(self):
+        """Drop each core's cluster and thread back-references.
+
+        ``CpuCluster.cores`` and ``CpuCore.cluster`` point at each other,
+        and a core's last dispatched thread reaches the kernel and so this
+        SoC; without this the finished device waits for the cyclic
+        collector.
+        """
+        for core in self._cores:
+            core.cluster = None
+            core.current_thread = None
+
     def accelerator(self, kind):
         """Look up an accelerator by kind: ``gpu`` or ``dsp``/``npu``."""
         if kind == "gpu":

@@ -1,9 +1,10 @@
 """An in-process fleet run never loads the process-pool machinery.
 
 ``concurrent.futures.process`` brings in ``multiprocessing`` (and with
-it ``socket`` and ``subprocess``): milliseconds of import time and over
-a megabyte of memory that a ``workers=1`` run has no use for. The
-supervisor imports the pool only where it starts one.
+it ``socket`` and ``subprocess``), and ``concurrent.futures`` itself
+brings in ``logging``: milliseconds of import time and over a megabyte
+of memory that a ``workers=1`` run has no use for. The supervisor
+imports ``concurrent.futures`` only where it starts a pool.
 """
 
 import json
@@ -12,7 +13,12 @@ import pathlib
 import subprocess
 import sys
 
-POOL_MODULES = ("concurrent.futures.process", "multiprocessing")
+POOL_MODULES = (
+    "concurrent.futures",
+    "concurrent.futures.process",
+    "logging",
+    "multiprocessing",
+)
 
 PROBE = f"""
 import json, sys

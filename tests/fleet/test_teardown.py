@@ -1,0 +1,141 @@
+"""A finished session frees itself by reference counting.
+
+Each simulated session is torn down at one point, after its records
+are read or when its simulation raises: the kernel closes its threads,
+the simulator drops its queued events and the SoC its core
+back-references (``repro.apps.harness.close_rig``). Nothing is then
+left for the cyclic collector, so its timing can move neither memory
+nor the call counts a profiler sees. All runs here are unsanitized, as
+the benchmarks run them: a sanitizer and its simulator refer to each
+other.
+"""
+
+import cProfile
+import gc
+from dataclasses import replace
+
+import pytest
+
+from repro.apps import PipelineConfig, run_pipeline
+from repro.fleet import expand_population, paper_population
+from repro.fleet.session import SessionSpec, simulate_session_payload
+from repro.service import build_pool
+
+BASE = SessionSpec(
+    session_id=0, soc="sd845", model_key="mobilenet_v1", dtype="int8",
+    context="app", target="nnapi", runs=2, seed=3, ambient_celsius=33.0,
+    background=None,
+)
+
+SPECS = {
+    "cli-cpu": replace(BASE, context="cli", target="cpu", dtype="fp32"),
+    "bench_app-nnapi": replace(BASE, context="bench_app"),
+    "app-nnapi": BASE,
+    "app-cpu": replace(BASE, target="cpu"),
+    "app-gpu": replace(BASE, target="gpu", dtype="fp32"),
+    "app-hexagon": replace(BASE, target="hexagon"),
+    "app-snpe-dsp": replace(BASE, target="snpe-dsp"),
+    "background": replace(BASE, background=(2, "nnapi")),
+    # Eight CPU jobs leave two threads runnable when the app finishes.
+    "crowded-runqueue": replace(
+        BASE, target="cpu", dtype="fp32", seed=0, background=(8, "cpu")
+    ),
+    # The vendor runtime does no fault recovery: the injected fault
+    # kills the session, so it is torn down on the failure path.
+    "chaos-killed": replace(
+        BASE, context="cli", target="snpe-dsp", seed=1, fault_rate=0.5
+    ),
+}
+
+
+def garbage_after(call):
+    """What the cyclic collector finds right after ``call()``.
+
+    The first call of a kind imports modules lazily, and an import can
+    leave garbage of its own, so ``call`` runs once before the measured
+    run.
+    """
+    call()
+    while gc.collect():
+        pass
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = call()
+        found = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    return found, result
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_finished_session_frees_itself(name, monkeypatch):
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    spec = SPECS[name]
+    found, payload = garbage_after(
+        lambda: simulate_session_payload(spec.to_dict())
+    )
+    assert ("error" in payload) == (name == "chaos-killed"), payload
+    assert found == 0
+
+
+def test_pool_calibration_frees_its_sessions(monkeypatch):
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    found, (profiles, failures) = garbage_after(
+        lambda: build_pool(paper_population(), devices=2, seed=0)
+    )
+    assert len(profiles) == 2 and not failures
+    assert found == 0
+
+
+def test_run_pipeline_frees_its_rig(monkeypatch):
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    found, records = garbage_after(
+        lambda: run_pipeline(PipelineConfig(runs=2))
+    )
+    assert len(records) == 2
+    assert found == 0
+
+
+def _workload():
+    for spec in expand_population(paper_population(), 6, seed=1):
+        simulate_session_payload(spec.to_dict())
+    build_pool(paper_population(), devices=2, seed=0)
+
+
+def _call_counts(threshold):
+    """Per-function call counts of one profiled workload.
+
+    ``threshold`` is the collector's first-generation threshold; 0
+    switches automatic collection off while ``gc.isenabled()`` stays
+    true, so the run loop pauses and resumes the collector as usual.
+    Callbacks that other code hangs on the collector (hypothesis adds
+    one) run once per collection, so they are set aside meanwhile.
+    """
+    saved = gc.get_threshold()
+    callbacks = gc.callbacks[:]
+    while gc.collect():
+        pass
+    gc.callbacks.clear()
+    gc.set_threshold(threshold)
+    profiler = cProfile.Profile()
+    try:
+        profiler.runcall(_workload)
+    finally:
+        gc.set_threshold(*saved)
+        gc.callbacks[:] = callbacks
+    profiler.create_stats()
+    return {key: entry[1] for key, entry in profiler.stats.items()}
+
+
+def test_call_counts_do_not_depend_on_the_collector(monkeypatch):
+    """When the collector runs decides nothing a profiler counts: a
+    generator it closes would be charged to whatever frame it
+    interrupted."""
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    _workload()  # fill the model-graph and cost-table caches first
+    assert gc.isenabled()
+    counts = {threshold: _call_counts(threshold) for threshold in (1, 700, 0)}
+    assert counts[1] == counts[700]
+    assert counts[0] == counts[700]
