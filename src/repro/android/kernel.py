@@ -17,6 +17,11 @@ Design notes
   fallback path. Most woken cores find the work already taken, so each
   core owns one idle event and one timer and re-arms them in place: a
   wakeup that finds nothing to run, and a timeslice, allocate nothing.
+  One wake-all hands its idle events to the simulator in one
+  :meth:`~repro.sim.Simulator.schedule_now` call, and each core prices
+  its slices at a busy power fixed when its loop is built.
+* A thread owns one sleep timer, which every ``Sleep`` restarts: a
+  thread is never asleep twice at once. :meth:`Kernel.close` drops it.
 * Per-cluster DVFS governors sample window utilization; a benchmark's
   tight loop pins the top OPP while an app idling between camera frames
   ramps up and down, contributing run-to-run variability (Fig. 11).
@@ -53,6 +58,9 @@ class Kernel:
     def __init__(self, sim, soc, enable_dvfs=True, enable_thermal=False):
         self.sim = sim
         self.soc = soc
+        #: The simulator's TraceRecorder, or None; fixed at Simulator
+        #: construction. Probes given a kernel resolve it in one lookup.
+        self.trace = sim.trace
         self.threads = []
         self._runqueue = []
         self._idle_events = {}
@@ -100,7 +108,8 @@ class Kernel:
 
         Closes every unfinished thread body (its frames hold this kernel
         and the session's objects), drops each thread's process
-        back-reference, and empties the thread, runqueue and idle-event
+        back-reference and sleep timer (a scheduled timer's callback is
+        the thread), and empties the thread, runqueue and idle-event
         tables; an idle event's one callback is its core loop, which
         holds the event. Call it before :meth:`Simulator.close
         <repro.sim.Simulator.close>`: a closing body can release a
@@ -110,6 +119,7 @@ class Kernel:
         for thread in self.threads:
             thread.body.close()
             thread.process = None
+            thread._sleep_timer = None
         self.threads.clear()
         self._runqueue.clear()
         for idle in self._idle_events.values():
@@ -178,12 +188,14 @@ class Kernel:
             self._enqueue(thread)
         elif isinstance(request, Sleep):
             thread.state = BLOCKED
-            timeout = Timeout(
-                self.sim, request.duration_us, name=thread._sleep_name
-            )
-            timeout.callbacks.append(
-                lambda _event: self._advance(thread, None)
-            )
+            timer = thread._sleep_timer
+            if timer is None:
+                timer = thread._sleep_timer = Timeout(
+                    self.sim, request.duration_us, name=thread._sleep_name
+                )
+                timer.callbacks.append(thread._wake)
+            else:
+                timer.restart(request.duration_us, thread._wake)
         elif isinstance(request, WaitFor):
             thread.state = BLOCKED
             event = request.event
@@ -254,14 +266,16 @@ class Kernel:
         if len(eligible) > 1:
             self._rng.shuffle(eligible)
             eligible.sort(key=self._neg_perf.__getitem__)
-        schedule = self.sim._schedule
+        woken = []
         for core_id in eligible:
             event = idle_events[core_id]
             idle_events[core_id] = None
-            # Inlined event.succeed() with no value: idle events are
-            # re-armed PENDING by the core loop and only triggered here.
+            # Inlined event.succeed() with no value, scheduled below in
+            # one batch: idle events are re-armed PENDING by the core
+            # loop and only triggered here.
             event._state = TRIGGERED
-            schedule(event)
+            woken.append(event)
+        self.sim.schedule_now(woken)
 
     # -- periodic services ----------------------------------------------
 
@@ -341,7 +355,7 @@ class _CoreLoop:
     __slots__ = (
         "kernel", "sim", "trace", "core", "core_id", "runqueue",
         "idle_events", "cluster", "governor", "opp_max_khz", "perf_index",
-        "faster_cores", "add_cpu_slice", "context_switch_us",
+        "faster_cores", "add_cpu_slice", "busy_w", "context_switch_us",
         "migration_penalty_us", "timeslice_us", "_idle", "_timer",
         "_state", "_thread", "_slice_work", "_duration", "_span",
     )
@@ -361,7 +375,9 @@ class _CoreLoop:
         self.opp_max_khz = cluster.governor.opp.max_khz
         self.perf_index = core.perf_index
         self.faster_cores = kernel._faster_cores[core.core_id]
-        self.add_cpu_slice = kernel.soc.energy.add_cpu_slice
+        energy = kernel.soc.energy
+        self.add_cpu_slice = energy.add_cpu_slice
+        self.busy_w = energy.core_busy_w(core)
         self.context_switch_us = params.CONTEXT_SWITCH_US
         self.migration_penalty_us = params.MIGRATION_PENALTY_US
         self.timeslice_us = params.TIMESLICE_US
@@ -491,8 +507,9 @@ class _CoreLoop:
                 # *now* (slice end) — the governor may have stepped
                 # mid-slice, so this is not the fraction used for speed.
                 self.add_cpu_slice(
-                    core, duration, thread.current_label or thread.name,
+                    self.busy_w, duration,
                     self.governor.current_khz / self.opp_max_khz,
+                    thread.current_label or thread.name,
                 )
                 kernel._total_busy += duration
                 if thread.remaining_work <= 1e-9:

@@ -25,27 +25,30 @@ BLOCKED = "blocked"
 DONE = "done"
 
 
-@dataclass(frozen=True)
 class Work:
     """Consume CPU: ``ref_us`` microseconds on the reference core."""
 
-    ref_us: float
-    label: str = "work"
+    # A plain slotted class, not a frozen dataclass: a session builds
+    # hundreds of these, and the dataclass __init__ pays one
+    # object.__setattr__ per field plus a __post_init__ call.
+    __slots__ = ("ref_us", "label")
 
-    def __post_init__(self):
-        if self.ref_us < 0:
-            raise ValueError(f"negative work: {self.ref_us}")
+    def __init__(self, ref_us, label="work"):
+        if ref_us < 0:
+            raise ValueError(f"negative work: {ref_us}")
+        self.ref_us = ref_us
+        self.label = label
 
 
-@dataclass(frozen=True)
 class Sleep:
     """Block off-CPU for a fixed wall-time duration."""
 
-    duration_us: float
+    __slots__ = ("duration_us",)
 
-    def __post_init__(self):
-        if self.duration_us < 0:
-            raise ValueError(f"negative sleep: {self.duration_us}")
+    def __init__(self, duration_us):
+        if duration_us < 0:
+            raise ValueError(f"negative sleep: {duration_us}")
+        self.duration_us = duration_us
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,7 @@ class SimThread:
         "kernel", "body", "name", "tid", "nice", "affinity", "process",
         "state", "vruntime", "last_core_id", "remaining_work",
         "current_label", "penalty_work", "stats", "done", "weight",
-        "_sleep_name",
+        "_sleep_name", "_sleep_timer",
     )
 
     def __init__(self, kernel, body, name, nice=0, affinity=None, process=None):
@@ -93,14 +96,18 @@ class SimThread:
         self.weight = params.NICE_WEIGHT_STEP ** (-nice)
         #: Label reused by every Sleep the body issues (see Kernel._advance).
         self._sleep_name = name + ":sleep"
+        #: The one Timeout every Sleep restarts: a thread sleeps at most
+        #: once at a time. Created by the first Sleep.
+        self._sleep_timer = None
         #: Event triggered with the body's return value when it finishes.
         self.done = kernel.sim.event(name=f"{name}:done")
 
     def can_run_on(self, core):
         return self.affinity is None or core.core_id in self.affinity
 
-    def runnable(self):
-        return self.state == RUNNABLE
+    def _wake(self, _timer):
+        """Sleep timer callback: run the body to its next request."""
+        self.kernel._advance(self, None)
 
     def __repr__(self):
         return f"<SimThread {self.name} tid={self.tid} state={self.state}>"

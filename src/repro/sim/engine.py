@@ -5,6 +5,8 @@ heap of ``(time, priority, sequence, event)`` entries; :meth:`Simulator.run`
 pops and dispatches in one loop with local bindings, because it retires
 tens of thousands of events per simulated session. That one loop serves
 every run mode: a drain, a time bound and a stop-on-event.
+:meth:`Simulator.schedule_now` pushes a batch of triggered events in one
+call, for the kernel's wake-all.
 """
 
 import gc
@@ -100,6 +102,25 @@ class Simulator:
             self.sanitizer.on_schedule(time, priority, self._sequence, event)
         heappush(self._queue, (time, priority, self._sequence, event))
         self._sequence += 1
+
+    def schedule_now(self, events):
+        """Schedule already-triggered ``events`` at the current time, in order.
+
+        Equivalent to ``_schedule(event)`` for each event in turn: normal
+        priority, consecutive sequence numbers and one sanitizer hook per
+        event, in one call. The kernel's wake-all uses it to wake every
+        eligible idle core for one runnable thread.
+        """
+        queue = self._queue
+        time = self.now + 0.0  # the float _schedule's ``now + delay`` gives
+        sequence = self._sequence
+        sanitizer = self.sanitizer
+        for event in events:
+            if sanitizer is not None:
+                sanitizer.on_schedule(time, 1, sequence, event)
+            heappush(queue, (time, 1, sequence, event))
+            sequence += 1
+        self._sequence = sequence
 
     def bootstrap(self, name, callback):
         """Run ``callback(event)`` at the current time, before normal events.

@@ -37,14 +37,22 @@ dict (``begin`` copies it into the span, so spans never alias it).
 
 
 def _recorder(owner):
-    """TraceRecorder for ``owner`` (recorder/Simulator/Kernel), or None."""
+    """TraceRecorder for ``owner`` (recorder/Simulator/Kernel), or None.
+
+    A Simulator or Kernel carries its recorder, or None when untraced,
+    as ``.trace``, so an untraced probe makes one attribute lookup.
+    """
     if owner is None:
         return None
+    try:
+        trace = owner.trace
+    except AttributeError:
+        pass
+    else:
+        if trace is None or hasattr(trace, "begin"):
+            return trace
     if hasattr(owner, "begin"):  # already a TraceRecorder
         return owner
-    trace = getattr(owner, "trace", None)
-    if trace is not None and hasattr(trace, "begin"):
-        return trace
     sim = getattr(owner, "sim", None)
     if sim is not None:
         return sim.trace

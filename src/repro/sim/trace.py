@@ -107,21 +107,12 @@ class TraceRecorder:
         """
         lo = 0.0 if start is None else start
         hi = self.sim.now if end is None else end
-        if hi <= lo:
-            return 0.0
-        intervals = sorted(
-            (max(span.start, lo), min(span.end, hi))
-            for span in self.spans_on(track)
-            if span.closed and span.end > lo and span.start < hi
-        )
-        busy = 0.0
-        cursor = lo
-        for span_start, span_end in intervals:
-            if span_end <= cursor:
-                continue
-            busy += span_end - max(span_start, cursor)
-            cursor = max(cursor, span_end)
-        return busy / (hi - lo)
+        return _covered_fraction(self._closed_spans_on(track), lo, hi)
+
+    def _closed_spans_on(self, track):
+        return [
+            span for span in self.spans if span.track == track and span.closed
+        ]
 
     def counter_total(self, name):
         """Sum of all samples for a counter (e.g. total context switches)."""
@@ -130,11 +121,32 @@ class TraceRecorder:
     def timeline(self, track, bucket_us, start=0.0, end=None):
         """Per-bucket utilization list — the raw series behind Fig. 6 rows."""
         hi = self.sim.now if end is None else end
+        # Filter the track once; each bucket then scans only its spans.
+        spans = self._closed_spans_on(track)
         buckets = []
         cursor = start
         while cursor < hi:
             buckets.append(
-                self.utilization(track, cursor, min(cursor + bucket_us, hi))
+                _covered_fraction(spans, cursor, min(cursor + bucket_us, hi))
             )
             cursor += bucket_us
         return buckets
+
+
+def _covered_fraction(spans, lo, hi):
+    """Fraction of ``[lo, hi)`` covered by the union of closed ``spans``."""
+    if hi <= lo:
+        return 0.0
+    intervals = sorted(
+        (max(span.start, lo), min(span.end, hi))
+        for span in spans
+        if span.end > lo and span.start < hi
+    )
+    busy = 0.0
+    cursor = lo
+    for span_start, span_end in intervals:
+        if span_end <= cursor:
+            continue
+        busy += span_end - max(span_start, cursor)
+        cursor = max(cursor, span_end)
+    return busy / (hi - lo)

@@ -56,6 +56,10 @@ class OppTable:
         candidates = [f for f in self.frequencies_khz if f <= limit]
         return candidates[-1] if candidates else self.min_khz
 
+    def nearest(self, khz):
+        """The level closest to ``khz``; the lower one on a tie."""
+        return min(self.frequencies_khz, key=lambda f: abs(f - khz))
+
     def step_towards(self, current, target):
         """Move one OPP step from ``current`` towards ``target``.
 
@@ -65,8 +69,7 @@ class OppTable:
         levels = self.frequencies_khz
         index = self._index_by_khz.get(current)
         if index is None:
-            # Snap to the nearest level first.
-            current = min(levels, key=lambda f: abs(f - current))
+            current = self.nearest(current)
             index = self._index_by_khz[current]
         if target > current and index + 1 < len(levels):
             return levels[index + 1]
@@ -108,8 +111,22 @@ class DvfsGovernor:
         elif self.mode == "powersave":
             self.current_khz = self.opp.min_khz
         else:
-            target = self.opp.for_capacity(utilization * self.headroom)
-            self.current_khz = self.opp.step_towards(self.current_khz, target)
+            # OppTable.for_capacity, then one step_towards, in one frame:
+            # this runs every governor window on every cluster.
+            opp = self.opp
+            levels = opp.frequencies_khz
+            fraction = max(0.0, min(1.0, utilization * self.headroom))
+            target = levels[bisect_left(levels, fraction * levels[-1])]
+            current = self.current_khz
+            index = opp._index_by_khz.get(current)
+            if index is None:
+                current = opp.nearest(current)
+                index = opp._index_by_khz[current]
+            if target > current and index + 1 < len(levels):
+                current = levels[index + 1]
+            elif target < current and index > 0:
+                current = levels[index - 1]
+            self.current_khz = current
         if self.max_fraction < 1.0:
             self.current_khz = min(
                 self.current_khz, self.opp.ceiling_for(self.max_fraction)

@@ -42,12 +42,6 @@ class EnergyMeter:
     dram_uj: float = 0.0
     #: Per-thread-label attribution of CPU energy.
     by_label: dict = field(default_factory=dict)
-    #: Busy-power class per core id; a core's cluster membership and
-    #: perf index never change, so the little-vs-big test in
-    #: :meth:`add_cpu_slice` is resolved once per core.
-    _busy_w_by_core: dict = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     @property
     def total_uj(self):
@@ -55,24 +49,25 @@ class EnergyMeter:
 
     # Watts * microseconds == microjoules (units.uj_from_w_us).
 
-    def add_cpu_slice(self, core, duration_us, label=None, fraction=None):
-        """Energy for one scheduler slice on ``core`` at its current OPP.
+    @staticmethod
+    def core_busy_w(core):
+        """Dynamic power of ``core`` fully busy at its top OPP (watts).
 
-        ``fraction`` lets the scheduler pass the OPP speed fraction it
-        already computed for the slice instead of re-deriving it here
-        (the value is identical: ``current_khz / max_khz``).
+        A core's cluster and perf index never change, so the scheduler
+        fixes this once per core and passes it with every slice.
         """
-        if fraction is None:
-            fraction = core.cluster.governor.speed_fraction
-        busy_w = self._busy_w_by_core.get(core.core_id)
-        if busy_w is None:
-            if core.cluster.name == "little" or core.perf_index < 0.6:
-                busy_w = LITTLE_CORE_BUSY_W
-            else:
-                busy_w = BIG_CORE_BUSY_W
-            self._busy_w_by_core[core.core_id] = busy_w
-        power_w = busy_w * fraction ** 3
-        energy = units.uj_from_w_us(power_w, duration_us)
+        if core.cluster.name == "little" or core.perf_index < 0.6:
+            return LITTLE_CORE_BUSY_W
+        return BIG_CORE_BUSY_W
+
+    def add_cpu_slice(self, busy_w, duration_us, fraction, label=None):
+        """Energy for one scheduler slice on a core at OPP speed ``fraction``.
+
+        ``busy_w`` is the core's :meth:`core_busy_w` and ``fraction`` its
+        ``current_khz / max_khz``; the slice draws ``busy_w * fraction
+        ** 3`` watts.
+        """
+        energy = units.uj_from_w_us(busy_w * fraction ** 3, duration_us)
         self.cpu_uj += energy
         if label is not None:
             self.by_label[label] = self.by_label.get(label, 0.0) + energy

@@ -207,6 +207,16 @@ def test_bad_yield_type_raises():
         kernel.spawn(bad(), name="bad")
 
 
+@pytest.mark.parametrize(
+    "request_type, message",
+    [(Work, "negative work: -1.0"), (Sleep, "negative sleep: -1.0")],
+)
+def test_negative_request_raises(request_type, message):
+    with pytest.raises(ValueError, match=message):
+        request_type(-1.0)
+    request_type(0.0)  # zero is a valid, empty request
+
+
 def test_deterministic_given_seed():
     finish_times = []
     for _ in range(2):

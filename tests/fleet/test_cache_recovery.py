@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import re
 
 import pytest
 
@@ -16,6 +17,17 @@ def make_cache(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     key = "ab" + "0" * 62
     return cache, key
+
+
+def test_cache_path_that_is_a_file_is_rejected(tmp_path):
+    path = tmp_path / "cache"
+    path.write_text("not a directory")
+    with pytest.raises(
+        ValueError,
+        match=re.escape(f"cache path exists and is not a directory: {path}"),
+    ):
+        ResultCache(path)
+    assert path.read_text() == "not a directory"
 
 
 def test_torn_json_entry_is_a_miss_and_gets_removed(tmp_path):

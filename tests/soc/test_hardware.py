@@ -96,6 +96,21 @@ def test_opp_table_validation_and_lookup():
     assert table.step_towards(1_000, 1_000) == 1_000
 
 
+def test_schedutil_update_steps_once_towards_the_capacity_level():
+    # update() computes for_capacity and step_towards in one frame; it
+    # must agree with them, off-table frequencies (snapped to the
+    # nearest level, the lower one on a tie) and clamped inputs included.
+    table = OppTable((500, 1_000, 2_000))
+    for start in (10, 500, 600, 750, 1_000, 1_700, 2_000, 9_000):
+        for utilization in (-0.5, 0.0, 0.2, 0.4, 0.5, 0.79, 0.8, 1.0, 3.0):
+            governor = DvfsGovernor(table, current_khz=start)
+            expected = table.step_towards(
+                start, table.for_capacity(utilization * governor.headroom)
+            )
+            assert governor.update(utilization) == expected
+            assert governor.current_khz == expected
+
+
 def test_governor_modes():
     table = OppTable((500, 1_000, 2_000))
     performance = DvfsGovernor(table, mode="performance")

@@ -46,7 +46,9 @@ def test_meter_accumulates_components():
     sim = Simulator()
     soc = make_soc(sim, "sd845", governor_mode="performance")
     core = soc.big_cores[0]
-    added = meter.add_cpu_slice(core, 1_000.0, label="x")
+    added = meter.add_cpu_slice(
+        EnergyMeter.core_busy_w(core), 1_000.0, 1.0, label="x"
+    )
     assert added == pytest.approx(BIG_CORE_BUSY_W * 1_000.0)
     meter.add_gpu_busy(100.0)
     meter.add_dsp_busy(100.0)
@@ -61,8 +63,12 @@ def test_little_core_cheaper_than_big():
     meter = EnergyMeter()
     sim = Simulator()
     soc = make_soc(sim, "sd845", governor_mode="performance")
-    big = meter.add_cpu_slice(soc.big_cores[0], 1_000.0)
-    little = meter.add_cpu_slice(soc.little_cores[0], 1_000.0)
+    big = meter.add_cpu_slice(
+        EnergyMeter.core_busy_w(soc.big_cores[0]), 1_000.0, 1.0
+    )
+    little = meter.add_cpu_slice(
+        EnergyMeter.core_busy_w(soc.little_cores[0]), 1_000.0, 1.0
+    )
     assert little == pytest.approx(LITTLE_CORE_BUSY_W * 1_000.0)
     assert big > 4 * little
 
@@ -73,7 +79,9 @@ def test_downclocked_core_draws_cubic_power():
     soc = make_soc(sim, "sd845", governor_mode="powersave")
     soc.big_cluster.governor.update(1.0)
     fraction = soc.big_cluster.governor.speed_fraction
-    energy = meter.add_cpu_slice(soc.big_cores[0], 1_000.0)
+    energy = meter.add_cpu_slice(
+        EnergyMeter.core_busy_w(soc.big_cores[0]), 1_000.0, fraction
+    )
     assert energy == pytest.approx(
         BIG_CORE_BUSY_W * fraction ** 3 * 1_000.0
     )

@@ -151,13 +151,21 @@ def test_compare_experiments_flags_drift():
     assert findings == [(1, "b", 2.5, 99.0)]
 
 
-def test_compare_experiments_validates_identity():
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("experiment_id", "figY", "^experiment mismatch: figX vs figY$"),
+        ("headers", ["a", "c"], "^headers changed between baseline and current$"),
+    ],
+    ids=["experiment_id", "headers"],
+)
+def test_compare_experiments_validates_identity(key, value, message):
     from repro.core.export import compare_experiments, experiment_to_dict
 
     baseline = experiment_to_dict(make_result())
     other = experiment_to_dict(make_result())
-    other["experiment_id"] = "figY"
-    with pytest.raises(ValueError, match="experiment mismatch"):
+    other[key] = value
+    with pytest.raises(ValueError, match=message):
         compare_experiments(baseline, other)
 
 
