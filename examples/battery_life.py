@@ -11,7 +11,7 @@ Run:  python examples/battery_life.py
 """
 
 from repro.apps import make_session
-from repro.apps.harness import build_rig
+from repro.apps.harness import rig
 from repro.core.report import render_table
 from repro.models import load_model
 from repro.soc.power import idle_floor_uj
@@ -25,30 +25,30 @@ TARGET_FPS = 30.0
 
 def measure_soc_power(target, dtype, frames=30, seed=0):
     """Average SoC power (W) for the inference workload at 30 fps."""
-    sim, soc, kernel = build_rig(seed=seed)
-    model = load_model("mobilenet_v1", dtype)
-    session = make_session(kernel, model, target=target)
-    frame_interval_us = 1e6 / TARGET_FPS
+    with rig(seed=seed) as (sim, soc, kernel):
+        model = load_model("mobilenet_v1", dtype)
+        session = make_session(kernel, model, target=target)
+        frame_interval_us = 1e6 / TARGET_FPS
 
-    def body():
-        from repro.android.thread import Sleep
+        def body():
+            from repro.android.thread import Sleep
 
-        yield from session.prepare()
-        while kernel.now < frames * frame_interval_us:
-            start = kernel.now
-            yield from session.invoke()
-            remaining = frame_interval_us - (kernel.now - start)
-            if remaining > 0:
-                yield Sleep(remaining)
+            yield from session.prepare()
+            while kernel.now < frames * frame_interval_us:
+                start = kernel.now
+                yield from session.invoke()
+                remaining = frame_interval_us - (kernel.now - start)
+                if remaining > 0:
+                    yield Sleep(remaining)
 
-    thread = kernel.spawn_on_big(body(), name="workload")
-    snapshot = soc.energy.snapshot()
-    start_us = sim.now
-    sim.run(until=thread.done)
-    window_us = sim.now - start_us
-    active_uj = soc.energy.since(snapshot)["total_uj"]
-    idle_uj = idle_floor_uj(len(soc.cores), window_us)
-    return (active_uj + idle_uj) / window_us  # uJ/us == W
+        thread = kernel.spawn_on_big(body(), name="workload")
+        snapshot = soc.energy.snapshot()
+        start_us = sim.now
+        sim.run(until=thread.done)
+        window_us = sim.now - start_us
+        active_uj = soc.energy.since(snapshot)["total_uj"]
+        idle_uj = idle_floor_uj(len(soc.cores), window_us)
+        return (active_uj + idle_uj) / window_us  # uJ/us == W
 
 
 def main():

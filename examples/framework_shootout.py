@@ -10,7 +10,7 @@ Run:  python examples/framework_shootout.py
 """
 
 from repro.apps import make_session
-from repro.apps.harness import build_rig, drive
+from repro.apps.harness import drive, rig
 from repro.core.report import render_table
 from repro.frameworks import NnapiSession, UnsupportedModelError
 from repro.models import load_model, model_card
@@ -20,10 +20,10 @@ TARGETS = ("hexagon", "cpu", "cpu1", "nnapi", "snpe-dsp")
 
 
 def measure(model_key, target, invokes=6, seed=0):
-    _sim, _soc, kernel = build_rig(seed=seed, governor="performance")
-    model = load_model(model_key, "int8")
-    session = make_session(kernel, model, target=target)
-    warm = drive(kernel, session, invokes, name="shootout")[1:]
+    with rig(seed=seed, governor="performance") as (_sim, _soc, kernel):
+        model = load_model(model_key, "int8")
+        session = make_session(kernel, model, target=target)
+        warm = drive(kernel, session, invokes, name="shootout")[1:]
     return sum(warm) / len(warm) / 1000.0, session
 
 

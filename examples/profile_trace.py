@@ -28,27 +28,27 @@ SCENARIOS = ("fig6-cpu", "fig6-hexagon", "fig6-nnapi")
 def main(output_dir="."):
     output = pathlib.Path(output_dir)
     for scenario in SCENARIOS:
-        session = record_trace(scenario)
-        sim, soc, trace = session.sim, session.soc, session.sim.trace
-        target = session.config.target
-        tracks = [core.name for core in soc.big_cores] + ["cdsp"]
-        timelines = {
-            track: trace.timeline(track, bucket_us=10_000.0)
-            for track in tracks
-        }
-        print(f"-- {target} ({sim.now / 1000:.0f} ms simulated) --")
-        print(profile_strips(timelines, order=tracks, width=60))
-        print(
-            f"   migrations={trace.counter_total('migration')} "
-            f"ctx_switches={trace.counter_total('ctx_switch')} "
-            f"axi={trace.counter_total('axi_bytes') / 1e6:.2f} MB"
-        )
-        print(summarize_trace(trace, tracks=("pipeline",)).render(top=4))
-        path = output / f"trace_{target}.json"
-        events = write_chrome_trace(
-            trace, path, process_name=f"repro:{target}"
-        )
-        print(f"   wrote {path} ({events} events)\n")
+        with record_trace(scenario) as session:
+            sim, soc, trace = session.sim, session.soc, session.sim.trace
+            target = session.config.target
+            tracks = [core.name for core in soc.big_cores] + ["cdsp"]
+            timelines = {
+                track: trace.timeline(track, bucket_us=10_000.0)
+                for track in tracks
+            }
+            print(f"-- {target} ({sim.now / 1000:.0f} ms simulated) --")
+            print(profile_strips(timelines, order=tracks, width=60))
+            print(
+                f"   migrations={trace.counter_total('migration')} "
+                f"ctx_switches={trace.counter_total('ctx_switch')} "
+                f"axi={trace.counter_total('axi_bytes') / 1e6:.2f} MB"
+            )
+            print(summarize_trace(trace, tracks=("pipeline",)).render(top=4))
+            path = output / f"trace_{target}.json"
+            events = write_chrome_trace(
+                trace, path, process_name=f"repro:{target}"
+            )
+            print(f"   wrote {path} ({events} events)\n")
     print("Open the JSON files at chrome://tracing or ui.perfetto.dev")
     print("(docs/tracing.md walks through reading them)")
 

@@ -309,17 +309,6 @@ class Kernel:
         """Kernel round trip plus optional in-kernel work."""
         yield Work(params.IOCTL_US + work_us, label=label)
 
-    def binder_call(self, service_work_us=0.0, label="binder"):
-        """Synchronous binder transaction to a system service.
-
-        The caller blocks while the remote service does its work; only
-        the transaction overhead is charged to the calling thread.
-        """
-        yield Work(params.BINDER_CALL_US / 2, label=f"{label}:send")
-        if service_work_us > 0:
-            yield Sleep(service_work_us)
-        yield Work(params.BINDER_CALL_US / 2, label=f"{label}:recv")
-
 
 class _CoreLoop:
     """Dispatch loop for one core, written as a callback state machine.

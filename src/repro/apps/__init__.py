@@ -22,11 +22,7 @@ from repro.apps.arrivals import (
     make_arrivals,
 )
 from repro.apps.background import start_background_inferences
-from repro.apps.harness import (
-    PipelineConfig,
-    run_pipeline,
-    run_pipeline_with_rig,
-)
+from repro.apps.harness import PipelineConfig, run_pipeline
 from repro.apps.packaging import AndroidApp, BenchmarkApp, BenchmarkCli
 from repro.apps.sessions import make_session
 
@@ -41,6 +37,5 @@ __all__ = [
     "PoissonArrivals",
     "make_arrivals",
     "run_pipeline",
-    "run_pipeline_with_rig",
     "make_session",
 ]

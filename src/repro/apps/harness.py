@@ -4,9 +4,8 @@ Experiments and examples describe *what* to measure with a
 :class:`PipelineConfig`; the harness builds the simulator, SoC, kernel,
 packaging, and optional background load, applies the paper's cooldown
 protocol, runs it, and hands back the :class:`RunCollection`.
-:func:`build_rig` is the one place a simulated device is built,
-:func:`close_rig` the one place a finished one is freed, and
-:func:`drive` the one prepare-then-invoke loop over a bare session.
+:func:`rig` is the one place a simulated device is built and freed,
+and :func:`drive` the one prepare-then-invoke loop over a bare session.
 """
 
 from contextlib import contextmanager
@@ -89,14 +88,24 @@ def config_to_dict(config):
     return dataclasses.asdict(config)
 
 
-def build_rig(seed=0, soc="sd845", governor="schedutil", trace=False,
-              enable_thermal=False, ambient_celsius=None,
-              dsp_coupling="loose"):
-    """A simulated device: ``(sim, soc, kernel)``.
+@contextmanager
+def rig(seed=0, soc="sd845", governor="schedutil", trace=False,
+        enable_thermal=False, ambient_celsius=None, dsp_coupling="loose"):
+    """A simulated device ``(sim, soc, kernel)``, freed when the block exits.
 
     DVFS loops run only under ``schedutil``; the other governors hold
     their clusters at a fixed operating point. ``ambient_celsius``
     starts the die warm instead of at its idle temperature.
+
+    On exit, also when the block raises, each layer breaks the
+    references it owns, so nothing is left for the cyclic collector:
+    the kernel closes its threads first (a closing body can release a
+    resource and so schedule a grant, and a body suspended inside a
+    probe ends that span), then the simulator drops its queued events
+    and its trace recorder's back-reference, and the SoC its core
+    back-references. Read the device inside the block: it cannot run
+    afterwards, and a trace query that defaults to the current time
+    raises.
     """
     sim = Simulator(seed=seed, trace=trace)
     device = make_soc(
@@ -109,7 +118,12 @@ def build_rig(seed=0, soc="sd845", governor="schedutil", trace=False,
         sim, device, enable_dvfs=(governor == "schedutil"),
         enable_thermal=enable_thermal,
     )
-    return sim, device, kernel
+    try:
+        yield sim, device, kernel
+    finally:
+        kernel.close()
+        sim.close()
+        device.close()
 
 
 def drive(kernel, session, invokes, name="driver"):
@@ -165,33 +179,34 @@ def build_packaging(kernel, config):
     )
 
 
-def close_rig(sim, soc, kernel):
-    """Free a finished device by reference counting.
-
-    Each layer breaks the references it owns: the kernel closes its
-    threads first (a closing body can release a resource and so
-    schedule a grant), then the simulator drops its queued events and
-    the SoC its core back-references. The device cannot run afterwards.
-    """
-    kernel.close()
-    sim.close()
-    soc.close()
-
-
 @contextmanager
 def simulate_pipeline(config):
-    """Simulate ``config``; yields ``(records, packaging)``, then frees the rig.
+    """Simulate ``config`` in a :func:`rig`; yields ``(records, packaging)``.
 
-    For callers that read the run and keep nothing of the device: the
-    rig is closed (:func:`close_rig`) when the block exits, and also
-    when the simulation raises, so no session is left for the cyclic
-    collector.
+    Starts the packaging and any background load, then runs the
+    iterations. The device is freed when the block exits, so read it
+    there: ``packaging.kernel`` is the kernel, and ``kernel.sim`` and
+    ``kernel.soc`` the rest of the device.
     """
-    sim, soc, kernel = _build(config)
-    try:
-        yield _execute(kernel, config)
-    finally:
-        close_rig(sim, soc, kernel)
+    with rig(
+        seed=config.seed, soc=config.soc, governor=config.governor,
+        trace=config.trace, ambient_celsius=config.ambient_celsius,
+    ) as (_sim, _soc, kernel):
+        packaging = build_packaging(kernel, config)
+        if config.background is not None:
+            count, bg_target = config.background
+            start_background_inferences(
+                kernel,
+                count,
+                target=bg_target,
+                model_key=config.background_model,
+                dtype=config.background_dtype,
+                threads=config.background_threads,
+            )
+        records = packaging.execute(
+            config.runs, thread_name=f"{config.context}:{config.model_key}"
+        )
+        yield records, packaging
 
 
 def run_pipeline(config):
@@ -203,40 +218,3 @@ def run_pipeline(config):
     """
     with simulate_pipeline(config) as (records, _packaging):
         return records
-
-
-def run_pipeline_with_rig(config):
-    """Like :func:`run_pipeline` but also returns (sim, soc, kernel, packaging).
-
-    For experiments that need the trace (Fig. 6) or hardware counters.
-    The rig is not closed, so the cyclic collector frees it later.
-    """
-    sim, soc, kernel = _build(config)
-    records, packaging = _execute(kernel, config)
-    return records, sim, soc, kernel, packaging
-
-
-def _build(config):
-    return build_rig(
-        seed=config.seed, soc=config.soc, governor=config.governor,
-        trace=config.trace, ambient_celsius=config.ambient_celsius,
-    )
-
-
-def _execute(kernel, config):
-    """Start the packaging and any background load; run the iterations."""
-    packaging = build_packaging(kernel, config)
-    if config.background is not None:
-        count, bg_target = config.background
-        start_background_inferences(
-            kernel,
-            count,
-            target=bg_target,
-            model_key=config.background_model,
-            dtype=config.background_dtype,
-            threads=config.background_threads,
-        )
-    records = packaging.execute(
-        config.runs, thread_name=f"{config.context}:{config.model_key}"
-    )
-    return records, packaging

@@ -274,28 +274,28 @@ def _cmd_trace(args):
     )
 
     _enable_sanitizer_if_requested(args)
-    session = record_trace(
+    with record_trace(
         args.scenario, runs=args.runs, seed=args.seed, soc=args.soc
-    )
-    trace = session.sim.trace
-    if session.sim.sanitizer is not None:
-        audit = session.sim.sanitizer.audit()
-        print(
-            f"sanitizer: {audit['events']} events, {audit['ties']} tie "
-            f"groups, digest {audit['digest'][:16]}..., "
-            f"{len(audit['tracks'])} hardware tracks conserve busy+idle"
+    ) as session:
+        trace = session.sim.trace
+        if session.sim.sanitizer is not None:
+            audit = session.sim.sanitizer.audit()
+            print(
+                f"sanitizer: {audit['events']} events, {audit['ties']} tie "
+                f"groups, digest {audit['digest'][:16]}..., "
+                f"{len(audit['tracks'])} hardware tracks conserve busy+idle"
+            )
+        print(summarize_trace(trace).render(top=args.top))
+        events = write_chrome_trace(
+            trace,
+            args.out,
+            process_name=f"repro:{args.scenario}",
+            min_dur_us=args.min_dur_us,
         )
-    print(summarize_trace(trace).render(top=args.top))
-    events = write_chrome_trace(
-        trace,
-        args.out,
-        process_name=f"repro:{args.scenario}",
-        min_dur_us=args.min_dur_us,
-    )
-    print(
-        f"\nwrote {args.out} ({events} events, "
-        f"{units.to_ms(session.sim.now):.1f} ms simulated)"
-    )
+        print(
+            f"\nwrote {args.out} ({events} events, "
+            f"{units.to_ms(session.sim.now):.1f} ms simulated)"
+        )
     print("open it at https://ui.perfetto.dev or chrome://tracing")
     return 0
 
@@ -527,7 +527,8 @@ def _sanitize_scenario(name, runs=None, seed=None, sessions=4):
             )
     elif name in SCENARIOS:
         def scenario():
-            record_trace(name, runs=runs, seed=seed)
+            with record_trace(name, runs=runs, seed=seed):
+                pass
     elif name in REGISTRY:
         def scenario():
             run_experiment(name)

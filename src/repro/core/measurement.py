@@ -9,7 +9,6 @@ from repro.core.taxonomy import (
     STAGE_POST,
     STAGE_PRE,
 )
-from repro.sim import units
 
 
 @dataclass
@@ -55,17 +54,6 @@ class PipelineRun:
             return mapping[stage]
         except KeyError:
             raise KeyError(f"unknown stage {stage!r}") from None
-
-    def as_ms(self):
-        """Dict of stage -> milliseconds, for reports."""
-        return {
-            "capture": units.to_ms(self.capture_us),
-            "pre": units.to_ms(self.pre_us),
-            "inference": units.to_ms(self.inference_us),
-            "post": units.to_ms(self.post_us),
-            "other": units.to_ms(self.other_us),
-            "total": units.to_ms(self.total_us),
-        }
 
 
 def _mean(values):
@@ -136,19 +124,9 @@ class RunCollection:
     def mean_us(self, attribute="total_us"):
         return _mean(self._values(attribute))
 
-    def median_us(self, attribute="total_us"):
-        return _percentile(sorted(self._values(attribute)), 0.5)
-
     def percentile_us(self, fraction, attribute="total_us"):
         _check_fraction(fraction)
         return _percentile(sorted(self._values(attribute)), fraction)
-
-    def std_us(self, attribute="total_us"):
-        values = self._values(attribute)
-        if len(values) < 2:
-            return 0.0
-        mean = _mean(values)
-        return math.sqrt(sum((v - mean) ** 2 for v in values) / (len(values) - 1))
 
     def mean_run(self):
         """A synthetic run whose stages are the per-stage means."""

@@ -8,7 +8,7 @@
 
 from repro.android import FastRpcChannel
 from repro.apps import PipelineConfig, run_pipeline
-from repro.apps.harness import build_rig
+from repro.apps.harness import rig
 from repro.core import ProbeEffect, breakdown
 from repro.experiments.base import ExperimentResult, experiment
 from repro.experiments.claims import Claim, cell, ratio
@@ -124,26 +124,26 @@ def run_coupling(seed=0, model_key="mobilenet_v1", invokes=20):
     headers = ("Coupling", "mean invoke ms", "flush+transfer us/call")
     rows = []
     for coupling in ("loose", "tight"):
-        sim, soc, kernel = build_rig(
+        with rig(
             seed=seed, governor="performance", dsp_coupling=coupling
-        )
-        channel = FastRpcChannel(kernel, process_id=7)
-        model = load_model(model_key, "int8")
-        compute_us = soc.dsp.graph_time_us(model.ops, "int8")
-        durations = []
+        ) as (sim, soc, kernel):
+            channel = FastRpcChannel(kernel, process_id=7)
+            model = load_model(model_key, "int8")
+            compute_us = soc.dsp.graph_time_us(model.ops, "int8")
+            durations = []
 
-        def body():
-            for _ in range(invokes):
-                duration = yield from channel.invoke(
-                    model.input_spec.numel, model.output_bytes, compute_us
-                )
-                durations.append(duration)
+            def body():
+                for _ in range(invokes):
+                    duration = yield from channel.invoke(
+                        model.input_spec.numel, model.output_bytes, compute_us
+                    )
+                    durations.append(duration)
 
-        thread = kernel.spawn_on_big(body(), name="coupling")
-        sim.run(until=thread.done)
-        per_call = (
-            channel.stats.cache_flush_us + channel.stats.transfer_us
-        ) / invokes
+            thread = kernel.spawn_on_big(body(), name="coupling")
+            sim.run(until=thread.done)
+            per_call = (
+                channel.stats.cache_flush_us + channel.stats.transfer_us
+            ) / invokes
         rows.append(
             (coupling, units.to_ms(sum(durations[1:]) / (invokes - 1)), per_call)
         )

@@ -17,7 +17,7 @@ These quantify claims the paper makes in prose but does not plot:
 """
 
 from repro.apps import PipelineConfig, run_pipeline
-from repro.apps.harness import build_rig, drive, run_pipeline_with_rig
+from repro.apps.harness import drive, rig, simulate_pipeline
 from repro.apps.sessions import make_session
 from repro.core import breakdown
 from repro.experiments.base import ExperimentResult, experiment
@@ -64,13 +64,13 @@ def run_energy(seed=0, model_key="mobilenet_v1", invokes=20):
     )
     rows = []
     for label, dtype, target in configurations:
-        _sim, soc, kernel = build_rig(seed=seed)
-        model = load_model(model_key, dtype)
-        session = make_session(kernel, model, target=target)
-        drive(kernel, session, 2)  # warm up + settle
-        snapshot = soc.energy.snapshot()
-        durations = drive(kernel, session, invokes)
-        delta = soc.energy.since(snapshot)
+        with rig(seed=seed) as (_sim, soc, kernel):
+            model = load_model(model_key, dtype)
+            session = make_session(kernel, model, target=target)
+            drive(kernel, session, 2)  # warm up + settle
+            snapshot = soc.energy.snapshot()
+            durations = drive(kernel, session, invokes)
+            delta = soc.energy.since(snapshot)
         mean_ms = units.to_ms(sum(durations) / len(durations))
         mj_per_inf = units.to_mj(delta["total_uj"] / invokes)
         rows.append(
@@ -123,15 +123,15 @@ def run_preferences(seed=0, model_key="inception_v3", dtype="fp32",
     headers = ("Preference", "ms/inf", "mJ/inf")
     rows = []
     for preference in (FAST_SINGLE_ANSWER, SUSTAINED_SPEED, LOW_POWER):
-        _sim, soc, kernel = build_rig(seed=seed)
-        model = load_model(model_key, dtype)
-        session = make_session(
-            kernel, model, target="nnapi", preference=preference
-        )
-        drive(kernel, session, 1)
-        snapshot = soc.energy.snapshot()
-        durations = drive(kernel, session, invokes)
-        delta = soc.energy.since(snapshot)
+        with rig(seed=seed) as (_sim, soc, kernel):
+            model = load_model(model_key, dtype)
+            session = make_session(
+                kernel, model, target="nnapi", preference=preference
+            )
+            drive(kernel, session, 1)
+            snapshot = soc.energy.snapshot()
+            durations = drive(kernel, session, invokes)
+            delta = soc.energy.since(snapshot)
         rows.append(
             (
                 preference,
@@ -181,28 +181,28 @@ def run_thermal(seed=0, model_key="inception_v3", dtype="fp32",
     A shortened thermal time constant compresses minutes of sustained
     load into a tractable simulation; the dynamics are unchanged.
     """
-    _sim, soc, kernel = build_rig(seed=seed, enable_thermal=True)
-    soc.thermal.time_constant_s = time_constant_s
-    model = load_model(model_key, dtype)
-    session = make_session(kernel, model, target="cpu")
-    durations = drive(kernel, session, invokes)
-    warm = durations[1:]
-    head = warm[: len(warm) // 5]
-    tail = warm[-len(warm) // 5:]
-    head_ms = units.to_ms(sum(head) / len(head))
-    tail_ms = units.to_ms(sum(tail) / len(tail))
-    cooldown_us = soc.thermal.cooldown_time_us()
-    headers = (
-        "Metric", "value",
-    )
-    rows = [
-        ("first-quintile mean ms", head_ms),
-        ("last-quintile mean ms", tail_ms),
-        ("throttle-induced slowdown", tail_ms / head_ms),
-        ("final die temperature C", soc.thermal.temperature),
-        ("is throttling", soc.thermal.is_throttling),
-        ("cooldown needed (s)", cooldown_us / 1e6),
-    ]
+    with rig(seed=seed, enable_thermal=True) as (_sim, soc, kernel):
+        soc.thermal.time_constant_s = time_constant_s
+        model = load_model(model_key, dtype)
+        session = make_session(kernel, model, target="cpu")
+        durations = drive(kernel, session, invokes)
+        warm = durations[1:]
+        head = warm[: len(warm) // 5]
+        tail = warm[-len(warm) // 5:]
+        head_ms = units.to_ms(sum(head) / len(head))
+        tail_ms = units.to_ms(sum(tail) / len(tail))
+        cooldown_us = soc.thermal.cooldown_time_us()
+        headers = (
+            "Metric", "value",
+        )
+        rows = [
+            ("first-quintile mean ms", head_ms),
+            ("last-quintile mean ms", tail_ms),
+            ("throttle-induced slowdown", tail_ms / head_ms),
+            ("final die temperature C", soc.thermal.temperature),
+            ("is throttling", soc.thermal.is_throttling),
+            ("cooldown needed (s)", cooldown_us / 1e6),
+        ]
     return ExperimentResult(
         experiment_id="thermal",
         title=f"{model_key} [{dtype}] sustained CPU load: thermal drift",
@@ -379,10 +379,10 @@ def run_model_scaling(runs=6, seed=0, resolutions=(128, 160, 192, 224)):
     rows = []
     for resolution in resolutions:
         graph = build_mobilenet_v1(resolution=resolution)
-        _sim, _soc, kernel = build_rig(seed=seed, governor="performance")
-        session = TfliteInterpreter(kernel, graph, threads=4)
-        durations = drive(kernel, session, 4)
-        warm_ms = units.to_ms(sum(durations[1:]) / 3)
+        with rig(seed=seed, governor="performance") as (_sim, _soc, kernel):
+            session = TfliteInterpreter(kernel, graph, threads=4)
+            durations = drive(kernel, session, 4)
+            warm_ms = units.to_ms(sum(durations[1:]) / 3)
         rows.append(
             (
                 f"{resolution}x{resolution}",
@@ -555,12 +555,12 @@ def run_init_time(seed=0, switches=5):
         ("mobilenet_v1", "fp32", "cpu"),
         ("inception_v3", "fp32", "cpu"),
     ):
-        _sim, _soc, kernel = build_rig(seed=seed, governor="performance")
-        model = load_model(model_key, dtype)
-        session = make_session(kernel, model, target=target)
-        durations = drive(kernel, session, 4)
-        warm_ms = units.to_ms(sum(durations[1:]) / 3)
-        init_ms = units.to_ms(session.stats.init_us)
+        with rig(seed=seed, governor="performance") as (_sim, _soc, kernel):
+            model = load_model(model_key, dtype)
+            session = make_session(kernel, model, target=target)
+            durations = drive(kernel, session, 4)
+            warm_ms = units.to_ms(sum(durations[1:]) / 3)
+            init_ms = units.to_ms(session.stats.init_us)
         rows.append(
             (
                 f"{model_key} [{dtype}]",
@@ -574,35 +574,35 @@ def run_init_time(seed=0, switches=5):
     # Model switching: alternate two models, reloading each time, vs
     # keeping two prepared sessions resident.
     def _switching(resident):
-        sim, _soc, kernel = build_rig(seed=seed, governor="performance")
-        models = [
-            load_model("mobilenet_v1", "int8"),
-            load_model("efficientnet_lite0", "int8"),
-        ]
-        start_done = {}
+        with rig(seed=seed, governor="performance") as (sim, _soc, kernel):
+            models = [
+                load_model("mobilenet_v1", "int8"),
+                load_model("efficientnet_lite0", "int8"),
+            ]
+            start_done = {}
 
-        def body():
-            if resident:
-                sessions = [
-                    make_session(kernel, model, target="hexagon")
-                    for model in models
-                ]
-                for session in sessions:
-                    yield from session.prepare()
-                for index in range(2 * switches):
-                    yield from sessions[index % 2].invoke()
-            else:
-                for index in range(2 * switches):
-                    session = make_session(
-                        kernel, models[index % 2], target="hexagon"
-                    )
-                    yield from session.prepare()
-                    yield from session.invoke()
-            start_done["t"] = kernel.now
+            def body():
+                if resident:
+                    sessions = [
+                        make_session(kernel, model, target="hexagon")
+                        for model in models
+                    ]
+                    for session in sessions:
+                        yield from session.prepare()
+                    for index in range(2 * switches):
+                        yield from sessions[index % 2].invoke()
+                else:
+                    for index in range(2 * switches):
+                        session = make_session(
+                            kernel, models[index % 2], target="hexagon"
+                        )
+                        yield from session.prepare()
+                        yield from session.invoke()
+                start_done["t"] = kernel.now
 
-        thread = kernel.spawn_on_big(body(), name="switcher")
-        sim.run(until=thread.done)
-        return units.to_ms(start_done["t"])
+            thread = kernel.spawn_on_big(body(), name="switcher")
+            sim.run(until=thread.done)
+            return units.to_ms(start_done["t"])
 
     reload_ms = _switching(resident=False)
     resident_ms = _switching(resident=True)
@@ -654,10 +654,11 @@ def run_streaming(runs=20, seed=0):
             model_key=model_key, dtype=dtype, context="app",
             target="nnapi", runs=runs, seed=seed,
         )
-        records, sim, soc, kernel, packaging = run_pipeline_with_rig(config)
-        mean_ms = breakdown(records).total_ms
+        with simulate_pipeline(config) as (records, packaging):
+            mean_ms = breakdown(records).total_ms
+            camera = packaging.camera
+            dropped = camera.frames_dropped if camera else 0
         fps = units.fps_from_ms(mean_ms) if mean_ms else 0.0
-        dropped = packaging.camera.frames_dropped if packaging.camera else 0
         rows.append((model_key, dtype, mean_ms, min(fps, config.fps), dropped))
     return ExperimentResult(
         experiment_id="streaming",

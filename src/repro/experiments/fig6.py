@@ -9,7 +9,7 @@ profile: per-track utilization timelines plus counter totals.
 """
 
 from repro.apps import PipelineConfig
-from repro.apps.harness import run_pipeline_with_rig
+from repro.apps.harness import simulate_pipeline
 from repro.experiments.base import ExperimentResult, experiment
 from repro.experiments.claims import Claim, cell, ratio
 from repro.sim import units
@@ -27,34 +27,36 @@ def _profile(target, runs, seed, model_key, dtype, bucket_ms):
         seed=seed,
         trace=True,
     )
-    records, sim, soc, kernel, _packaging = run_pipeline_with_rig(config)
-    trace = sim.trace
-    big_tracks = [core.name for core in soc.big_cores]
-    big_util = sum(trace.utilization(track) for track in big_tracks) / 4
-    busiest = max(trace.utilization(track) for track in big_tracks)
-    profile = {
-        "target": target,
-        "big_util": big_util,
-        "busiest_core_util": busiest,
-        "cdsp_util": trace.utilization("cdsp"),
-        "cdsp_spans": len(trace.spans_on("cdsp")),
-        "migrations": trace.counter_total("migration"),
-        "ctx_switches": trace.counter_total("ctx_switch"),
-        "axi_mb": trace.counter_total("axi_bytes") / 1e6,
-        "wall_ms": units.to_ms(sim.now),
-        "timelines": {
-            track: trace.timeline(track, units.ms(bucket_ms))
-            for track in big_tracks + ["cdsp"]
-        },
-    }
-    # Inference thread core residency: how many distinct cores the
-    # benchmark thread bounced across (annotation 3/4 of the figure).
-    subject = [
-        thread for thread in kernel.threads if thread.name.startswith("cli:")
-    ]
-    if subject:
-        profile["subject_cores"] = len(subject[0].stats.cores_used)
-        profile["subject_migrations"] = subject[0].stats.migrations
+    with simulate_pipeline(config) as (_records, packaging):
+        kernel = packaging.kernel
+        sim, soc, trace = kernel.sim, kernel.soc, kernel.trace
+        big_tracks = [core.name for core in soc.big_cores]
+        big_util = sum(trace.utilization(track) for track in big_tracks) / 4
+        busiest = max(trace.utilization(track) for track in big_tracks)
+        profile = {
+            "target": target,
+            "big_util": big_util,
+            "busiest_core_util": busiest,
+            "cdsp_util": trace.utilization("cdsp"),
+            "cdsp_spans": len(trace.spans_on("cdsp")),
+            "migrations": trace.counter_total("migration"),
+            "ctx_switches": trace.counter_total("ctx_switch"),
+            "axi_mb": trace.counter_total("axi_bytes") / 1e6,
+            "wall_ms": units.to_ms(sim.now),
+            "timelines": {
+                track: trace.timeline(track, units.ms(bucket_ms))
+                for track in big_tracks + ["cdsp"]
+            },
+        }
+        # Inference thread core residency: how many distinct cores the
+        # benchmark thread bounced across (annotation 3/4 of the figure).
+        subject = [
+            thread for thread in kernel.threads
+            if thread.name.startswith("cli:")
+        ]
+        if subject:
+            profile["subject_cores"] = len(subject[0].stats.cores_used)
+            profile["subject_migrations"] = subject[0].stats.migrations
     return profile
 
 

@@ -8,7 +8,7 @@ cost decomposition of the channel.
 
 from repro.android import FastRpcChannel
 from repro.android.fastrpc import call_flow_stages
-from repro.apps.harness import build_rig
+from repro.apps.harness import rig
 from repro.experiments.base import ExperimentResult, experiment
 from repro.experiments.claims import Claim
 from repro.models import load_model
@@ -27,34 +27,36 @@ CLAIMS = (
 
 @experiment("fig7", claims=CLAIMS)
 def run(seed=0, model_key="mobilenet_v1", payload_frames=1):
-    sim, soc, kernel = build_rig(seed=seed, governor="performance", trace=True)
-    channel = FastRpcChannel(kernel, process_id=42)
-    model = load_model(model_key, "int8")
-    input_bytes = model.input_spec.numel * payload_frames
-    compute_us = soc.dsp.graph_time_us(model.ops, "int8")
-    durations = []
+    with rig(seed=seed, governor="performance", trace=True) as (
+        sim, soc, kernel,
+    ):
+        channel = FastRpcChannel(kernel, process_id=42)
+        model = load_model(model_key, "int8")
+        input_bytes = model.input_spec.numel * payload_frames
+        compute_us = soc.dsp.graph_time_us(model.ops, "int8")
+        durations = []
 
-    def body():
-        for _ in range(2):  # cold then warm
-            duration = yield from channel.invoke(
-                input_bytes, model.output_bytes, compute_us
-            )
-            durations.append(duration)
+        def body():
+            for _ in range(2):  # cold then warm
+                duration = yield from channel.invoke(
+                    input_bytes, model.output_bytes, compute_us
+                )
+                durations.append(duration)
 
-    thread = kernel.spawn_on_big(body(), name="offloader")
-    sim.run(until=thread.done)
+        thread = kernel.spawn_on_big(body(), name="offloader")
+        sim.run(until=thread.done)
 
-    stats = channel.stats
-    stage_costs = [
-        ("session_open (cold only)", stats.session_open_us),
-        ("user:marshal", stats.marshal_us),
-        ("kernel:ioctl round trips", stats.kernel_us),
-        ("cache flush/invalidate", stats.cache_flush_us),
-        ("driver signalling", stats.signal_us),
-        ("dsp queue wait", stats.dsp_queue_us),
-        ("axi transfers", stats.transfer_us),
-        ("dsp compute", stats.dsp_compute_us),
-    ]
+        stats = channel.stats
+        stage_costs = [
+            ("session_open (cold only)", stats.session_open_us),
+            ("user:marshal", stats.marshal_us),
+            ("kernel:ioctl round trips", stats.kernel_us),
+            ("cache flush/invalidate", stats.cache_flush_us),
+            ("driver signalling", stats.signal_us),
+            ("dsp queue wait", stats.dsp_queue_us),
+            ("axi transfers", stats.transfer_us),
+            ("dsp compute", stats.dsp_compute_us),
+        ]
     total = sum(cost for _stage, cost in stage_costs)
     rows = [
         (stage, cost / 2.0, cost / total if total else 0.0)

@@ -6,7 +6,7 @@ dominates; as the count grows the one-time setup amortizes and the
 offload share of total time falls.
 """
 
-from repro.apps.harness import build_rig, drive
+from repro.apps.harness import drive, rig
 from repro.apps.sessions import make_session
 from repro.experiments.base import ExperimentResult, experiment
 from repro.experiments.claims import Claim, cell
@@ -17,12 +17,12 @@ COUNTS = (1, 2, 5, 10, 20, 50, 100, 200, 500)
 
 
 def _measure(count, seed, model_key, dtype, target):
-    sim, soc, kernel = build_rig(seed=seed, governor="performance")
-    model = load_model(model_key, dtype)
-    session = make_session(kernel, model, target=target)
-    compute_us = soc.dsp.graph_time_us(model.ops, "int8")
-    drive(kernel, session, count, name="offload")
-    return sim.now, compute_us * count
+    with rig(seed=seed, governor="performance") as (sim, soc, kernel):
+        model = load_model(model_key, dtype)
+        session = make_session(kernel, model, target=target)
+        compute_us = soc.dsp.graph_time_us(model.ops, "int8")
+        drive(kernel, session, count, name="offload")
+        return sim.now, compute_us * count
 
 
 def _falls(result):

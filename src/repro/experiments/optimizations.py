@@ -13,7 +13,7 @@
 from repro.android.fastrpc import FastRpcChannel
 from repro.android.thread import Work
 from repro.apps import PipelineConfig, run_pipeline
-from repro.apps.harness import build_rig, drive
+from repro.apps.harness import drive, rig
 from repro.apps.pipelined import PipelinedApp
 from repro.apps.sessions import make_session
 from repro.capture import CameraHal
@@ -52,11 +52,11 @@ def run_pipelining(frames=20, seed=0, model_key="efficientnet_lite0",
     seq = breakdown(sequential)
     seq_fps = units.fps_from_ms(seq.total_ms) if seq.total_ms else 0.0
 
-    _sim, _soc, kernel = build_rig(seed=seed)
-    app = PipelinedApp(kernel, model_key, dtype=dtype, target=target)
-    piped_records = app.execute(frames=frames)
-    piped = breakdown(piped_records)
-    piped_fps = piped_records.runs[-1].meta["throughput_fps"]
+    with rig(seed=seed) as (_sim, _soc, kernel):
+        app = PipelinedApp(kernel, model_key, dtype=dtype, target=target)
+        piped_records = app.execute(frames=frames)
+        piped = breakdown(piped_records)
+        piped_fps = piped_records.runs[-1].meta["throughput_fps"]
 
     headers = (
         "Mode", "capture ms", "pre ms", "inference ms", "frame ms",
@@ -128,50 +128,50 @@ def run_arvr_multimodel(frames=12, seed=0):
     headers = ("placement", "frame ms", "achieved fps", "per-model ms")
     rows = []
     for label, choices in placements:
-        sim, _soc, kernel = build_rig(seed=seed)
-        sessions = [
-            make_session(kernel, load_model(key, dtype), target=target,
-                         threads=4)
-            for key, (dtype, target) in zip(models, choices)
-        ]
-        frame_times = []
-        model_times = [[] for _ in sessions]
+        with rig(seed=seed) as (sim, _soc, kernel):
+            sessions = [
+                make_session(kernel, load_model(key, dtype), target=target,
+                             threads=4)
+                for key, (dtype, target) in zip(models, choices)
+            ]
+            frame_times = []
+            model_times = [[] for _ in sessions]
 
-        def frame_body(index):
-            def body(session=sessions[index], slot=index):
-                yield from session.prepare()
-                while True:
+            def frame_body(index):
+                def body(session=sessions[index], slot=index):
+                    yield from session.prepare()
+                    while True:
+                        start = kernel.now
+                        yield from session.invoke()
+                        model_times[slot].append(kernel.now - start)
+                        done = frame_gates[slot]
+                        frame_gates[slot] = kernel.sim.event()
+                        done.succeed()
+                return body()
+
+            # Drive all three each frame; the frame completes when the
+            # slowest model finishes (lockstep, as an AR/VR loop would).
+            frame_gates = [kernel.sim.event() for _ in sessions]
+            workers = [
+                kernel.spawn(frame_body(index), name=f"model{index}")
+                for index in range(len(sessions))
+            ]
+
+            def conductor():
+                from repro.android.thread import WaitFor
+
+                for _ in range(frames):
                     start = kernel.now
-                    yield from session.invoke()
-                    model_times[slot].append(kernel.now - start)
-                    done = frame_gates[slot]
-                    frame_gates[slot] = kernel.sim.event()
-                    done.succeed()
-            return body()
+                    gates = list(frame_gates)
+                    for gate in gates:
+                        yield WaitFor(gate)
+                    frame_times.append(kernel.now - start)
 
-        # Drive all three each frame; the frame completes when the
-        # slowest model finishes (lockstep, as an AR/VR loop would).
-        frame_gates = [kernel.sim.event() for _ in sessions]
-        workers = [
-            kernel.spawn(frame_body(index), name=f"model{index}")
-            for index in range(len(sessions))
-        ]
-
-        def conductor():
-            from repro.android.thread import WaitFor
-
-            for _ in range(frames):
-                start = kernel.now
-                gates = list(frame_gates)
-                for gate in gates:
-                    yield WaitFor(gate)
-                frame_times.append(kernel.now - start)
-
-        thread = kernel.spawn(conductor(), name="conductor")
-        # Workers loop forever; the run simply stops once the conductor
-        # has observed the requested number of frames.
-        sim.run(until=thread.done)
-        del workers
+            thread = kernel.spawn(conductor(), name="conductor")
+            # Workers loop forever; the run simply stops once the conductor
+            # has observed the requested number of frames.
+            sim.run(until=thread.done)
+            del workers
         warm = frame_times[1:]
         frame_ms = units.to_ms(sum(warm) / len(warm))
         per_model = ", ".join(
@@ -218,14 +218,14 @@ def run_mlperf_gap(queries=40, runs=15, seed=0, model_key="mobilenet_v1",
     """
     from repro.apps.loadgen import MlperfLoadgen, OFFLINE, SINGLE_STREAM
 
-    _sim, _soc, kernel = build_rig(seed=seed)
-    loadgen = MlperfLoadgen(kernel, model_key, dtype=dtype, target=target)
-    single = loadgen.run(SINGLE_STREAM, queries=queries)
+    with rig(seed=seed) as (_sim, _soc, kernel):
+        loadgen = MlperfLoadgen(kernel, model_key, dtype=dtype, target=target)
+        single = loadgen.run(SINGLE_STREAM, queries=queries)
 
-    _sim, _soc, kernel = build_rig(seed=seed)
-    offline = MlperfLoadgen(
-        kernel, model_key, dtype=dtype, target=target
-    ).run(OFFLINE, queries=queries)
+    with rig(seed=seed) as (_sim, _soc, kernel):
+        offline = MlperfLoadgen(
+            kernel, model_key, dtype=dtype, target=target
+        ).run(OFFLINE, queries=queries)
 
     app = breakdown(
         run_pipeline(
@@ -295,18 +295,18 @@ def run_driver_versions(invokes=8, seed=0, model_key="efficientnet_lite0",
     )
     rows = []
     for level in (1.1, 1.2, 1.3):
-        _sim, _soc, kernel = build_rig(seed=seed, governor="performance")
-        model = load_model(model_key, dtype)
-        session = NnapiSession(kernel, model, feature_level=level)
-        warm = drive(kernel, session, invokes, name="drv")[1:]
-        rows.append(
-            (
-                level,
-                units.to_ms(sum(warm) / len(warm)),
-                session.reference_fallback,
-                session.accelerated_fraction(),
+        with rig(seed=seed, governor="performance") as (_sim, _soc, kernel):
+            model = load_model(model_key, dtype)
+            session = NnapiSession(kernel, model, feature_level=level)
+            warm = drive(kernel, session, invokes, name="drv")[1:]
+            rows.append(
+                (
+                    level,
+                    units.to_ms(sum(warm) / len(warm)),
+                    session.reference_fallback,
+                    session.accelerated_fraction(),
+                )
             )
-        )
     return ExperimentResult(
         experiment_id="driver_versions",
         title=f"{model_key} [{dtype}] via NNAPI: driver feature levels",
@@ -398,11 +398,11 @@ def run_fastcv(runs=10, seed=0, model_key="mobilenet_v1", dtype="int8"):
     rows = []
     for pre_on_dsp in (False, True):
         for inference_target in ("hexagon", "cpu"):
-            sim, _soc, kernel = build_rig(seed=seed)
-            pre_ms, inference_ms = _fastcv_app_run(
-                sim, kernel, runs, model_key, dtype, pre_on_dsp,
-                inference_target,
-            )
+            with rig(seed=seed) as (sim, _soc, kernel):
+                pre_ms, inference_ms = _fastcv_app_run(
+                    sim, kernel, runs, model_key, dtype, pre_on_dsp,
+                    inference_target,
+                )
             rows.append(
                 (
                     "dsp (FastCV)" if pre_on_dsp else "cpu (Java)",

@@ -114,10 +114,6 @@ class DegradationReport:
         return totals
 
     @property
-    def total_faults(self):
-        return sum(self.faults_by_kind.values())
-
-    @property
     def total_retries(self):
         return sum(entry.retries for entry in self.invokes)
 

@@ -77,13 +77,6 @@ class ModelGraph:
         """Weights plus the activation arena: the app's resident cost."""
         return self.weight_bytes + self.peak_activation_bytes
 
-    @property
-    def is_quantized(self):
-        return self.dtype == "int8"
-
-    def ops_of_kind(self, kind):
-        return [op for op in self.ops if op.kind == kind]
-
     def with_dtype(self, dtype):
         """Same topology with a different execution dtype."""
         return replace(

@@ -7,8 +7,9 @@ give the trace CLI, docs, and tests one stable vocabulary.
 """
 
 from collections import namedtuple
+from contextlib import contextmanager
 
-from repro.apps.harness import PipelineConfig, run_pipeline_with_rig
+from repro.apps.harness import PipelineConfig, simulate_pipeline
 
 #: Scenario name -> PipelineConfig keyword arguments.
 SCENARIOS = {
@@ -51,11 +52,9 @@ SCENARIOS = {
     ),
 }
 
-#: Everything a recorded scenario hands back; ``sim.trace`` is the
-#: populated :class:`~repro.sim.trace.TraceRecorder`.
-TraceSession = namedtuple(
-    "TraceSession", "scenario config records sim soc kernel packaging"
-)
+#: What a recorded scenario hands back: its config and the device;
+#: ``sim.trace`` is the populated :class:`~repro.sim.trace.TraceRecorder`.
+TraceSession = namedtuple("TraceSession", "config sim soc")
 
 
 def scenario_config(name, runs=None, seed=None, soc=None):
@@ -76,8 +75,15 @@ def scenario_config(name, runs=None, seed=None, soc=None):
     return PipelineConfig(**kwargs)
 
 
+@contextmanager
 def record_trace(name, runs=None, seed=None, soc=None):
-    """Simulate a scenario with tracing on; returns a :class:`TraceSession`."""
+    """Simulate a scenario with tracing on; yields a :class:`TraceSession`.
+
+    The device is freed when the block exits, so read the trace inside
+    it: freeing closes the thread bodies still running, and a body
+    suspended inside a probe ends that span, tagged ``GeneratorExit``.
+    """
     config = scenario_config(name, runs=runs, seed=seed, soc=soc)
-    records, sim, soc_obj, kernel, packaging = run_pipeline_with_rig(config)
-    return TraceSession(name, config, records, sim, soc_obj, kernel, packaging)
+    with simulate_pipeline(config) as (_records, packaging):
+        kernel = packaging.kernel
+        yield TraceSession(config, kernel.sim, kernel.soc)

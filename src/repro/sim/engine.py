@@ -241,8 +241,12 @@ class Simulator:
         threads waiting in the queue. Their callbacks are closures and
         bound methods that reach back to this simulator, so each queued
         event sits in a reference cycle that only the cyclic collector
-        would free. The simulator cannot run afterwards.
+        would free. The trace recorder's back-reference goes too, so a
+        recorder query that defaults to the current time raises. The
+        simulator cannot run afterwards.
         """
         for entry in self._queue:
             entry[3].callbacks = None
         self._queue.clear()
+        if self.trace is not None:
+            self.trace.sim = None

@@ -40,10 +40,6 @@ class Soc:
         return self._big_cluster
 
     @property
-    def little_cluster(self):
-        return self._little_cluster
-
-    @property
     def big_cores(self):
         return self._big_cluster.cores
 

@@ -16,8 +16,13 @@ def test_fig7_experiment_replays_identically():
     assert "IDENTICAL" in report.render()
 
 
+def _chaos_scenario():
+    with record_trace("chaos", runs=2, seed=0):
+        pass
+
+
 def test_chaos_scenario_replays_identically():
-    report = dual_run(lambda: record_trace("chaos", runs=2, seed=0))
+    report = dual_run(_chaos_scenario)
     assert report.identical
     assert report.events > 0
 

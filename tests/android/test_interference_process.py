@@ -104,22 +104,6 @@ def test_process_spawn_names_threads():
     sim.run(until=thread.done)
 
 
-def test_binder_call_charges_caller():
-    sim, soc, kernel = make_rig()
-    timeline = {}
-
-    def body():
-        start = kernel.now
-        yield from kernel.binder_call(service_work_us=5_000)
-        timeline["elapsed"] = kernel.now - start
-
-    thread = kernel.spawn_on_big(body(), name="caller")
-    sim.run(until=thread.done)
-    # Transaction overhead + blocked on remote service work.
-    assert timeline["elapsed"] > 5_000
-    assert thread.stats.cpu_time_us < 1_000  # service work not on caller
-
-
 def test_fastrpc_channel_per_process():
     sim, soc, kernel = make_rig()
     first = AppProcess(kernel, "a")

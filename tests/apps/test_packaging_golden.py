@@ -22,7 +22,7 @@ import pathlib
 
 import pytest
 
-from repro.apps.harness import PipelineConfig, run_pipeline_with_rig
+from repro.apps.harness import PipelineConfig, simulate_pipeline
 from repro.observability import to_chrome_trace
 from repro.observability.scenarios import SCENARIOS, scenario_config
 
@@ -46,25 +46,24 @@ def _sha256(payload):
 
 
 def run_case(name):
-    records, sim, _soc, _kernel, _packaging = run_pipeline_with_rig(
-        CASES[name]
-    )
-    runs = [
-        {
-            "capture_us": run.capture_us,
-            "pre_us": run.pre_us,
-            "inference_us": run.inference_us,
-            "post_us": run.post_us,
-            "other_us": run.other_us,
-            "meta": run.meta,
+    with simulate_pipeline(CASES[name]) as (records, packaging):
+        sim = packaging.kernel.sim
+        runs = [
+            {
+                "capture_us": run.capture_us,
+                "pre_us": run.pre_us,
+                "inference_us": run.inference_us,
+                "post_us": run.post_us,
+                "other_us": run.other_us,
+                "meta": run.meta,
+            }
+            for run in records
+        ]
+        return {
+            "chrome_sha256": _sha256(to_chrome_trace(sim.trace)),
+            "records_sha256": _sha256({"name": records.name, "runs": runs}),
+            "now": sim.now,
         }
-        for run in records
-    ]
-    return {
-        "chrome_sha256": _sha256(to_chrome_trace(sim.trace)),
-        "records_sha256": _sha256({"name": records.name, "runs": runs}),
-        "now": sim.now,
-    }
 
 
 def regenerate():

@@ -12,9 +12,9 @@ from repro.apps import (
     PipelineConfig,
     make_session,
     run_pipeline,
-    run_pipeline_with_rig,
     start_background_inferences,
 )
+from repro.apps.harness import simulate_pipeline
 from repro.core import breakdown
 from repro.sim import Simulator
 from repro.soc import make_soc
@@ -194,12 +194,12 @@ def test_stage_spans_tile_each_iteration(context, target, model_key, dtype,
         model_key=model_key, dtype=dtype, context=context, target=target,
         runs=4, trace=True, background=background,
     )
-    records, sim, _soc, _kernel, _packaging = run_pipeline_with_rig(config)
     labels = {label for label, _field in STAGE_SPANS}
-    spans = [
-        span for span in sim.trace.spans_on("pipeline")
-        if span.label in labels
-    ]
+    with simulate_pipeline(config) as (records, packaging):
+        spans = [
+            span for span in packaging.kernel.trace.spans_on("pipeline")
+            if span.label in labels
+        ]
     width = len(STAGE_SPANS)
     assert len(spans) == width * len(records) == 20
     for index, run in enumerate(records):

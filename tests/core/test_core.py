@@ -65,15 +65,11 @@ def test_pipeline_run_totals_and_tax():
     assert run.stage_us(STAGE_CAPTURE) == 10
     with pytest.raises(KeyError):
         run.stage_us("gpu")
-    ms = run.as_ms()
-    assert ms["total"] == pytest.approx(0.1)
 
 
 def test_collection_statistics():
     collection = make_collection("x", [10_000, 20_000, 30_000])
     assert collection.mean_us() == pytest.approx(20_000)
-    assert collection.median_us() == pytest.approx(20_000)
-    assert collection.std_us() == pytest.approx(10_000)
     assert collection.percentile_us(0.0) == 10_000
     assert collection.percentile_us(1.0) == 30_000
     with pytest.raises(ValueError):

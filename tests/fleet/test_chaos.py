@@ -155,10 +155,10 @@ def test_chaos_trace_export_is_identical_across_reruns(tmp_path):
 
     paths = []
     for index in range(2):
-        session = record_trace("chaos")
         path = tmp_path / f"chaos{index}.json"
-        write_chrome_trace(session.sim.trace, str(path),
-                           process_name="repro:chaos")
+        with record_trace("chaos") as session:
+            write_chrome_trace(session.sim.trace, str(path),
+                               process_name="repro:chaos")
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
     events = json.loads(paths[0].read_text())["traceEvents"]

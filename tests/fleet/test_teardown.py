@@ -1,24 +1,27 @@
-"""A finished session frees itself by reference counting.
+"""A finished device frees itself by reference counting.
 
-Each simulated session is torn down at one point, after its records
-are read or when its simulation raises: the kernel closes its threads,
-the simulator drops its queued events and the SoC its core
-back-references (``repro.apps.harness.close_rig``). Nothing is then
-left for the cyclic collector, so its timing can move neither memory
-nor the call counts a profiler sees. All runs here are unsanitized, as
-the benchmarks run them: a sanitizer and its simulator refer to each
-other.
+Every simulated device is built and torn down by one context manager,
+``repro.apps.harness.rig``: when its block exits, also when the
+simulation raises, the kernel closes its threads, the simulator drops
+its queued events and its trace recorder's back-reference, and the SoC
+its core back-references. Nothing is then left for the cyclic
+collector, so its timing can move neither memory nor the call counts a
+profiler sees. All runs here are unsanitized, as the benchmarks run
+them: a sanitizer and its simulator refer to each other.
 """
 
 import cProfile
 import gc
+import inspect
 from dataclasses import replace
 
 import pytest
 
 from repro.apps import PipelineConfig, run_pipeline
+from repro.experiments import REGISTRY, run_experiment
 from repro.fleet import expand_population, paper_population
 from repro.fleet.session import SessionSpec, simulate_session_payload
+from repro.observability import record_trace
 from repro.service import build_pool
 
 BASE = SessionSpec(
@@ -98,14 +101,65 @@ def test_run_pipeline_frees_its_rig(monkeypatch):
     assert found == 0
 
 
+#: The report's experiments that build their own rigs; takeaways builds
+#: them through fig8.
+RIG_EXPERIMENTS = (
+    "ablation_coupling", "ablation_fastcv", "arvr_multimodel",
+    "driver_versions", "energy", "fig6", "fig7", "fig8", "init_time",
+    "mlperf_gap", "model_scaling", "pipelining", "preferences",
+    "streaming", "takeaways", "thermal",
+)
+
+
+@pytest.mark.parametrize("name", RIG_EXPERIMENTS)
+def test_experiment_frees_its_rigs(name, monkeypatch):
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    found, result = garbage_after(
+        lambda: run_experiment(name, **REGISTRY[name].bench)
+    )
+    assert result.rows
+    assert found == 0
+
+
+def test_recorded_trace_frees_its_rig(monkeypatch):
+    """The multitenant scenario is traced, and its background jobs are
+    still running when the app finishes."""
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+
+    def record():
+        with record_trace("multitenant") as session:
+            return len(session.sim.trace.spans)
+
+    found, spans = garbage_after(record)
+    assert spans
+    assert found == 0
+
+
 def _workload():
     for spec in expand_population(paper_population(), 6, seed=1):
         simulate_session_payload(spec.to_dict())
     build_pool(paper_population(), devices=2, seed=0)
 
 
-def _call_counts(threshold):
-    """Per-function call counts of one profiled workload.
+#: Report experiments whose call counts move with the collector when a
+#: rig is left to it: traced runs (fig6, fig7), camera apps (streaming),
+#: FastRPC pre-processing (ablation_fastcv), pipelined stages
+#: (pipelining) and model workers that never finish (arvr_multimodel).
+REPORT_SUBSET = (
+    "ablation_fastcv", "arvr_multimodel", "fig6", "fig7", "pipelining",
+    "streaming",
+)
+
+
+def _report_subset():
+    """The subset at ``repro report --fast`` settings."""
+    for name in REPORT_SUBSET:
+        parameters = inspect.signature(REGISTRY[name]).parameters
+        run_experiment(name, **({"runs": 5} if "runs" in parameters else {}))
+
+
+def _call_counts(workload, threshold):
+    """Per-function call counts of one profiled ``workload()``.
 
     ``threshold`` is the collector's first-generation threshold; 0
     switches automatic collection off while ``gc.isenabled()`` stays
@@ -121,7 +175,7 @@ def _call_counts(threshold):
     gc.set_threshold(threshold)
     profiler = cProfile.Profile()
     try:
-        profiler.runcall(_workload)
+        profiler.runcall(workload)
     finally:
         gc.set_threshold(*saved)
         gc.callbacks[:] = callbacks
@@ -129,13 +183,25 @@ def _call_counts(threshold):
     return {key: entry[1] for key, entry in profiler.stats.items()}
 
 
+def _assert_counts_do_not_depend_on_the_collector(workload):
+    workload()  # fill the model-graph and cost-table caches first
+    assert gc.isenabled()
+    counts = {
+        threshold: _call_counts(workload, threshold)
+        for threshold in (1, 700, 0)
+    }
+    assert counts[1] == counts[700]
+    assert counts[0] == counts[700]
+
+
 def test_call_counts_do_not_depend_on_the_collector(monkeypatch):
     """When the collector runs decides nothing a profiler counts: a
     generator it closes would be charged to whatever frame it
     interrupted."""
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-    _workload()  # fill the model-graph and cost-table caches first
-    assert gc.isenabled()
-    counts = {threshold: _call_counts(threshold) for threshold in (1, 700, 0)}
-    assert counts[1] == counts[700]
-    assert counts[0] == counts[700]
+    _assert_counts_do_not_depend_on_the_collector(_workload)
+
+
+def test_report_call_counts_do_not_depend_on_the_collector(monkeypatch):
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    _assert_counts_do_not_depend_on_the_collector(_report_subset)

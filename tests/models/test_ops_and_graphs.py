@@ -93,7 +93,6 @@ def test_quantize_graph_shrinks_weights():
     graph = ModelGraph("tiny", "classification", TensorSpec((8, 8, 3)), ops)
     quantized = quantize_graph(graph)
     assert quantized.dtype == "int8"
-    assert quantized.is_quantized
     assert quantized.weight_bytes == graph.weight_bytes // 4
     assert quantized.total_flops == graph.total_flops
     assert quantized.metadata["quantized_from"] == "tiny"

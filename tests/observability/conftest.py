@@ -6,7 +6,8 @@ from repro.observability import record_trace
 @pytest.fixture(scope="package")
 def quickstart_session():
     """One recorded quickstart run shared by the schema/summary tests."""
-    return record_trace("quickstart", runs=4)
+    with record_trace("quickstart", runs=4) as session:
+        yield session
 
 
 @pytest.fixture(scope="package")

@@ -27,7 +27,7 @@ def test_soc_assembly():
     soc = make_soc(sim, "sd845")
     assert len(soc.cores) == 8
     assert len(soc.big_cores) == 4
-    assert soc.big_cluster.perf_index > soc.little_cluster.perf_index
+    assert soc.big_cores[0].perf_index > soc.little_cores[0].perf_index
     assert soc.accelerator("gpu") is soc.gpu
     assert soc.accelerator("npu") is soc.dsp
     assert soc.core(0).name == "cpu0"

@@ -112,14 +112,14 @@ def test_write_chrome_trace(tmp_path):
 def test_chrome_trace_from_real_simulation(tmp_path):
     """End-to-end: profile a pipeline and export the trace."""
     from repro.apps import PipelineConfig
-    from repro.apps.harness import run_pipeline_with_rig
+    from repro.apps.harness import simulate_pipeline
 
     config = PipelineConfig(
         model_key="mobilenet_v1", dtype="int8", context="cli",
         target="hexagon", runs=2, trace=True,
     )
-    _records, sim, _soc, _kernel, _packaging = run_pipeline_with_rig(config)
-    payload = to_chrome_trace(sim.trace)
+    with simulate_pipeline(config) as (_records, packaging):
+        payload = to_chrome_trace(packaging.kernel.trace)
     categories = {
         event.get("cat") for event in payload["traceEvents"]
     }
