@@ -86,7 +86,12 @@ def to_chrome_trace(trace, process_name="repro-soc", tracks=None,
         timeslices when exporting very long runs.
     include_counters / include_marks:
         Toggle ``ph: "C"`` / ``ph: "i"`` event emission.
+
+    Raises ``ValueError`` once the trace's simulator is closed: its
+    device's teardown has ended the spans still open then.
     """
+    if trace.sim is None:
+        raise ValueError("cannot export a trace after its rig is freed")
     tids = _track_ids(trace, tracks=tracks)
     metadata = [
         {

@@ -130,7 +130,13 @@ class TraceSummary:
 
 
 def summarize_trace(trace, tracks=None):
-    """Roll a :class:`TraceRecorder` up into a :class:`TraceSummary`."""
+    """Roll a :class:`TraceRecorder` up into a :class:`TraceSummary`.
+
+    Raises ``ValueError`` once the trace's simulator is closed, as
+    :func:`~repro.observability.chrome_trace.to_chrome_trace` does.
+    """
+    if trace.sim is None:
+        raise ValueError("cannot summarize a trace after its rig is freed")
     by_track = {}
     for span in trace.spans:
         if not span.closed:

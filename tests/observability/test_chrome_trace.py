@@ -2,7 +2,11 @@
 
 import json
 
+import pytest
+
 from repro.observability import (
+    record_trace,
+    summarize_trace,
     to_chrome_trace,
     track_sort_key,
     write_chrome_trace,
@@ -111,3 +115,22 @@ def test_track_sort_key_orders_swimlanes():
     assert sorted(tracks, key=track_sort_key) == [
         "cpu2", "cpu10", "gpu", "cdsp", "fastrpc", "pipeline", "zzz",
     ]
+
+
+def test_export_after_the_rig_is_freed_raises(tmp_path):
+    """Teardown ends the spans still open, so a late export is refused."""
+    with record_trace("multitenant", runs=3) as session:
+        trace = session.sim.trace
+        assert _events(trace)
+    closed_at_teardown = [
+        span for span in trace.spans if span.meta.get("error")
+    ]
+    assert closed_at_teardown, "multitenant leaves spans open at exit"
+    path = tmp_path / "late.json"
+    with pytest.raises(ValueError, match="rig is freed"):
+        to_chrome_trace(trace)
+    with pytest.raises(ValueError, match="rig is freed"):
+        write_chrome_trace(trace, str(path))
+    with pytest.raises(ValueError, match="rig is freed"):
+        summarize_trace(trace)
+    assert not path.exists()
