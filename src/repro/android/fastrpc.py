@@ -48,7 +48,7 @@ class FastRpcStats:
     signal_us: float = 0.0
     dsp_queue_us: float = 0.0
     dsp_compute_us: float = 0.0
-    #: Calls failed with -ETIMEDOUT (driver timeout or injected).
+    #: Calls failed with -ETIMEDOUT (an injected unresponsive DSP).
     timeouts: int = 0
     #: Calls failed because this channel's session was torn down.
     session_deaths: int = 0
@@ -62,14 +62,6 @@ class FastRpcStats:
     retries: int = 0
     #: Off-CPU time spent in retry backoff.
     backoff_us: float = 0.0
-
-    @property
-    def failed_calls(self):
-        """Invocation attempts that raised instead of completing."""
-        return (
-            self.timeouts + self.session_deaths + self.ssr_events
-            + self.stale_handles
-        )
 
     @property
     def offload_overhead_us(self):
@@ -90,8 +82,8 @@ class _StatsCommitLog:
 
     :meth:`FastRpcChannel.invoke` spans many yields; bumping the stats
     fields inline would let an interrupt at an interior yield (an
-    exception arriving there, such as a driver error or a queue
-    timeout) leave the object torn between fields mid-call —
+    exception arriving there, such as an injected driver error) leave
+    the object torn between fields mid-call —
     ``offload_overhead_us`` reads seven of them and assumes they move
     together. Stage times are appended here instead and land on the
     stats object in one step when the call settles, on *every* exit
@@ -122,11 +114,12 @@ class _StatsCommitLog:
 
 
 class FastRpcTimeout(Exception):
-    """The DSP did not become available within the driver timeout.
+    """The DSP did not pick the call up within the driver timeout.
 
-    Real FastRPC invocations carry a driver-level timeout: a saturated
-    or wedged DSP surfaces as ``-ETIMEDOUT`` to the caller, who decides
-    whether to retry or fall back to the CPU.
+    Real FastRPC invocations carry a driver-level timeout: a wedged DSP
+    surfaces as ``-ETIMEDOUT`` to the caller, who decides whether to
+    retry or fall back to the CPU. Only an injected ``timeout`` fault
+    raises it here.
     """
 
 
@@ -153,15 +146,12 @@ class FastRpcChannel:
     governs :meth:`invoke_retrying`.
     """
 
-    def __init__(self, kernel, process_id, queue_timeout_us=None,
-                 fault_injector=None, retry_policy=None):
+    def __init__(self, kernel, process_id, fault_injector=None,
+                 retry_policy=None):
         self.kernel = kernel
         self.soc = kernel.soc
         self.dsp = kernel.soc.dsp
         self.process_id = process_id
-        #: Max wait for the DSP queue before the call fails; None waits
-        #: forever (the behaviour of the default driver configuration).
-        self.queue_timeout_us = queue_timeout_us
         self.fault_injector = fault_injector
         self.retry_policy = (
             retry_policy if retry_policy is not None else RetryPolicy()
@@ -291,35 +281,7 @@ class FastRpcChannel:
                         queue_span.meta["depth"] = (
                             self.dsp.resource.queue_length
                         )
-                    if self.queue_timeout_us is not None:
-                        deadline = sim.timeout(self.queue_timeout_us)
-                        yield WaitFor(sim.any_of([request, deadline]))
-                        if not request.granted:
-                            # Driver timeout: withdraw from the queue
-                            # and fail the call; the kernel exit path
-                            # is still charged. release() is
-                            # idempotent, so the with-exit is a no-op.
-                            request.release()
-                            pending.add(
-                                ("dsp_queue_us",
-                                 self.kernel.now - queue_start)
-                            )
-                            yield Work(
-                                params.IOCTL_US,
-                                label=f"fastrpc:{label}:etimedout",
-                            )
-                            pending.add(("kernel_us", params.IOCTL_US))
-                            pending.add(("timeouts", 1))
-                            if span is not None:
-                                span.meta["status"] = "timeout"
-                            raise FastRpcTimeout(
-                                f"DSP busy for "
-                                f"{self.queue_timeout_us:.0f}us "
-                                f"(queue depth "
-                                f"{self.dsp.resource.queue_length})"
-                            )
-                    else:
-                        yield WaitFor(request)
+                    yield WaitFor(request)
                 pending.add(
                     ("dsp_queue_us", self.kernel.now - queue_start)
                 )
@@ -384,11 +346,7 @@ class FastRpcChannel:
         if fault.kind == FAULT_TIMEOUT:
             # The DSP never picks the call up; the caller burns the
             # driver timeout in the queue, then pays the kernel exit.
-            wait = (
-                self.queue_timeout_us
-                if self.queue_timeout_us is not None
-                else params.FASTRPC_INJECTED_TIMEOUT_US
-            )
+            wait = params.FASTRPC_INJECTED_TIMEOUT_US
             with probe(sim, "fastrpc", "dsp:queue",
                        {"depth": self.dsp.resource.queue_length}):
                 yield Sleep(wait)
@@ -440,10 +398,9 @@ class FastRpcChannel:
         attempt = 0
         while True:
             try:
-                result = yield from self.invoke(
+                return (yield from self.invoke(
                     input_bytes, output_bytes, dsp_compute_us, label=label
-                )
-                return result
+                ))
             except (FastRpcTimeout, FastRpcSessionDeath) as exc:
                 if attempt >= policy.max_retries:
                     raise
@@ -456,12 +413,6 @@ class FastRpcChannel:
                             "cause": type(exc).__name__}):
                     if backoff > 0:
                         yield Sleep(backoff)
-
-    def close(self):
-        """Tear down the process mapping."""
-        if self._session_open:
-            self.dsp.unmap_process(self.process_id)
-            self._session_open = False
 
 
 def call_flow_stages():

@@ -73,7 +73,9 @@ class Kernel:
         # `sort(key=lambda cid: -soc.core(cid).perf_index)` produced,
         # without a linear core lookup per element) and, per core, the
         # strictly-faster cores a preempted thread could misfit-migrate
-        # to, in `soc.cores` order.
+        # to, in `soc.cores` order. `_cores` is that order, read on every
+        # enqueue.
+        self._cores = tuple(soc.cores)
         self._neg_perf = {core.core_id: -core.perf_index for core in soc.cores}
         self._faster_cores = {
             core.core_id: tuple(
@@ -200,14 +202,12 @@ class Kernel:
             thread.state = BLOCKED
             event = request.event
             if event.processed:
-                timeout = Timeout(self.sim, 0.0)
-                timeout.callbacks.append(
-                    lambda _ev: self._resume_from_event(thread, event)
+                thread._awaited = event
+                Timeout(self.sim, 0.0).callbacks.append(
+                    thread._resume_awaited
                 )
             else:
-                event.callbacks.append(
-                    lambda ev: self._resume_from_event(thread, ev)
-                )
+                event.callbacks.append(thread._resume)
         else:
             raise TypeError(
                 f"thread {thread.name!r} yielded {request!r}; expected "
@@ -226,7 +226,7 @@ class Kernel:
         for thread in self._runqueue:
             if best is None or thread.vruntime < best:
                 best = thread.vruntime
-        for core in self.soc.cores:
+        for core in self._cores:
             running = core.current_thread
             if running is not None and running.state == RUNNING:
                 if best is None or running.vruntime < best:

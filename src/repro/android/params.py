@@ -46,5 +46,3 @@ GC_PAUSE_MEAN_US = 3_500.0
 GC_INTERVAL_MEAN_US = 350_000.0
 #: UI thread work per rendered frame (layout, draw command recording).
 UI_RENDER_US = 3_200.0
-#: Choreographer vsync interval (60 Hz).
-VSYNC_INTERVAL_US = 16_667.0

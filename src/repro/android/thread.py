@@ -70,7 +70,7 @@ class SimThread:
         "kernel", "body", "name", "tid", "nice", "affinity", "process",
         "state", "vruntime", "last_core_id", "remaining_work",
         "current_label", "penalty_work", "stats", "done", "weight",
-        "_sleep_name", "_sleep_timer",
+        "_sleep_name", "_sleep_timer", "_awaited",
     )
 
     def __init__(self, kernel, body, name, nice=0, affinity=None, process=None):
@@ -99,6 +99,9 @@ class SimThread:
         #: The one Timeout every Sleep restarts: a thread sleeps at most
         #: once at a time. Created by the first Sleep.
         self._sleep_timer = None
+        #: An awaited event that was already processed, held until the
+        #: zero-delay timer that resumes the body fires.
+        self._awaited = None
         #: Event triggered with the body's return value when it finishes.
         self.done = kernel.sim.event(name=f"{name}:done")
 
@@ -108,6 +111,16 @@ class SimThread:
     def _wake(self, _timer):
         """Sleep timer callback: run the body to its next request."""
         self.kernel._advance(self, None)
+
+    def _resume(self, event):
+        """Awaited event's callback: resume the body with its outcome."""
+        self.kernel._resume_from_event(self, event)
+
+    def _resume_awaited(self, _timer):
+        """Resume the body with the already-processed awaited event."""
+        event = self._awaited
+        self._awaited = None
+        self.kernel._resume_from_event(self, event)
 
     def __repr__(self):
         return f"<SimThread {self.name} tid={self.tid} state={self.state}>"

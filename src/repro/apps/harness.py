@@ -9,7 +9,7 @@ and :func:`drive` the one prepare-then-invoke loop over a bare session.
 """
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.android import Kernel
 from repro.apps.background import start_background_inferences
@@ -52,8 +52,6 @@ class PipelineConfig:
     background_model: str = "mobilenet_v1"
     background_dtype: str = "int8"
     background_threads: int = 1
-    #: Extra keyword arguments forwarded to the packaging class.
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.context not in CONTEXTS:
@@ -160,7 +158,6 @@ def build_packaging(kernel, config):
         threads=config.threads,
         preference=config.preference,
         faults=faults,
-        **config.extra,
     )
     if config.context == "cli":
         return BenchmarkCli(

@@ -1,6 +1,6 @@
 """Common framework abstractions."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: NNAPI execution preferences (the benchmarks default to
 #: FAST_SINGLE_ANSWER, §III-B).
@@ -36,27 +36,8 @@ class Partition:
 class InferenceStats:
     """Accounting for one session across its lifetime."""
 
-    model_name: str = ""
-    framework: str = ""
     init_us: float = 0.0
-    compile_us: float = 0.0
     invocations: int = 0
-    invoke_us_total: float = 0.0
-    compute_us_total: float = 0.0
-    offload_us_total: float = 0.0
-    partition_crossings: int = 0
-    per_invoke_us: list = field(default_factory=list)
-
-    @property
-    def mean_invoke_us(self):
-        if not self.per_invoke_us:
-            return 0.0
-        return sum(self.per_invoke_us) / len(self.per_invoke_us)
-
-    def record_invoke(self, duration_us):
-        self.invocations += 1
-        self.invoke_us_total += duration_us
-        self.per_invoke_us.append(duration_us)
 
 
 class InferenceSession:

@@ -5,8 +5,10 @@ fully cover — partial delegation with CPU fallback is NNAPI's job, see
 :mod:`repro.frameworks.nnapi`).
 """
 
-from repro.android.thread import Sleep, WaitFor, Work
+from repro.android.fastrpc import FastRpcChannel
+from repro.android.thread import Sleep, Work
 from repro.frameworks.support import supports_op
+from repro.frameworks.tflite import compile_graph_on_gpu, run_graph_on_gpu
 from repro.models import dtype_bytes
 
 #: DSP-side graph preparation per op at delegate init.
@@ -20,13 +22,11 @@ class GpuDelegate:
 
     name = "gpu"
     backend = "gpu-delegate"
+    #: Every graph runs at the delegate's default fp16 precision.
+    precision = "fp16"
 
-    def __init__(self, kernel, precision="fp16"):
+    def __init__(self, kernel):
         self.kernel = kernel
-        self.gpu = kernel.soc.gpu
-        if precision not in ("fp32", "fp16"):
-            raise ValueError(f"GPU precision must be fp16/fp32, not {precision!r}")
-        self.precision = precision
 
     def covers(self, model):
         if model.dtype == "int8":
@@ -37,34 +37,17 @@ class GpuDelegate:
 
     def init(self, model):
         """Shader compilation: CPU-side codegen plus GPU-side build."""
-        build_us = model.op_count * _DELEGATE_BUILD_PER_OP_US
-        yield Work(self.gpu.init_time_us * 0.4 + build_us, label="gpu:compile")
-        yield Sleep(self.gpu.init_time_us * 0.6)
+        yield from compile_graph_on_gpu(
+            self.kernel, model.op_count * _DELEGATE_BUILD_PER_OP_US,
+            "gpu:compile",
+        )
 
     def invoke(self, model):
         """Upload inputs, run the command buffer, read back outputs."""
-        memory = self.kernel.soc.memory
-        dtype = "fp16" if self.precision == "fp16" else model.dtype
-        yield Work(
-            memory.dram_copy_us(model.input_bytes), label="gpu:upload"
+        yield from run_graph_on_gpu(
+            self.kernel, model.name, model.ops, self.precision,
+            model.input_bytes, model.output_bytes, "gpu",
         )
-        # with-block instead of try/finally: the old finally began only
-        # after the queue wait, so an exception thrown at the WaitFor
-        # leaked the GPU grant.
-        with self.gpu.resource.request() as request:
-            yield WaitFor(request)
-            compute_us = self.gpu.graph_time_us(model.ops, dtype)
-            span = None
-            if self.kernel.sim.trace is not None:
-                span = self.kernel.sim.trace.begin("gpu", model.name)
-            yield Sleep(compute_us)
-            if span is not None:
-                self.kernel.sim.trace.end(span)
-            self.kernel.soc.energy.add_gpu_busy(compute_us)
-        yield Work(
-            memory.dram_copy_us(model.output_bytes), label="gpu:readback"
-        )
-        return compute_us
 
 
 class HexagonDelegate:
@@ -73,14 +56,10 @@ class HexagonDelegate:
     name = "hexagon"
     backend = "hexagon-delegate"
 
-    def __init__(self, kernel, channel=None):
+    def __init__(self, kernel):
         self.kernel = kernel
         self.dsp = kernel.soc.dsp
-        if channel is None:
-            from repro.android.fastrpc import FastRpcChannel
-
-            channel = FastRpcChannel(kernel, process_id=kernel.allocate_pid())
-        self.channel = channel
+        self.channel = FastRpcChannel(kernel, process_id=kernel.allocate_pid())
 
     def covers(self, model):
         if model.dtype != "int8":
@@ -101,7 +80,6 @@ class HexagonDelegate:
         yield from self.channel.invoke(
             input_bytes, model.output_bytes, compute_us, label=model.name
         )
-        return compute_us
 
 
 #: Effective speedup of SNPE's hand-tuned HVX kernels over the

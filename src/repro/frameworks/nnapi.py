@@ -13,8 +13,12 @@ on the slow reference path, and end-to-end latency degrades ~7x versus
 just using the tuned single-thread CPU kernels directly.
 """
 
-from repro.android.fastrpc import FastRpcSessionDeath, FastRpcTimeout
-from repro.android.thread import Sleep, WaitFor, Work
+from repro.android.fastrpc import (
+    FastRpcChannel,
+    FastRpcSessionDeath,
+    FastRpcTimeout,
+)
+from repro.android.thread import Work
 from repro.faults.recovery import DegradationReport, fault_counters
 from repro.frameworks.base import (
     FAST_SINGLE_ANSWER,
@@ -28,7 +32,11 @@ from repro.frameworks.cpu_kernels import (
     graph_cpu_work_us,
 )
 from repro.frameworks.support import supports_op
-from repro.frameworks.tflite import run_graph_on_cpu
+from repro.frameworks.tflite import (
+    compile_graph_on_gpu,
+    run_graph_on_cpu,
+    run_graph_on_gpu,
+)
 from repro.sim.probes import probe
 from repro.models import dtype_bytes
 
@@ -59,8 +67,7 @@ class NnapiSession(InferenceSession):
     """An NNAPI compilation + execution for one model."""
 
     def __init__(self, kernel, model, preference=FAST_SINGLE_ANSWER,
-                 min_accelerator_run=_MIN_ACCELERATOR_RUN, threads=4,
-                 feature_level=None, fault_injector=None):
+                 threads=4, feature_level=None, fault_injector=None):
         if preference not in EXECUTION_PREFERENCES:
             raise ValueError(f"unknown execution preference {preference!r}")
         self.kernel = kernel
@@ -72,7 +79,6 @@ class NnapiSession(InferenceSession):
                 kernel.soc.spec, "nnapi_feature_level", 1.1
             )
         self.feature_level = feature_level
-        self.min_accelerator_run = min_accelerator_run
         #: Interpreter threads used for partitions the driver rejected
         #: (TFLite keeps those ops on its own tuned kernels).
         self.threads = threads
@@ -88,7 +94,7 @@ class NnapiSession(InferenceSession):
         self.degradation = DegradationReport()
         self._invoke_fallbacks = 0
         self._invoke_fallback_us = 0.0
-        self.stats = InferenceStats(model_name=model.name, framework="nnapi")
+        self.stats = InferenceStats()
 
     # -- compilation -----------------------------------------------------
 
@@ -120,7 +126,7 @@ class NnapiSession(InferenceSession):
 
         # Demote accelerator runs too short to amortize a crossing.
         for partition in runs:
-            if partition.device != "cpu" and partition.op_count < self.min_accelerator_run:
+            if partition.device != "cpu" and partition.op_count < _MIN_ACCELERATOR_RUN:
                 partition.device = "cpu"
         # Merge adjacent same-device runs.
         merged = []
@@ -193,24 +199,19 @@ class NnapiSession(InferenceSession):
             # (compile fallback), and a plan with no GPU partitions
             # initializes no GPU delegate.
             if "gpu" in {p.device for p in self.partitions}:
-                gpu = self.kernel.soc.gpu
                 with probe(self.kernel, "nnapi", "driver_probe:gpu"):
-                    yield Work(
-                        gpu.init_time_us * 0.4, label="nnapi:gpu_compile"
+                    yield from compile_graph_on_gpu(
+                        self.kernel, 0.0, "nnapi:gpu_compile"
                     )
-                    yield Sleep(gpu.init_time_us * 0.6)
         if self.preference == "sustained_speed":
             # Cap the boost clock: trades peak latency for a thermally
             # sustainable operating point (no throttle cycling).
             self.kernel.soc.big_cluster.governor.max_fraction = 0.85
         self.prepared = True
-        self.stats.compile_us = self.kernel.now - start
-        self.stats.init_us = self.stats.compile_us
+        self.stats.init_us = self.kernel.now - start
 
     def _dsp_channel(self):
         if self._channel is None:
-            from repro.android.fastrpc import FastRpcChannel
-
             self._channel = FastRpcChannel(
                 self.kernel, process_id=self.kernel.allocate_pid(),
                 fault_injector=self.fault_injector,
@@ -240,7 +241,6 @@ class NnapiSession(InferenceSession):
         kernel = self.kernel
         soc = kernel.soc
         start = kernel.now
-        crossings = 0
         previous_device = None
         invoke_index = self.stats.invocations
         faults_before, retries_before = self._fault_snapshot()
@@ -248,7 +248,6 @@ class NnapiSession(InferenceSession):
         self._invoke_fallback_us = 0.0
         for partition in self.partitions:
             if previous_device is not None and partition.device != previous_device:
-                crossings += 1
                 in_bytes, _ = self._boundary_bytes(partition)
                 with probe(kernel, "nnapi", "boundary") as span:
                     if span is not None:
@@ -277,8 +276,7 @@ class NnapiSession(InferenceSession):
             fallbacks=self._invoke_fallbacks,
             fallback_us=self._invoke_fallback_us,
         )
-        self.stats.partition_crossings += crossings
-        self.stats.record_invoke(duration)
+        self.stats.invocations += 1
         return duration
 
     def _run_partition(self, partition):
@@ -292,7 +290,6 @@ class NnapiSession(InferenceSession):
                 partition.ops, self.model.dtype, IMPL_REFERENCE
             )
             yield Work(work, label="nnapi:reference")
-            self.stats.compute_us_total += work
         elif partition.device == "cpu":
             # Driver-rejected ops stay in TFLite's tuned kernels on
             # the interpreter's thread pool (partial delegation, the
@@ -306,7 +303,7 @@ class NnapiSession(InferenceSession):
                 affinity = {
                     core.core_id for core in soc.little_cores
                 }
-            work = yield from run_graph_on_cpu(
+            yield from run_graph_on_cpu(
                 self.kernel,
                 partition.ops,
                 self.model.dtype,
@@ -314,14 +311,11 @@ class NnapiSession(InferenceSession):
                 label="nnapi:cpu_partition",
                 affinity=affinity,
             )
-            self.stats.compute_us_total += work
         elif partition.device == "dsp":
             in_bytes, out_bytes = self._boundary_bytes(partition)
             compute = soc.dsp.graph_time_us(partition.ops, "int8")
-            channel = self._dsp_channel()
-            before = channel.stats.offload_overhead_us
             try:
-                yield from channel.invoke_retrying(
+                yield from self._dsp_channel().invoke_retrying(
                     in_bytes, out_bytes, compute,
                     label=f"nnapi:{self.model.name}[{partition.index}]",
                 )
@@ -331,9 +325,6 @@ class NnapiSession(InferenceSession):
                 # reference kernels and the invoke completes — degraded,
                 # never dead. (Distinct from the compile-time
                 # ``reference_fallback``, which never tries the DSP.)
-                self.stats.offload_us_total += (
-                    channel.stats.offload_overhead_us - before
-                )
                 work = graph_cpu_work_us(
                     partition.ops, self.model.dtype, IMPL_REFERENCE
                 )
@@ -341,36 +332,14 @@ class NnapiSession(InferenceSession):
                            {"index": partition.index,
                             "cause": type(exc).__name__}):
                     yield Work(work, label="nnapi:runtime_fallback")
-                self.stats.compute_us_total += work
                 self._invoke_fallbacks += 1
                 self._invoke_fallback_us += work
-            else:
-                self.stats.offload_us_total += (
-                    channel.stats.offload_overhead_us - before
-                )
-                self.stats.compute_us_total += compute
         elif partition.device == "gpu":
             in_bytes, out_bytes = self._boundary_bytes(partition)
-            yield Work(soc.memory.dram_copy_us(in_bytes), label="nnapi:upload")
-            # with-block instead of try/finally: the old finally began
-            # only after the queue wait, so an exception thrown at the
-            # WaitFor leaked the GPU grant.
-            with soc.gpu.resource.request() as request:
-                yield WaitFor(request)
-                compute = soc.gpu.graph_time_us(
-                    partition.ops, self.model.dtype
-                )
-                span = None
-                if kernel.sim.trace is not None:
-                    span = kernel.sim.trace.begin("gpu", self.model.name)
-                yield Sleep(compute)
-                if span is not None:
-                    kernel.sim.trace.end(span)
-                soc.energy.add_gpu_busy(compute)
-            yield Work(
-                soc.memory.dram_copy_us(out_bytes), label="nnapi:readback"
+            yield from run_graph_on_gpu(
+                kernel, self.model.name, partition.ops, self.model.dtype,
+                in_bytes, out_bytes, "nnapi",
             )
-            self.stats.compute_us_total += compute
         else:
             raise RuntimeError(f"unknown device {partition.device!r}")
 

@@ -8,6 +8,7 @@ hand-tuned kernels a constant factor faster than the open-source
 delegate's.
 """
 
+from repro.android.fastrpc import FastRpcChannel
 from repro.android.thread import Sleep, Work
 from repro.faults.recovery import NO_RETRY, DegradationReport, fault_counters
 from repro.frameworks.base import InferenceSession, InferenceStats, UnsupportedModelError
@@ -41,9 +42,7 @@ class SnpeSession(InferenceSession):
         #: session dies rather than degrades.
         self.fault_injector = fault_injector
         self.degradation = DegradationReport()
-        self.stats = InferenceStats(
-            model_name=model.name, framework=f"snpe-{runtime}"
-        )
+        self.stats = InferenceStats()
 
     def _check_supported(self):
         if self.runtime == "dsp":
@@ -68,8 +67,6 @@ class SnpeSession(InferenceSession):
             self.model.op_count * _DLC_LOAD_PER_OP_US, label="snpe:load"
         )
         if self.runtime == "dsp":
-            from repro.android.fastrpc import FastRpcChannel
-
             self._channel = FastRpcChannel(
                 self.kernel, process_id=self.kernel.allocate_pid(),
                 fault_injector=self.fault_injector, retry_policy=NO_RETRY,
@@ -101,19 +98,16 @@ class SnpeSession(InferenceSession):
                     self.degradation.record_invoke(
                         self.stats.invocations, before, after
                     )
-            self.stats.compute_us_total += compute
         else:
-            work = yield from run_graph_on_cpu(
+            yield from run_graph_on_cpu(
                 self.kernel,
                 self.model.ops,
                 self.model.dtype,
                 threads=self.threads,
                 label=f"snpe:{self.model.name}:cpu",
             )
-            self.stats.compute_us_total += work
-        duration = self.kernel.now - start
-        self.stats.record_invoke(duration)
-        return duration
+        self.stats.invocations += 1
+        return self.kernel.now - start
 
     def describe_plan(self):
         return f"all {self.model.op_count} ops on snpe-{self.runtime}"

@@ -138,15 +138,3 @@ def supports_op(backend, op, dtype, feature_level=NNAPI_1_1):
             # paper found lacking driver support.
             return False
     return True
-
-
-def supported_fraction(backend, ops, dtype):
-    """Fraction of ops (by count) the backend can take."""
-    if not ops:
-        return 0.0
-    good = sum(1 for op in ops if supports_op(backend, op, dtype))
-    return good / len(ops)
-
-
-def backends():
-    return sorted(_MATRIX)

@@ -3,10 +3,11 @@
 The interpreter owns model load/parse, then either runs the graph on N
 CPU threads with tuned kernels or hands the whole graph to a delegate
 (GPU or Hexagon). Matches the structure of the TFLite benchmark
-utility the paper uses (§III-B): init once, invoke many times.
+utility the paper uses (§III-B): init once, invoke many times. The GPU
+delegate and NNAPI's GPU partitions both run through ``run_graph_on_gpu``.
 """
 
-from repro.android.thread import Work
+from repro.android.thread import Sleep, WaitFor, Work
 from repro.frameworks.base import InferenceSession, InferenceStats, UnsupportedModelError
 from repro.frameworks.cpu_kernels import (
     IMPL_TUNED,
@@ -32,7 +33,7 @@ def run_graph_on_cpu(kernel, ops, dtype, threads=4, impl=IMPL_TUNED,
     total_work = graph_cpu_work_us(ops, dtype, impl)
     if threads <= 1:
         yield Work(total_work, label=label)
-        return total_work
+        return
     efficiency = parallel_efficiency(threads)
     share = total_work / (threads * efficiency)
 
@@ -46,26 +47,53 @@ def run_graph_on_cpu(kernel, ops, dtype, threads=4, impl=IMPL_TUNED,
     yield Work(share, label=f"{label}:w0")
     for thread in helpers:
         if not thread.done.triggered:
-            from repro.android.thread import WaitFor
-
             yield WaitFor(thread.done)
-    return total_work
+
+
+def compile_graph_on_gpu(kernel, build_us, label):
+    """Generator: shader compile, 40% CPU-side codegen (``label``, plus
+    ``build_us`` of graph building) and 60% GPU-side build off-CPU."""
+    init_us = kernel.soc.gpu.init_time_us
+    yield Work(init_us * 0.4 + build_us, label=label)
+    yield Sleep(init_us * 0.6)
+
+
+def run_graph_on_gpu(kernel, name, ops, dtype, input_bytes, output_bytes,
+                     label):
+    """Generator: upload, run ``ops`` on the exclusive GPU queue (a
+    ``gpu`` span named ``name``), book its energy and read back.
+
+    ``label`` prefixes the upload and readback Work labels.
+    """
+    soc = kernel.soc
+    yield Work(soc.memory.dram_copy_us(input_bytes), label=label + ":upload")
+    # The with-block returns the grant on every exit, also when an
+    # exception is thrown at the WaitFor.
+    with soc.gpu.resource.request() as request:
+        yield WaitFor(request)
+        compute_us = soc.gpu.graph_time_us(ops, dtype)
+        span = None
+        if kernel.sim.trace is not None:
+            span = kernel.sim.trace.begin("gpu", name)
+        yield Sleep(compute_us)
+        if span is not None:
+            kernel.sim.trace.end(span)
+        soc.energy.add_gpu_busy(compute_us)
+    yield Work(
+        soc.memory.dram_copy_us(output_bytes), label=label + ":readback"
+    )
 
 
 class TfliteInterpreter(InferenceSession):
     """One TFLite interpreter instance bound to a model."""
 
-    def __init__(self, kernel, model, threads=4, delegate=None, affinity=None):
+    def __init__(self, kernel, model, threads=4, delegate=None):
         self.kernel = kernel
         self.model = model
         self.threads = threads
         self.delegate = delegate
-        self.affinity = affinity
         self.prepared = False
-        self.stats = InferenceStats(
-            model_name=model.name,
-            framework="tflite" if delegate is None else f"tflite+{delegate.name}",
-        )
+        self.stats = InferenceStats()
         # Invoke-span label and metadata are fixed for the session;
         # rendering them per invoke would allocate even on untraced
         # runs (probes copy the shared dict into each span).
@@ -109,23 +137,19 @@ class TfliteInterpreter(InferenceSession):
         if self.delegate is not None:
             with probe(self.kernel, "tflite", self._invoke_span_label,
                        self._invoke_span_meta):
-                compute_us = yield from self.delegate.invoke(self.model)
-            self.stats.compute_us_total += compute_us
+                yield from self.delegate.invoke(self.model)
         else:
             with probe(self.kernel, "tflite", self._invoke_span_label,
                        self._invoke_span_meta):
-                work = yield from run_graph_on_cpu(
+                yield from run_graph_on_cpu(
                     self.kernel,
                     self.model.ops,
                     self.model.dtype,
                     threads=self.threads,
                     label=f"{self.model.name}:cpu",
-                    affinity=self.affinity,
                 )
-            self.stats.compute_us_total += work
-        duration = self.kernel.now - start
-        self.stats.record_invoke(duration)
-        return duration
+        self.stats.invocations += 1
+        return self.kernel.now - start
 
     def describe_plan(self):
         if self.delegate is not None:

@@ -38,8 +38,6 @@ STATE_CLOSED = "closed"
 STATE_OPEN = "open"
 STATE_HALF_OPEN = "half_open"
 
-STATES = (STATE_CLOSED, STATE_OPEN, STATE_HALF_OPEN)
-
 #: Counter-span encoding of breaker states (``health:backend<N>``).
 _STATE_LEVELS = {STATE_CLOSED: 0, STATE_HALF_OPEN: 1, STATE_OPEN: 2}
 

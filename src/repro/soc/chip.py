@@ -65,14 +65,6 @@ class Soc:
             core.cluster = None
             core.current_thread = None
 
-    def accelerator(self, kind):
-        """Look up an accelerator by kind: ``gpu`` or ``dsp``/``npu``."""
-        if kind == "gpu":
-            return self.gpu
-        if kind in ("dsp", "npu", "hexagon"):
-            return self.dsp
-        raise KeyError(f"unknown accelerator kind {kind!r}")
-
     def __repr__(self):
         return (
             f"<Soc {self.spec.soc_name}: {len(self.cores)} cores, "

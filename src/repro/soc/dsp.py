@@ -29,23 +29,17 @@ _RATE_BY_KIND = {
 class Dsp:
     """A Hexagon-class DSP with HVX vector units."""
 
-    #: Integration style (see paper §II-D). Loosely coupled devices pay
-    #: cache flushes and kernel round trips per invocation; a tightly
-    #: coupled device would share the CPU cache hierarchy.
-    coupling = "loose"
-
     def __init__(self, sim, name, scale=1.0, coupling="loose"):
         self.sim = sim
         self.name = name
         self.scale = scale
+        #: Integration style (see paper §II-D). Loosely coupled devices
+        #: pay cache flushes and kernel round trips per invocation; a
+        #: tightly coupled device would share the CPU cache hierarchy.
         self.coupling = coupling
         self.resource = Resource(sim, capacity=1, name=f"dsp:{name}")
         #: Process handles mapped via FastRPC session setup.
         self.mapped_processes = set()
-
-    def supports_dtype(self, dtype):
-        """HVX executes int8 graphs; fp graphs only via scalar fallback."""
-        return dtype == "int8"
 
     def op_time_us(self, op, dtype):
         if dtype == "int8":

@@ -31,9 +31,6 @@ class Gpu:
         self.scale = scale
         self.resource = Resource(sim, capacity=1, name=f"gpu:{name}")
 
-    def supports_dtype(self, dtype):
-        return dtype in ("fp32", "fp16", "int8")
-
     def op_time_us(self, op, dtype):
         """Roofline time plus dispatch overhead for one op."""
         rate_gflops = _RATE_BY_KIND[op.compute_class] * self.scale

@@ -14,6 +14,7 @@ from repro.faults import (
     FaultSpec,
     RetryPolicy,
 )
+from repro.faults.recovery import fault_counters
 from repro.faults.plan import (
     FAULT_SESSION_DEATH,
     FAULT_SSR,
@@ -59,8 +60,10 @@ def test_injected_timeout_raises_and_counts():
 
     run_body(sim, kernel, body())
     assert outcomes and "injected" in outcomes[0]
-    assert channel.stats.timeouts == 1
-    assert channel.stats.failed_calls == 1
+    assert fault_counters(channel.stats) == {
+        "timeout": 1, "ssr": 0, "session_death": 0, "thermal": 0,
+    }
+    assert channel.stats.stale_handles == 0
     assert channel.stats.calls == 1  # only the completed call counts
     assert soc.dsp.resource.queue_length == 0
     assert soc.dsp.resource.in_use == 0
@@ -154,8 +157,10 @@ def test_thermal_fault_degrades_without_raising():
             durations.append(duration)
 
     run_body(sim, kernel, body())
-    assert channel.stats.thermal_events == 1
-    assert channel.stats.failed_calls == 0
+    assert fault_counters(channel.stats) == {
+        "timeout": 0, "ssr": 0, "session_death": 0, "thermal": 1,
+    }
+    assert channel.stats.stale_handles == 0
     assert channel.stats.calls == 2  # both calls completed
     assert soc.thermal.temperature > start_temp
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.frameworks import supports_op
 from repro.models import conv2d, depthwise_conv2d, load_model
 from repro.sim import Simulator, units
 from repro.soc import SOC_SPECS, make_soc, soc_spec
@@ -28,8 +29,6 @@ def test_soc_assembly():
     assert len(soc.cores) == 8
     assert len(soc.big_cores) == 4
     assert soc.big_cores[0].perf_index > soc.little_cores[0].perf_index
-    assert soc.accelerator("gpu") is soc.gpu
-    assert soc.accelerator("npu") is soc.dsp
     assert soc.core(0).name == "cpu0"
 
 
@@ -48,8 +47,8 @@ def test_dsp_int8_much_faster_than_scalar_fp():
     soc = make_soc(sim, "sd845")
     op = conv2d("c", (56, 56), 64, 128, 3)
     assert soc.dsp.op_time_us(op, "fp32") > 20 * soc.dsp.op_time_us(op, "int8")
-    assert soc.dsp.supports_dtype("int8")
-    assert not soc.dsp.supports_dtype("fp32")
+    assert supports_op("hexagon-delegate", op, "int8")
+    assert not supports_op("hexagon-delegate", op, "fp32")
 
 
 def test_depthwise_less_efficient_than_dense():

@@ -88,6 +88,8 @@ def test_config_unknown_key_rejected():
 
     with _pytest.raises(ValueError, match="unknown config keys"):
         config_from_dict({"model": "mobilenet_v1"})
+    with _pytest.raises(ValueError, match="unknown config keys"):
+        config_from_dict({"extra": {}})
 
 
 def test_fleet_command(tmp_path, capsys):
