@@ -19,9 +19,10 @@ latency or utilization value, so the two silent corruptions are
 Two passes implement this (``python -m repro semcheck``):
 
 **Units pass.** Unit types are inferred from name suffixes (``_us`` /
-``_ms`` / ``_ns`` / ``_mhz`` / ``_uj`` / ``_mj`` / ``_celsius`` — see
-:mod:`repro.analysis.unit_types`) on parameters, attributes, locals,
-and return names, and propagated through assignment and arithmetic.
+``_ms`` / ``_ns`` / ``_mhz`` / ``_uj`` / ``_mj`` / ``_watts`` /
+``_celsius`` — see :mod:`repro.analysis.unit_types`) on parameters,
+attributes, locals, and return names, and propagated through assignment
+and arithmetic (watts times microseconds is microjoules).
 Cross-unit arithmetic and comparison, bare ``* 1000`` / ``/ 1000.0``
 scale factors outside :mod:`repro.sim.units`, misused converters, and
 unit-suffixed arguments bound to differently-suffixed parameters
@@ -247,7 +248,7 @@ class _UnitsPass:
             return left or right
         if isinstance(node.op, ast.Mult):
             if left is not None and right is not None:
-                return None
+                return unit_types.product_unit(left, right)
             return left or right
         if isinstance(node.op, (ast.Div, ast.FloorDiv, ast.Mod)):
             if left is not None and right is None:

@@ -1,18 +1,20 @@
 """Unit typing for the simulation DSL's name-suffix convention.
 
 The engine clock counts **microseconds**; the paper reports
-milliseconds; energy meters count microjoules; clocks are megahertz.
-The tree encodes the unit of nearly every quantity in its name —
-``dsp_queue_us``, ``total_ms``, ``per_char_ns``, ``max_freq_mhz``,
-``total_uj``, ``ambient_celsius`` — which makes units *statically
-inferable*: a suffix is a type annotation the checker can read.
+milliseconds; energy meters count microjoules; clocks are megahertz;
+busy powers are watts. The tree encodes the unit of nearly every
+quantity in its name — ``dsp_queue_us``, ``total_ms``, ``per_char_ns``,
+``max_freq_mhz``, ``total_uj``, ``busy_watts``, ``ambient_celsius`` —
+which makes units *statically inferable*: a suffix is a type annotation
+the checker can read.
 
 This module is the type system behind the semcheck units pass
 (:mod:`repro.analysis.semcheck`): the suffix table, the dimension each
-unit belongs to, the conversion helpers of :mod:`repro.sim.units` with
-their argument/return units, and the externally-declared signatures
-(``Simulator.timeout(delay)`` is microseconds, per its docstring, and
-is checked as such).
+unit belongs to, the products that change dimension (watts times
+microseconds is microjoules), the conversion helpers of
+:mod:`repro.sim.units` with their argument/return units, and the
+externally-declared signatures (``Simulator.timeout(delay)`` is
+microseconds, per its docstring, and is checked as such).
 """
 
 from dataclasses import dataclass
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 TIME = "time"
 FREQUENCY = "frequency"
 ENERGY = "energy"
+POWER = "power"
 TEMPERATURE = "temperature"
 
 
@@ -43,14 +46,19 @@ UNITS = (
     Unit("ghz", FREQUENCY, "gigahertz"),
     Unit("uj", ENERGY, "microjoules (the energy-meter unit)"),
     Unit("mj", ENERGY, "millijoules"),
+    Unit("watts", POWER, "watts (busy powers)"),
     Unit("celsius", TEMPERATURE, "degrees Celsius"),
 )
 
 UNITS_BY_ID = {unit.id: unit for unit in UNITS}
 
 #: Suffix tokens that actually mark units on names. ``_s`` is excluded:
-#: it is too common as a non-unit suffix to infer from safely.
-_SUFFIX_UNITS = ("us", "ms", "ns", "mhz", "ghz", "uj", "mj", "celsius")
+#: it is too common as a non-unit suffix to infer from safely, and power
+#: is spelled ``_watts`` because ``_w`` means a width (``crop_w``,
+#: ``target_w``) in the processing code.
+_SUFFIX_UNITS = (
+    "us", "ms", "ns", "mhz", "ghz", "uj", "mj", "watts", "celsius",
+)
 
 
 def suffix_unit(name):
@@ -78,6 +86,23 @@ def same_dimension(unit_a, unit_b):
     )
 
 
+#: Products of two units that change dimension: 1 W = 1 J/s, so watts
+#: times microseconds are microjoules and watts times milliseconds are
+#: millijoules. Any other product of two units is unknown.
+PRODUCT_UNITS = {
+    ("watts", "us"): "uj",
+    ("watts", "ms"): "mj",
+}
+
+
+def product_unit(unit_a, unit_b):
+    """Unit of ``unit_a * unit_b``, in either order, or ``None``."""
+    product = PRODUCT_UNITS.get((unit_a, unit_b))
+    if product is None:
+        product = PRODUCT_UNITS.get((unit_b, unit_a))
+    return product
+
+
 #: ``repro.sim.units`` converters: callable name -> (argument unit,
 #: return unit). ``None`` argument unit means "any number" (the
 #: dimensionless scale constants are not callables and not listed).
@@ -93,8 +118,8 @@ CONVERTER_SIGNATURES = {
     "to_mj": ("uj", "mj"),
     "fps_from_ms": ("ms", None),
     # Dimension-changing identities: watts x us -> uJ, and G-per-second
-    # rates -> per-us rates. Their first arguments carry no unit suffix.
-    "uj_from_w_us": (None, "uj"),
+    # rates -> per-us rates (whose argument carries no unit suffix).
+    "uj_from_w_us": ("watts", "uj"),
     "per_us_rate": (None, None),
 }
 

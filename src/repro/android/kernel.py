@@ -14,14 +14,31 @@ Design notes
 * Idle cores are woken in randomized order when work arrives, which —
   combined with interference daemons — reproduces the single hot thread
   bouncing across cores 4-7 that the paper observes for the NNAPI CPU
-  fallback path. Most woken cores find the work already taken, so each
-  core owns one idle event and one timer and re-arms them in place: a
-  wakeup that finds nothing to run, and a timeslice, allocate nothing.
-  One wake-all hands its idle events to the simulator in one
-  :meth:`~repro.sim.Simulator.schedule_now` call, and each core prices
-  its slices at a busy power fixed when its loop is built.
-* A thread owns one sleep timer, which every ``Sleep`` restarts: a
-  thread is never asleep twice at once. :meth:`Kernel.close` drops it.
+  fallback path. Most woken cores find the work already taken. One
+  wake-all hands its idle events to the simulator in one
+  :meth:`~repro.sim.Simulator.schedule_now` call.
+* Each core loop owns one idle event, one timer and one callbacks list
+  ``[loop._run]``, all built once. Going idle re-arms the idle event in
+  place with that list as its callbacks; a timeslice, a context switch
+  and a misfit handoff restart the timer (:meth:`Timeout.restart
+  <repro.sim.events.Timeout.restart>`) with the list's one callback. So
+  a wakeup that finds nothing to run allocates nothing, and a timeslice
+  allocates only the one-element list ``restart`` installs.
+* Each governor loop likewise owns one timer and one callbacks list
+  ``[loop._tick]``, and restarts the timer with that callback every
+  window.
+* A core loop books each slice's energy itself, at a busy power fixed
+  when the loop is built: ``busy_watts * fraction ** 3 * duration_us``
+  into the meter's ``cpu_uj`` and then its ``by_label`` entry. That
+  line is the CPU slice-energy formula's one definition.
+* A thread owns one sleep timer, which every ``Sleep`` restarts with
+  the thread's ``_wake``: a thread is never asleep twice at once.
+* :meth:`Kernel.close` ends a device's scheduler. It closes every
+  unfinished thread body and drops each thread's process
+  back-reference and sleep timer; drops the callbacks of every idle
+  event still pending and empties the thread, runqueue and idle-event
+  tables; and drops each loop's callbacks list (its bound method holds
+  the loop) and empties the kernel's list of loops.
 * Per-cluster DVFS governors sample window utilization; a benchmark's
   tight loop pins the top OPP while an app idling between camera frames
   ramps up and down, contributing run-to-run variability (Fig. 11).
@@ -68,6 +85,9 @@ class Kernel:
         self._rng = sim.rng.stream("sched")
         self._next_pid = 1000
         self._next_tid = 1
+        #: The core and governor loops, so close() can drop the
+        #: callbacks list each one built.
+        self._loops = []
         # Static per-core tables for the dispatch hot paths: the
         # negated perf index keyed by core id (same ordering the old
         # `sort(key=lambda cid: -soc.core(cid).perf_index)` produced,
@@ -92,10 +112,10 @@ class Kernel:
         # streams — bootstrap labels included — are byte-identical to
         # the generator forms they replaced (see docs/performance.md).
         for core in sorted(soc.cores, key=lambda c: -c.perf_index):
-            _CoreLoop(self, core)
+            self._loops.append(_CoreLoop(self, core))
         if enable_dvfs:
             for cluster in soc.clusters:
-                _GovernorLoop(self, cluster)
+                self._loops.append(_GovernorLoop(self, cluster))
         if enable_thermal:
             sim.process(self._thermal_loop(), name="thermal")
         if sim.trace is not None:
@@ -113,7 +133,9 @@ class Kernel:
         back-reference and sleep timer (a scheduled timer's callback is
         the thread), and empties the thread, runqueue and idle-event
         tables; an idle event's one callback is its core loop, which
-        holds the event. Call it before :meth:`Simulator.close
+        holds the event. Drops each core and governor loop's callbacks
+        list, whose bound method holds the loop, and then the list of
+        loops. Call it before :meth:`Simulator.close
         <repro.sim.Simulator.close>`: a closing body can release a
         resource and so schedule a grant. The kernel cannot run
         afterwards.
@@ -128,6 +150,9 @@ class Kernel:
             if idle is not None:
                 idle.callbacks = None
         self._idle_events.clear()
+        for loop in self._loops:
+            loop._callbacks = None
+        self._loops.clear()
 
     def allocate_pid(self):
         """Deterministic process-id allocation, fresh per simulation.
@@ -220,25 +245,28 @@ class Kernel:
         else:
             self._advance(thread, event._value)
 
-    def _min_runnable_vruntime(self):
-        # Single pass, no intermediate list: runs on every wakeup.
-        best = None
-        for thread in self._runqueue:
-            if best is None or thread.vruntime < best:
-                best = thread.vruntime
-        for core in self._cores:
-            running = core.current_thread
-            if running is not None and running.state == RUNNING:
-                if best is None or running.vruntime < best:
-                    best = running.vruntime
-        return 0.0 if best is None else best
-
     def _enqueue(self, thread):
         thread.state = RUNNABLE
         # Place woken threads at the head of the fairness window so they
-        # get CPU promptly without resetting accumulated fairness.
-        thread.vruntime = max(thread.vruntime, self._min_runnable_vruntime())
-        self._runqueue.append(thread)
+        # get CPU promptly without resetting accumulated fairness: raise
+        # the thread's vruntime to the lowest among the runnable and
+        # running threads (0.0 when there are none). One pass, no
+        # intermediate list: this runs on every wakeup.
+        runqueue = self._runqueue
+        floor = None
+        for other in runqueue:
+            if floor is None or other.vruntime < floor:
+                floor = other.vruntime
+        for core in self._cores:
+            running = core.current_thread
+            if running is not None and running.state == RUNNING:
+                if floor is None or running.vruntime < floor:
+                    floor = running.vruntime
+        if floor is None:
+            floor = 0.0
+        if floor > thread.vruntime:
+            thread.vruntime = floor
+        runqueue.append(thread)
         self._wake_idle_cores(thread)
 
     def _wake_idle_cores(self, thread):
@@ -333,7 +361,10 @@ class _CoreLoop:
 
     The loop never has more than one event pending, so it owns one idle
     event and one timer and re-arms them in place; the digest hashes
-    labels and sequence numbers, not object identity.
+    labels and sequence numbers, not object identity. It also builds its
+    callbacks list ``[self._run]`` once: every idle re-arm installs that
+    list, and every timer restart its one callback. The list holds the
+    loop, so :meth:`Kernel.close` drops it.
     """
 
     # Resume states: where the loop continues when its pending event pops.
@@ -344,9 +375,10 @@ class _CoreLoop:
     __slots__ = (
         "kernel", "sim", "trace", "core", "core_id", "runqueue",
         "idle_events", "cluster", "governor", "opp_max_khz", "perf_index",
-        "faster_cores", "add_cpu_slice", "busy_w", "context_switch_us",
-        "migration_penalty_us", "timeslice_us", "_idle", "_timer",
-        "_state", "_thread", "_slice_work", "_duration", "_span",
+        "faster_cores", "energy", "by_label", "busy_watts",
+        "context_switch_us", "migration_penalty_us", "timeslice_us",
+        "_callbacks", "_idle", "_timer", "_state", "_thread",
+        "_slice_work", "_duration_us", "_span",
     )
 
     def __init__(self, kernel, core):
@@ -365,11 +397,15 @@ class _CoreLoop:
         self.perf_index = core.perf_index
         self.faster_cores = kernel._faster_cores[core.core_id]
         energy = kernel.soc.energy
-        self.add_cpu_slice = energy.add_cpu_slice
-        self.busy_w = energy.core_busy_w(core)
+        self.energy = energy
+        self.by_label = energy.by_label
+        self.busy_watts = energy.core_busy_watts(core)
         self.context_switch_us = params.CONTEXT_SWITCH_US
         self.migration_penalty_us = params.MIGRATION_PENALTY_US
         self.timeslice_us = params.TIMESLICE_US
+        # Installed by every idle re-arm; its one element is the
+        # callback of every timer restart. Dropped by Kernel.close().
+        self._callbacks = [self._run]
         # Re-armed whenever the core goes idle; triggered only by
         # Kernel._wake_idle_cores.
         self._idle = Event(sim, name=core.name + ":idle")
@@ -378,7 +414,7 @@ class _CoreLoop:
         self._state = self._PICK
         self._thread = None
         self._slice_work = 0.0
-        self._duration = 0.0
+        self._duration_us = 0.0
         self._span = None
         # Bootstrap identical to ``sim.process(..., name=f"{core.name}:loop")``:
         # its pop runs the first dispatch round.
@@ -391,7 +427,7 @@ class _CoreLoop:
             # the idle event before loading the dispatch loop's locals.
             idle = self._idle
             idle._state = PENDING
-            idle.callbacks = [self._run]
+            idle.callbacks = self._callbacks
             self.idle_events[self.core_id] = idle
             return
         # One activation: loop over states until the machine blocks on
@@ -420,7 +456,7 @@ class _CoreLoop:
                 if thread is None:
                     idle = self._idle
                     idle._state = PENDING
-                    idle.callbacks = [self._run]
+                    idle.callbacks = self._callbacks
                     self.idle_events[core_id] = idle
                     self._state = 0
                     self._thread = None
@@ -462,19 +498,23 @@ class _CoreLoop:
                 )
                 if speed < _MIN_SPEED:
                     speed = _MIN_SPEED
+                # At most one timeslice's worth of work at this speed.
                 total_work = thread.penalty_work + thread.remaining_work
-                slice_work = min(total_work, self.timeslice_us * speed)
-                duration = slice_work / speed
+                most_work = self.timeslice_us * speed
+                slice_work = (
+                    most_work if most_work < total_work else total_work
+                )
+                duration_us = slice_work / speed
                 span = None
                 if trace is not None:
                     span = trace.begin(
                         core.name, thread.name, tid=thread.tid
                     )
-                delay = duration
+                delay = duration_us
                 self._state = 2
                 self._thread = thread
                 self._slice_work = slice_work
-                self._duration = duration
+                self._duration_us = duration_us
                 self._span = span
                 break
             else:  # _ACCOUNT: book the finished slice
@@ -483,24 +523,29 @@ class _CoreLoop:
                     trace.end(span)
                     self._span = None
                 slice_work = self._slice_work
-                duration = self._duration
-                penalty_used = min(thread.penalty_work, slice_work)
+                duration_us = self._duration_us
+                penalty_used = thread.penalty_work
+                if slice_work < penalty_used:
+                    penalty_used = slice_work
                 thread.penalty_work -= penalty_used
                 thread.remaining_work -= slice_work - penalty_used
-                thread.vruntime += duration / thread.weight
+                thread.vruntime += duration_us / thread.weight
                 stats = thread.stats
-                stats.cpu_time_us += duration
+                stats.cpu_time_us += duration_us
                 stats.cores_used.add(core_id)
-                core.busy_us += duration
-                # The energy meter charges the slice at the OPP current
-                # *now* (slice end) — the governor may have stepped
-                # mid-slice, so this is not the fraction used for speed.
-                self.add_cpu_slice(
-                    self.busy_w, duration,
-                    self.governor.current_khz / self.opp_max_khz,
-                    thread.current_label or thread.name,
-                )
-                kernel._total_busy += duration
+                core.busy_us += duration_us
+                # The slice's energy, at the OPP current *now* (slice
+                # end): the governor may have stepped mid-slice, so this
+                # is not the fraction used for speed. A fully busy core
+                # draws busy_watts * fraction ** 3 (P ~ f * V^2, V ~ f),
+                # and W x us is uJ.
+                fraction = self.governor.current_khz / self.opp_max_khz
+                energy_uj = self.busy_watts * fraction ** 3 * duration_us
+                self.energy.cpu_uj += energy_uj
+                label = thread.current_label or thread.name
+                by_label = self.by_label
+                by_label[label] = by_label.get(label, 0.0) + energy_uj
+                kernel._total_busy += duration_us
                 if thread.remaining_work <= 1e-9:
                     thread.state = BLOCKED
                     thread.remaining_work = 0.0
@@ -533,9 +578,9 @@ class _CoreLoop:
         timer = self._timer
         if timer is None:
             timer = self._timer = Timeout(self.sim, delay)
-            timer.callbacks.append(self._run)
+            timer.callbacks = self._callbacks
         else:
-            timer.restart(delay, self._run)
+            timer.restart(delay, self._callbacks[0])
 
 
 class _GovernorLoop:
@@ -547,12 +592,13 @@ class _GovernorLoop:
     callback state machine with an event stream byte-identical to the
     generator Process it replaced (bootstrap ``gov:<cluster>:start``,
     then one ``timeout(4000.0)`` per window, all from one restarted
-    timer).
+    timer). Its callbacks list ``[self._tick]`` is built once, and
+    :meth:`Kernel.close` drops it.
     """
 
     __slots__ = (
         "sim", "trace", "cores", "last_busy", "governor", "update",
-        "freq_label",
+        "freq_label", "_callbacks",
     )
 
     def __init__(self, kernel, cluster):
@@ -564,15 +610,17 @@ class _GovernorLoop:
         self.governor = cluster.governor
         self.update = cluster.governor.update
         self.freq_label = "freq:" + cluster.name
+        # The timer's callback at every restart; dropped by Kernel.close().
+        self._callbacks = [self._tick]
         sim.bootstrap("gov:" + cluster.name, self._start)
 
     def _start(self, _event):
         timeout = Timeout(self.sim, _GOVERNOR_WINDOW_US)
-        timeout.callbacks.append(self._tick)
+        timeout.callbacks = self._callbacks
 
     def _tick(self, timer):
-        # The window's peak busy time, capped once: min(1, x / W) is
-        # monotone in x, so this equals the max of the per-core capped
+        # The window's peak busy time, capped once at 1: capping is
+        # monotone, so this equals the max of the per-core capped
         # utilizations bit for bit.
         last_busy = self.last_busy
         peak = 0.0
@@ -582,7 +630,8 @@ class _GovernorLoop:
             last_busy[index] = busy
             if window_busy > peak:
                 peak = window_busy
-        self.update(min(1.0, peak / _GOVERNOR_WINDOW_US))
+        utilization = peak / _GOVERNOR_WINDOW_US
+        self.update(utilization if utilization < 1.0 else 1.0)
         if self.trace is not None:
             self.trace.count(self.freq_label, self.governor.current_khz)
-        timer.restart(_GOVERNOR_WINDOW_US, self._tick)
+        timer.restart(_GOVERNOR_WINDOW_US, self._callbacks[0])

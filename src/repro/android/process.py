@@ -1,18 +1,19 @@
 """Application processes.
 
-An :class:`AppProcess` groups threads, owns a FastRPC channel, and — for
-real Android apps (not command-line benchmarks) — runs an ART garbage
+An :class:`AppProcess` groups threads under one pid and — for real
+Android apps (not command-line benchmarks) — runs an ART garbage
 collector whose pauses stall the app's threads at random points, one of
-the app-only variability sources behind the paper's Fig. 11.
+the app-only variability sources behind the paper's Fig. 11. It owns
+no FastRPC channel: each DSP runtime (TFLite's Hexagon delegate, NNAPI,
+SNPE) opens its own.
 """
 
 from repro.android import params
-from repro.android.fastrpc import FastRpcChannel
 from repro.android.thread import Sleep, Work
 
 
 class AppProcess:
-    """One Linux process: threads, RPC channel, optional ART runtime."""
+    """One Linux process: a pid, its threads, optional ART runtime."""
 
     def __init__(self, kernel, name, managed_runtime=False):
         self.kernel = kernel
@@ -20,7 +21,6 @@ class AppProcess:
         self.pid = kernel.allocate_pid()
         self.managed_runtime = managed_runtime
         self.threads = []
-        self.fastrpc = FastRpcChannel(kernel, process_id=self.pid)
         self._gc_thread = None
         if managed_runtime:
             self._gc_thread = kernel.spawn(

@@ -174,11 +174,17 @@ class Simulator:
         simulation time in microseconds), or an :class:`Event` (stop once
         it has been processed and return its value). A time bound pops
         every event at or before it and leaves the clock there; an event
-        bound stops on the pop that processes the event.
+        bound stops on the pop that processes the event, and an event
+        that was processed already returns its value (or raises its
+        exception) at once, without popping anything.
         """
         deadline = None
         stopped = []
         if isinstance(until, Event):
+            if until._state == PROCESSED:
+                if until._exception is not None:
+                    raise until._exception
+                return until._value
             until.callbacks.append(stopped.append)
         elif until is not None:
             deadline = float(until)

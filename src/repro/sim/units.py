@@ -83,13 +83,13 @@ def fps_from_ms(frame_ms):
     return MS_PER_SECOND / frame_ms
 
 
-def uj_from_w_us(power_w, duration_us):
+def uj_from_w_us(power_watts, duration_us):
     """Energy in microjoules: watts times busy microseconds.
 
     1 W = 1 J/s = 1 uJ/us, so the product is already microjoules —
     this helper exists to make that dimension change explicit.
     """
-    return power_w * duration_us
+    return power_watts * duration_us
 
 
 def per_us_rate(rate_giga_per_s):

@@ -112,10 +112,14 @@ class DvfsGovernor:
             self.current_khz = self.opp.min_khz
         else:
             # OppTable.for_capacity, then one step_towards, in one frame:
-            # this runs every governor window on every cluster.
+            # this runs every governor window on every cluster. The clamp
+            # to [0, 1] is for_capacity's max(0.0, min(1.0, fraction)),
+            # written as comparisons.
             opp = self.opp
             levels = opp.frequencies_khz
-            fraction = max(0.0, min(1.0, utilization * self.headroom))
+            fraction = utilization * self.headroom
+            fraction = fraction if fraction < 1.0 else 1.0
+            fraction = fraction if fraction > 0.0 else 0.0
             target = levels[bisect_left(levels, fraction * levels[-1])]
             current = self.current_khz
             index = opp._index_by_khz.get(current)

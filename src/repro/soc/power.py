@@ -32,8 +32,11 @@ DRAM_PJ_PER_BYTE = 60.0
 class EnergyMeter:
     """Cumulative per-component energy in microjoules.
 
-    Components call the ``add_*`` hooks; analyses snapshot totals around
-    a measured region and difference them.
+    Accelerators and DRAM call the ``add_*`` hooks. CPU slices are
+    booked by the scheduler's core loops (:mod:`repro.android.kernel`),
+    which add each slice's energy to ``cpu_uj`` and then to its label's
+    ``by_label`` entry. Analyses snapshot totals around a measured
+    region and difference them.
     """
 
     cpu_uj: float = 0.0
@@ -50,28 +53,17 @@ class EnergyMeter:
     # Watts * microseconds == microjoules (units.uj_from_w_us).
 
     @staticmethod
-    def core_busy_w(core):
+    def core_busy_watts(core):
         """Dynamic power of ``core`` fully busy at its top OPP (watts).
 
-        A core's cluster and perf index never change, so the scheduler
-        fixes this once per core and passes it with every slice.
+        A core's cluster and perf index never change, so each scheduler
+        core loop fixes this once and prices every slice it runs at
+        ``busy_watts * fraction ** 3``, where ``fraction`` is the
+        cluster's ``current_khz / max_khz`` at the slice's end.
         """
         if core.cluster.name == "little" or core.perf_index < 0.6:
             return LITTLE_CORE_BUSY_W
         return BIG_CORE_BUSY_W
-
-    def add_cpu_slice(self, busy_w, duration_us, fraction, label=None):
-        """Energy for one scheduler slice on a core at OPP speed ``fraction``.
-
-        ``busy_w`` is the core's :meth:`core_busy_w` and ``fraction`` its
-        ``current_khz / max_khz``; the slice draws ``busy_w * fraction
-        ** 3`` watts.
-        """
-        energy = units.uj_from_w_us(busy_w * fraction ** 3, duration_us)
-        self.cpu_uj += energy
-        if label is not None:
-            self.by_label[label] = self.by_label.get(label, 0.0) + energy
-        return energy
 
     def add_gpu_busy(self, duration_us):
         energy = units.uj_from_w_us(GPU_BUSY_W, duration_us)

@@ -133,6 +133,31 @@ def test_same_module_suffixed_parameters_are_enforced():
     assert [finding.rule for finding in findings] == ["unit-arg-mismatch"]
 
 
+def test_watts_times_time_is_energy():
+    # W x us is uJ and W x ms is mJ, so an energy stored under the wrong
+    # suffix is caught; a ``_w`` width is not a power.
+    def check(flavor):
+        name = f"unit_mismatch_power_{flavor}.py"
+        findings, errors = semcheck.semcheck_source(
+            (FIXTURES / name).read_text(), name, resolved_path=PLAIN_PATH
+        )
+        assert errors == []
+        return [finding.rule for finding in findings]
+
+    assert check("bad") == ["unit-mismatch"]
+    assert check("ok") == []
+
+
+def test_watts_converter_takes_power_first():
+    source = (
+        "from repro.sim import units\n"
+        "def f(busy_watts, duration_us):\n"
+        "    return units.uj_from_w_us(duration_us, busy_watts)\n"
+    )
+    findings, _errors = semcheck.semcheck_source(source, "x.py")
+    assert [finding.rule for finding in findings] == ["unit-arg-mismatch"]
+
+
 def test_unknown_units_never_flag():
     source = (
         "def f(total_us, budget):\n"

@@ -102,11 +102,3 @@ def test_process_spawn_names_threads():
     assert thread.process is process
     assert thread in process.threads
     sim.run(until=thread.done)
-
-
-def test_fastrpc_channel_per_process():
-    sim, soc, kernel = make_rig()
-    first = AppProcess(kernel, "a")
-    second = AppProcess(kernel, "b")
-    assert first.fastrpc.process_id == first.pid
-    assert first.fastrpc is not second.fastrpc

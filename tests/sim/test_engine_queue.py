@@ -169,6 +169,24 @@ def test_run_until_event_stops_with_later_events_still_queued():
     assert sim.now == 3.0
 
 
+def test_run_until_a_processed_event_returns_its_outcome_without_popping():
+    sim = Simulator(seed=0)
+    target = sim.timeout(5.0, value=7)
+    assert sim.run(until=target) == 7
+    sim.timeout(1.0)
+    # Already processed: the outcome comes back at once, and the later
+    # timeout stays queued with the clock where it was.
+    assert sim.run(until=target) == 7
+    assert sim.now == 5.0 and len(sim._queue) == 1
+    failed = sim.event()
+    failed.fail(KeyError("lost"))
+    with pytest.raises(KeyError):
+        sim.run(until=failed)
+    with pytest.raises(KeyError):
+        sim.run(until=failed)
+    assert sim.now == 5.0 and len(sim._queue) == 1
+
+
 def test_processed_event_drops_callback_list():
     sim = Simulator(seed=0)
     timeout = sim.timeout(1.0)

@@ -41,51 +41,66 @@ def run_session(target, dtype, invokes=10, model_key="mobilenet_v1"):
     return soc.energy.since(snapshot), durations
 
 
-def test_meter_accumulates_components():
-    meter = EnergyMeter()
-    sim = Simulator()
-    soc = make_soc(sim, "sd845", governor_mode="performance")
-    core = soc.big_cores[0]
-    added = meter.add_cpu_slice(
-        EnergyMeter.core_busy_w(core), 1_000.0, 1.0, label="x"
+def run_work(cores, governor="performance", work_us=1_000.0, label="x"):
+    """One ``Work`` item on ``cores`` ("big" or "little"), run to the end.
+
+    The rig runs no other thread, so every slice the meter books is the
+    worker's. Returns the SoC and the worker thread.
+    """
+    sim, soc, kernel = make_rig(governor=governor)
+    group = soc.big_cores if cores == "big" else soc.little_cores
+
+    def body():
+        yield Work(work_us, label=label)
+
+    worker = kernel.spawn(
+        body(), name="worker", affinity={core.core_id for core in group}
     )
-    assert added == pytest.approx(BIG_CORE_BUSY_W * 1_000.0)
+    sim.run(until=worker.done)
+    return soc, worker
+
+
+def test_meter_accumulates_components():
+    soc, worker = run_work("big")
+    meter = soc.energy
+    busy_us = worker.stats.cpu_time_us
+    assert busy_us > 0
+    assert meter.cpu_uj == pytest.approx(BIG_CORE_BUSY_W * busy_us)
+    assert meter.by_label == {"x": meter.cpu_uj}
+    cpu = meter.cpu_uj
     meter.add_gpu_busy(100.0)
     meter.add_dsp_busy(100.0)
     meter.add_dram_transfer(1_000_000)
     assert meter.total_uj == pytest.approx(
-        added + 2.4 * 100 + 0.75 * 100 + 60.0
+        cpu + 2.4 * 100 + 0.75 * 100 + 60.0
     )
-    assert meter.by_label["x"] == pytest.approx(added)
 
 
 def test_little_core_cheaper_than_big():
-    meter = EnergyMeter()
-    sim = Simulator()
-    soc = make_soc(sim, "sd845", governor_mode="performance")
-    big = meter.add_cpu_slice(
-        EnergyMeter.core_busy_w(soc.big_cores[0]), 1_000.0, 1.0
+    big_soc, big_worker = run_work("big")
+    little_soc, little_worker = run_work("little")
+    assert EnergyMeter.core_busy_watts(big_soc.big_cores[0]) == (
+        BIG_CORE_BUSY_W
     )
-    little = meter.add_cpu_slice(
-        EnergyMeter.core_busy_w(soc.little_cores[0]), 1_000.0, 1.0
+    assert EnergyMeter.core_busy_watts(little_soc.little_cores[0]) == (
+        LITTLE_CORE_BUSY_W
     )
-    assert little == pytest.approx(LITTLE_CORE_BUSY_W * 1_000.0)
-    assert big > 4 * little
+    big_watts = big_soc.energy.cpu_uj / big_worker.stats.cpu_time_us
+    little_watts = (
+        little_soc.energy.cpu_uj / little_worker.stats.cpu_time_us
+    )
+    assert little_watts == pytest.approx(LITTLE_CORE_BUSY_W)
+    assert big_watts > 4 * little_watts
 
 
 def test_downclocked_core_draws_cubic_power():
-    meter = EnergyMeter()
-    sim = Simulator()
-    soc = make_soc(sim, "sd845", governor_mode="powersave")
-    soc.big_cluster.governor.update(1.0)
+    soc, worker = run_work("big", governor="powersave")
     fraction = soc.big_cluster.governor.speed_fraction
-    energy = meter.add_cpu_slice(
-        EnergyMeter.core_busy_w(soc.big_cores[0]), 1_000.0, fraction
-    )
-    assert energy == pytest.approx(
-        BIG_CORE_BUSY_W * fraction ** 3 * 1_000.0
-    )
-    assert energy < BIG_CORE_BUSY_W * 1_000.0 * 0.2
+    assert fraction < 1.0
+    busy_us = worker.stats.cpu_time_us
+    energy = soc.energy.cpu_uj
+    assert energy == pytest.approx(BIG_CORE_BUSY_W * fraction ** 3 * busy_us)
+    assert energy < BIG_CORE_BUSY_W * busy_us * 0.2
 
 
 def test_snapshot_and_since():
