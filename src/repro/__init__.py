@@ -12,9 +12,7 @@ from repro.core import (
     RunCollection,
     StageBreakdown,
     VariabilityStats,
-    ai_tax_fraction,
     breakdown,
-    compare_contexts,
 )
 from repro.experiments import run_experiment
 from repro.models import MODEL_CARDS, load_model, model_card
@@ -29,9 +27,7 @@ __all__ = [
     "RunCollection",
     "StageBreakdown",
     "VariabilityStats",
-    "ai_tax_fraction",
     "breakdown",
-    "compare_contexts",
     "run_experiment",
     "MODEL_CARDS",
     "load_model",

@@ -53,10 +53,10 @@ from repro.analysis.common import (
     apply_pragmas,
     assignment,
     display_path,
-    inside_sorted,
     matches_any,
     parse_pragmas,
     read_sources,
+    set_iterations,
     unsorted_items_call,
 )
 from repro.analysis.common import render_findings as _render_findings
@@ -443,19 +443,11 @@ class _ModuleAnalyzer(ast.NodeVisitor):
             for child in ast.iter_child_nodes(parent):
                 parents[child] = parent
 
-        for child in _scope_nodes(node):
-            if unsorted_items_call(child, parents):
-                return True
-            if isinstance(child, (ast.For, ast.comprehension)):
-                iterated = child.iter
-                if isinstance(iterated, (ast.Set, ast.SetComp)) or (
-                    isinstance(iterated, ast.Call)
-                    and isinstance(iterated.func, ast.Name)
-                    and iterated.func.id == "set"
-                    and not inside_sorted(iterated, parents)
-                ):
-                    return True
-        return False
+        return any(
+            unsorted_items_call(child, parents)
+            or set_iterations(child, parents, self._dotted)
+            for child in _scope_nodes(node)
+        )
 
     # -- worker-capture ------------------------------------------------
 

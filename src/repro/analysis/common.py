@@ -277,6 +277,63 @@ def unsorted_items_call(node, parents):
     )
 
 
+#: Expressions that iterate their ``generators``.
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _is_set_expr(node, dotted):
+    """A set display, a set comprehension, or a call to ``set``."""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    return isinstance(node, ast.Call) and dotted(node.func) == "set"
+
+
+def _sorted_without_key(node, parents, dotted):
+    """``node`` is the only positional argument of ``sorted()`` and no
+    ``key=`` is given, so iteration order cannot reach the result:
+    elements that compare equal are interchangeable. With ``key=``,
+    ties keep iteration order, so a set's hash order would survive.
+    """
+    call = parents.get(node)
+    return (
+        isinstance(call, ast.Call)
+        and dotted(call.func) == "sorted"
+        and len(call.args) == 1
+        and call.args[0] is node
+        and all(keyword.arg == "reverse" for keyword in call.keywords)
+    )
+
+
+def set_iterations(node, parents, dotted):
+    """The set expressions whose hash order ``node`` lets through.
+
+    ``node`` lets order through when it is a ``for`` statement, a
+    comprehension, or a ``list()``/``tuple()`` call over a set; a
+    comprehension passed whole to ``sorted()`` without ``key=`` lets
+    none through. This is the set iteration behind lint's
+    ``set-iteration`` and archcheck's ``nondet-escape``. ``parents``
+    maps each node to its parent node; ``dotted`` resolves a call
+    target to its dotted path (the checker's :class:`AliasResolver`),
+    so a ``set`` or ``sorted`` that names something else is not taken
+    for the builtin.
+    """
+    if isinstance(node, ast.For):
+        iterated = [node.iter]
+    elif isinstance(node, _COMPREHENSIONS):
+        if _sorted_without_key(node, parents, dotted):
+            return []
+        iterated = [generator.iter for generator in node.generators]
+    elif (
+        isinstance(node, ast.Call)
+        and len(node.args) == 1
+        and dotted(node.func) in ("list", "tuple")
+    ):
+        iterated = node.args
+    else:
+        return []
+    return [each for each in iterated if _is_set_expr(each, dotted)]
+
+
 def matches_any(path, patterns):
     """fnmatch ``path`` against any of ``patterns``."""
     return any(fnmatch.fnmatch(path, pattern) for pattern in patterns)

@@ -46,6 +46,7 @@ from repro.analysis.common import (
     check_module,
     check_paths,
     matches_any,
+    set_iterations,
     unsorted_items_call,
 )
 from repro.analysis.common import render_findings as _render_findings
@@ -267,59 +268,30 @@ class _Analyzer(ast.NodeVisitor):
             )
 
     def _check_set_materialized(self, node, dotted):
-        if dotted in ("list", "tuple") and len(node.args) == 1 \
-                and self._is_set_expr(node.args[0]):
+        for iterated in set_iterations(node, self._parents, self._dotted):
             self._flag(
                 "set-iteration",
-                node.args[0],
+                iterated,
                 f"{dotted}() over a set materializes hash order",
             )
 
     # -- iteration rules -----------------------------------------------
 
-    def _is_set_expr(self, node):
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        return isinstance(node, ast.Call) and self._dotted(node.func) == "set"
-
-    def _check_set_iteration(self, iter_node):
-        if self._is_set_expr(iter_node):
+    def _check_set_iteration(self, node):
+        for iterated in set_iterations(node, self._parents, self._dotted):
             self._flag(
                 "set-iteration",
-                iter_node,
+                iterated,
                 "iteration order over a set depends on hashes and "
                 "addresses",
             )
-
-    def visit_For(self, node):
-        self._check_set_iteration(node.iter)
         self.generic_visit(node)
 
-    def _visit_comprehension(self, node):
-        if not self._sorted_without_key(node):
-            for generator in node.generators:
-                self._check_set_iteration(generator.iter)
-        self.generic_visit(node)
-
-    def _sorted_without_key(self, node):
-        """``node`` is the only positional argument of ``sorted()`` and
-        no ``key=`` is given, so iteration order cannot reach the result:
-        elements that compare equal are interchangeable. With ``key=``,
-        ties keep iteration order, so a set's hash order would survive.
-        """
-        call = self._parents.get(node)
-        return (
-            isinstance(call, ast.Call)
-            and self._dotted(call.func) == "sorted"
-            and len(call.args) == 1
-            and call.args[0] is node
-            and all(keyword.arg == "reverse" for keyword in call.keywords)
-        )
-
-    visit_ListComp = _visit_comprehension
-    visit_SetComp = _visit_comprehension
-    visit_DictComp = _visit_comprehension
-    visit_GeneratorExp = _visit_comprehension
+    visit_For = _check_set_iteration
+    visit_ListComp = _check_set_iteration
+    visit_SetComp = _check_set_iteration
+    visit_DictComp = _check_set_iteration
+    visit_GeneratorExp = _check_set_iteration
 
     # -- statement rules -----------------------------------------------
 

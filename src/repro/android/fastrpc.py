@@ -63,19 +63,6 @@ class FastRpcStats:
     #: Off-CPU time spent in retry backoff.
     backoff_us: float = 0.0
 
-    @property
-    def offload_overhead_us(self):
-        """Everything except DSP compute — the hardware AI tax."""
-        return (
-            self.session_open_us
-            + self.marshal_us
-            + self.kernel_us
-            + self.cache_flush_us
-            + self.transfer_us
-            + self.signal_us
-            + self.dsp_queue_us
-        )
-
 
 class _StatsCommitLog:
     """Deferred :class:`FastRpcStats` updates, committed atomically.
@@ -83,13 +70,14 @@ class _StatsCommitLog:
     :meth:`FastRpcChannel.invoke` spans many yields; bumping the stats
     fields inline would let an interrupt at an interior yield (an
     exception arriving there, such as an injected driver error) leave
-    the object torn between fields mid-call —
-    ``offload_overhead_us`` reads seven of them and assumes they move
-    together. Stage times are appended here instead and land on the
-    stats object in one step when the call settles, on *every* exit
-    path. Entries replay in append order, so each field's float sum is
-    the same left-fold it was under inline commits (bit-identical
-    accounting).
+    the object torn between fields mid-call. With the stage times
+    written inline, racecheck reports that as two
+    ``interrupt-unsafe-update`` findings, one in :meth:`invoke` and one
+    in :meth:`_fail_injected`. Stage times are appended here instead
+    and land on the stats object in one step when the call settles, on
+    *every* exit path. Entries replay in append order, so each field's
+    float sum is the same left-fold it was under inline commits
+    (bit-identical accounting).
     """
 
     __slots__ = ("_stats", "_entries")

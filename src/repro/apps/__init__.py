@@ -10,9 +10,11 @@ Three packagings of the same model, mirroring the paper's comparison:
   code pre-processing, inference, post-processing, UI rendering, GC.
 
 Plus background inference jobs for the multi-tenancy experiments
-(Figs. 9/10), the open-loop arrival processes shared by the loadgen
-scenarios and the service tier (:mod:`repro.apps.arrivals`), and a
-one-call harness used by experiments and examples.
+(Figs. 9/10), an MLPerf-style loadgen that runs MLPerf Mobile's two
+scenarios, single-stream and offline (:mod:`repro.apps.loadgen`), the
+open-loop arrival processes that only the service tier draws
+(:mod:`repro.apps.arrivals`), and a one-call harness used by
+experiments and examples.
 """
 
 from repro.apps.arrivals import (

@@ -39,7 +39,6 @@ class PoissonArrivals:
 
     rate_rps: float
     seed: int = 0
-    kind: str = POISSON
 
     def __post_init__(self):
         if self.rate_rps <= 0:
@@ -50,19 +49,14 @@ class PoissonArrivals:
         """Mean inter-arrival gap in simulator microseconds."""
         return units.seconds(1.0 / self.rate_rps)
 
-    def times_us(self, duration_us=None, count=None):
-        """Deterministic arrival times, as a tuple of microseconds.
+    def times_us(self, duration_us):
+        """Every arrival in ``[0, duration_us)``, as a tuple of microseconds.
 
-        Exactly one of ``duration_us`` (all arrivals in ``[0,
-        duration_us)``) or ``count`` (the first ``count`` arrivals) must
-        be given. Same parameters and seed — same timeline, always.
+        Same parameters and seed — same timeline, always.
         """
-        _check_window(duration_us, count)
+        _check_window(duration_us)
         rng = RngStreams(self.seed).stream(_STREAM)
         mean_gap_us = self.mean_gap_us
-        if count is not None:
-            gaps = rng.exponential(mean_gap_us, count)
-            return tuple(np.cumsum(gaps).tolist())
         # Gaps are drawn in bulk, a window's expected count at a time,
         # and summed left to right with the running total carried into
         # each draw: every time is the same float the one-draw-per-gap
@@ -82,13 +76,6 @@ class PoissonArrivals:
                 return tuple(times)
             now_us = float(arrivals[-1])
 
-    def peak_rate_rps(self):
-        return self.rate_rps
-
-    def describe(self):
-        return {"kind": self.kind, "rate_rps": self.rate_rps,
-                "seed": self.seed}
-
 
 @dataclass(frozen=True)
 class DiurnalArrivals:
@@ -107,7 +94,6 @@ class DiurnalArrivals:
     amplitude: float = 0.6
     period_s: float = 1.0
     seed: int = 0
-    kind: str = DIURNAL
 
     def __post_init__(self):
         if self.rate_rps <= 0:
@@ -128,49 +114,28 @@ class DiurnalArrivals:
     def peak_rate_rps(self):
         return self.rate_rps * (1.0 + self.amplitude)
 
-    def times_us(self, duration_us=None, count=None):
-        """Deterministic arrival times, as a tuple of microseconds.
+    def times_us(self, duration_us):
+        """Every arrival in ``[0, duration_us)``, as a tuple of microseconds.
 
         Same contract as :meth:`PoissonArrivals.times_us`.
         """
-        _check_window(duration_us, count)
+        _check_window(duration_us)
         rng = RngStreams(self.seed).stream(_STREAM)
         peak_gap_us = units.seconds(1.0 / self.peak_rate_rps())
         times = []
         now_us = 0.0
-        while _more(times, now_us, duration_us, count):
+        while True:
             now_us += rng.exponential(peak_gap_us)
             accept = rng.random()
-            if duration_us is not None and now_us >= duration_us:
-                break
+            if now_us >= duration_us:
+                return tuple(times)
             if accept < self.rate_at(now_us) / self.peak_rate_rps():
                 times.append(now_us)
-        return tuple(times)
-
-    def describe(self):
-        return {
-            "kind": self.kind, "rate_rps": self.rate_rps,
-            "amplitude": self.amplitude, "period_s": self.period_s,
-            "seed": self.seed,
-        }
 
 
-def _check_window(duration_us, count):
-    if (duration_us is None) == (count is None):
-        raise ValueError(
-            "exactly one of duration_us / count must be given, got "
-            f"duration_us={duration_us!r} count={count!r}"
-        )
-    if duration_us is not None and duration_us <= 0:
+def _check_window(duration_us):
+    if duration_us <= 0:
         raise ValueError(f"duration_us must be > 0, got {duration_us}")
-    if count is not None and count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-
-
-def _more(times, now_us, duration_us, count):
-    if count is not None:
-        return len(times) < count
-    return now_us < duration_us
 
 
 def make_arrivals(kind, rate_rps, seed=0, amplitude=0.6, period_s=1.0):

@@ -12,26 +12,22 @@ from repro.apps.sessions import make_session
 from repro.models import load_model
 
 
-def _job_body(session, iterations):
+def _job_body(session):
     yield from session.prepare()
-    if iterations is None:
-        while True:
-            yield from session.invoke()
-    else:
-        for _ in range(iterations):
-            yield from session.invoke()
+    while True:
+        yield from session.invoke()
 
 
 def start_background_inferences(kernel, count, target="nnapi",
                                 model_key="mobilenet_v1", dtype="int8",
-                                threads=1, iterations=None):
+                                threads=1):
     """Spawn ``count`` looping inference jobs; returns their threads.
 
     ``target="nnapi"`` with a quantized MobileNet keeps each job on the
     DSP (serializing with the app's inferences); ``target="cpu"`` keeps
     them on the CPU where they steal cycles from capture/pre-processing.
-    ``iterations=None`` loops forever (stop the simulation by time or by
-    the foreground thread's completion event).
+    Each job loops forever: stop the simulation by time or by the
+    foreground thread's completion event.
     """
     if count < 0:
         raise ValueError(f"negative background job count: {count}")
@@ -43,7 +39,7 @@ def start_background_inferences(kernel, count, target="nnapi",
             kernel, model, target=target, threads=threads
         )
         thread = kernel.spawn(
-            _job_body(session, iterations),
+            _job_body(session),
             name=f"bg{index}:{model_key}",
             process=process,
             nice=0,

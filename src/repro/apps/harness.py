@@ -79,13 +79,6 @@ def config_from_dict(payload):
     return PipelineConfig(**cleaned)
 
 
-def config_to_dict(config):
-    """Plain-dict form of a config, for JSON round-tripping."""
-    import dataclasses
-
-    return dataclasses.asdict(config)
-
-
 @contextmanager
 def rig(seed=0, soc="sd845", governor="schedutil", trace=False,
         enable_thermal=False, ambient_celsius=None, dsp_coupling="loose"):

@@ -7,12 +7,7 @@ taxonomy, per-run stage measurements, breakdown analysis, run-to-run
 variability statistics, and report rendering.
 """
 
-from repro.core.analysis import (
-    StageBreakdown,
-    ai_tax_fraction,
-    breakdown,
-    compare_contexts,
-)
+from repro.core.analysis import StageBreakdown, breakdown
 from repro.core.measurement import (
     PipelineRun,
     RunCollection,
@@ -40,9 +35,7 @@ from repro.core.variability import VariabilityStats
 __all__ = [
     "ExperimentResult",
     "StageBreakdown",
-    "ai_tax_fraction",
     "breakdown",
-    "compare_contexts",
     "PipelineRun",
     "RunCollection",
     "percentile",

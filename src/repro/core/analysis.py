@@ -71,29 +71,3 @@ def breakdown(collection, drop_warmup=1):
         other_ms=units.to_ms(mean.other_us),
     )
 
-
-def ai_tax_fraction(collection, drop_warmup=1):
-    """Overall AI-tax fraction of end-to-end time for a run set."""
-    return breakdown(collection, drop_warmup).tax_fraction
-
-
-def compare_contexts(benchmark, app, drop_warmup=1):
-    """Benchmark-vs-app comparison used throughout §IV-A.
-
-    Returns a dict with both breakdowns and the app/benchmark total
-    latency ratio (the paper's Fig. 3 gap).
-    """
-    bench_breakdown = breakdown(benchmark, drop_warmup)
-    app_breakdown = breakdown(app, drop_warmup)
-    ratio = (
-        app_breakdown.total_ms / bench_breakdown.total_ms
-        if bench_breakdown.total_ms
-        else float("inf")
-    )
-    return {
-        "benchmark": bench_breakdown,
-        "app": app_breakdown,
-        "app_over_benchmark": ratio,
-        "app_tax_fraction": app_breakdown.tax_fraction,
-        "benchmark_tax_fraction": bench_breakdown.tax_fraction,
-    }

@@ -1,53 +1,11 @@
-"""Result export: run collections and experiment results to CSV/JSON.
+"""Result export: experiment results to JSON.
 
-Downstream analysis (pandas, spreadsheets, plotting) wants flat files;
-these helpers serialize the two result types without adding any
-dependency beyond the standard library.
+``repro experiment <id> --json PATH`` writes an experiment's result for
+downstream analysis (pandas, plotting); these helpers serialize it
+without adding any dependency beyond the standard library.
 """
 
-import csv
-import io
 import json
-
-from repro.sim import units
-
-_RUN_FIELDS = (
-    "index", "capture_ms", "pre_ms", "inference_ms", "post_ms",
-    "other_ms", "total_ms", "tax_fraction",
-)
-
-
-def runs_to_rows(collection):
-    """Flatten a RunCollection into dict rows (ms units)."""
-    rows = []
-    for index, run in enumerate(collection):
-        rows.append(
-            {
-                "index": index,
-                "capture_ms": units.to_ms(run.capture_us),
-                "pre_ms": units.to_ms(run.pre_us),
-                "inference_ms": units.to_ms(run.inference_us),
-                "post_ms": units.to_ms(run.post_us),
-                "other_ms": units.to_ms(run.other_us),
-                "total_ms": units.to_ms(run.total_us),
-                "tax_fraction": run.tax_fraction,
-            }
-        )
-    return rows
-
-
-def runs_to_csv(collection, path=None):
-    """CSV text (or file) for a RunCollection; returns the CSV string."""
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=_RUN_FIELDS)
-    writer.writeheader()
-    for row in runs_to_rows(collection):
-        writer.writerow(row)
-    text = buffer.getvalue()
-    if path is not None:
-        with open(path, "w", newline="") as handle:
-            handle.write(text)
-    return text
 
 
 def experiment_to_dict(result):
@@ -65,87 +23,10 @@ def experiment_to_dict(result):
     }
 
 
-def experiment_to_json(result, path=None, indent=2):
+def experiment_to_json(result, path=None):
     """JSON text (or file) for an ExperimentResult."""
-    text = json.dumps(experiment_to_dict(result), indent=indent, default=str)
+    text = json.dumps(experiment_to_dict(result), indent=2, default=str)
     if path is not None:
         with open(path, "w") as handle:
             handle.write(text)
     return text
-
-
-def experiment_to_csv(result, path=None):
-    """CSV text (or file) of an ExperimentResult's table."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(result.headers)
-    for row in result.rows:
-        writer.writerow(row)
-    text = buffer.getvalue()
-    if path is not None:
-        with open(path, "w", newline="") as handle:
-            handle.write(text)
-    return text
-
-
-def rows_to_runs(rows, name="imported"):
-    """Rebuild a RunCollection from :func:`runs_to_rows` output."""
-    from repro.core.measurement import PipelineRun, RunCollection
-
-    collection = RunCollection(name=name)
-    for row in rows:
-        collection.add(
-            PipelineRun(
-                capture_us=units.ms(float(row["capture_ms"])),
-                pre_us=units.ms(float(row["pre_ms"])),
-                inference_us=units.ms(float(row["inference_ms"])),
-                post_us=units.ms(float(row["post_ms"])),
-                other_us=units.ms(float(row["other_ms"])),
-            )
-        )
-    return collection
-
-
-def runs_from_csv(path_or_text, name="imported"):
-    """Load a RunCollection from CSV written by :func:`runs_to_csv`."""
-    import os
-
-    if isinstance(path_or_text, str) and not os.path.exists(path_or_text):
-        text = path_or_text
-    else:
-        with open(path_or_text) as handle:
-            text = handle.read()
-    rows = list(csv.DictReader(io.StringIO(text)))
-    return rows_to_runs(rows, name=name)
-
-
-def compare_experiments(baseline, current, rel_tolerance=0.15):
-    """Diff two experiment result dicts; returns drift findings.
-
-    Intended for calibration-regression checks: export a baseline with
-    :func:`experiment_to_dict`, re-run later, and compare. Numeric cells
-    differing by more than ``rel_tolerance`` (relative) are reported as
-    ``(row_key, column, baseline_value, current_value)``.
-    """
-    if baseline["experiment_id"] != current["experiment_id"]:
-        raise ValueError(
-            f"experiment mismatch: {baseline['experiment_id']} vs "
-            f"{current['experiment_id']}"
-        )
-    if baseline["headers"] != current["headers"]:
-        raise ValueError("headers changed between baseline and current")
-    headers = baseline["headers"]
-    findings = []
-    for old_row, new_row in zip(baseline["rows"], current["rows"]):
-        for column, old_value, new_value in zip(headers, old_row, new_row):
-            if not isinstance(old_value, (int, float)) or isinstance(
-                old_value, bool
-            ):
-                continue
-            if not isinstance(new_value, (int, float)):
-                findings.append((old_row[0], column, old_value, new_value))
-                continue
-            scale = max(abs(old_value), 1e-12)
-            if abs(new_value - old_value) / scale > rel_tolerance:
-                findings.append((old_row[0], column, old_value, new_value))
-    return findings

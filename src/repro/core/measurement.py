@@ -3,13 +3,6 @@
 import math
 from dataclasses import dataclass, field
 
-from repro.core.taxonomy import (
-    STAGE_CAPTURE,
-    STAGE_INFERENCE,
-    STAGE_POST,
-    STAGE_PRE,
-)
-
 
 @dataclass
 class PipelineRun:
@@ -43,18 +36,6 @@ class PipelineRun:
         total = self.total_us
         return self.tax_us / total if total > 0 else 0.0
 
-    def stage_us(self, stage):
-        mapping = {
-            STAGE_CAPTURE: self.capture_us,
-            STAGE_PRE: self.pre_us,
-            STAGE_INFERENCE: self.inference_us,
-            STAGE_POST: self.post_us,
-        }
-        try:
-            return mapping[stage]
-        except KeyError:
-            raise KeyError(f"unknown stage {stage!r}") from None
-
 
 def _mean(values):
     values = list(values)
@@ -83,8 +64,8 @@ def _check_fraction(fraction):
 def percentile(values, fraction):
     """Linear-interpolated percentile of an unsorted sequence.
 
-    The same estimator :class:`RunCollection` uses, exposed for callers
-    (fleet aggregation) that pool values across many collections.
+    Exposed for callers (fleet aggregation) that pool values across
+    many collections.
     """
     _check_fraction(fraction)
     return _percentile(sorted(values), fraction)
@@ -123,10 +104,6 @@ class RunCollection:
 
     def mean_us(self, attribute="total_us"):
         return _mean(self._values(attribute))
-
-    def percentile_us(self, fraction, attribute="total_us"):
-        _check_fraction(fraction)
-        return _percentile(sorted(self._values(attribute)), fraction)
 
     def mean_run(self):
         """A synthetic run whose stages are the per-stage means."""

@@ -1,17 +1,17 @@
 """Plain-text table rendering for experiment outputs."""
 
 
-def render_table(headers, rows, title=None, floatfmt="{:.2f}"):
+def render_table(headers, rows, title=None):
     """Render an aligned ASCII table.
 
-    ``rows`` is a list of sequences; floats are formatted with
-    ``floatfmt``, everything else with ``str``.
+    ``rows`` is a list of sequences; floats are formatted with two
+    decimals, everything else with ``str``.
     """
     def fmt(value):
         if isinstance(value, bool):
             return "Y" if value else "N"
         if isinstance(value, float):
-            return floatfmt.format(value)
+            return f"{value:.2f}"
         return str(value)
 
     text_rows = [[fmt(cell) for cell in row] for row in rows]

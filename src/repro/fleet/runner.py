@@ -77,8 +77,7 @@ class FleetResult:
 def run_fleet(population=None, sessions=64, workers=1, seed=0,
               cache_dir=None, runs=None, fault_rate=None,
               session_retries=1, verify_cache=None, journal=None,
-              session_timeout_s=None, max_crashes=3, backoff_base_s=0.05,
-              backoff_cap_s=2.0, on_session=None):
+              session_timeout_s=None, backoff_base_s=0.05, on_session=None):
     """Simulate a device population; returns a :class:`FleetResult`.
 
     Parameters
@@ -125,12 +124,12 @@ def run_fleet(population=None, sessions=64, workers=1, seed=0,
     session_timeout_s:
         Per-session wall-clock deadline enforced by the supervisor when
         ``workers > 1``; a hung worker is killed and the session
-        requeued with capped exponential backoff.
-    max_crashes:
-        Worker losses (crashes + deadline kills) a single session may
-        cause before it is quarantined as a structured error.
-    backoff_base_s / backoff_cap_s:
-        Supervisor re-submit backoff after a strike.
+        requeued with capped exponential backoff. A session that loses
+        the supervisor's ``max_crashes`` workers (crashes + deadline
+        kills) is quarantined as a structured error.
+    backoff_base_s:
+        Supervisor re-submit backoff after a strike, doubling per
+        strike up to the supervisor's ``backoff_cap_s``.
     on_session:
         Progress callback ``(spec, payload)`` fired as each pending
         session produces its final payload (completion order — never
@@ -192,9 +191,7 @@ def run_fleet(population=None, sessions=64, workers=1, seed=0,
         workers=workers,
         session_retries=session_retries,
         session_timeout_s=session_timeout_s,
-        max_crashes=max_crashes,
         backoff_base_s=backoff_base_s,
-        backoff_cap_s=backoff_cap_s,
     )
 
     def _on_result(session_id, payload):

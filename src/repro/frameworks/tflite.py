@@ -22,15 +22,15 @@ _PARSE_PER_OP_US = 1.5
 _ALLOC_PER_OP_US = 0.8
 
 
-def run_graph_on_cpu(kernel, ops, dtype, threads=4, impl=IMPL_TUNED,
-                     label="inference", affinity=None):
+def run_graph_on_cpu(kernel, ops, dtype, threads=4, label="inference",
+                     affinity=None):
     """Generator: execute an op list on ``threads`` CPU threads.
 
-    The calling thread acts as worker 0; helpers are spawned for the
-    rest and joined. Contention with background load emerges naturally
-    from the scheduler (paper Fig. 10).
+    Priced with the tuned kernels. The calling thread acts as worker 0;
+    helpers are spawned for the rest and joined. Contention with
+    background load emerges naturally from the scheduler (paper Fig. 10).
     """
-    total_work = graph_cpu_work_us(ops, dtype, impl)
+    total_work = graph_cpu_work_us(ops, dtype, IMPL_TUNED)
     if threads <= 1:
         yield Work(total_work, label=label)
         return

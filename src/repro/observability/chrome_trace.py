@@ -62,37 +62,26 @@ def track_sort_key(track):
     return (len(_TRACK_FAMILIES), number, track)
 
 
-def _track_ids(trace, tracks=None):
+def _track_ids(trace):
     """Stable (track -> tid) assignment in swimlane display order."""
     present = {span.track for span in trace.spans}
-    if tracks is not None:
-        present &= set(tracks)
     ordered = sorted(present, key=track_sort_key)
     return {track: index + 1 for index, track in enumerate(ordered)}
 
 
-def to_chrome_trace(trace, process_name="repro-soc", tracks=None,
-                    min_dur_us=0.0, include_counters=True,
-                    include_marks=True):
+def to_chrome_trace(trace, process_name="repro-soc", min_dur_us=0.0):
     """Convert a TraceRecorder to a Chrome trace-event dict.
 
-    Parameters
-    ----------
-    tracks:
-        Optional iterable of track names; only spans on these tracks
-        are exported (counters and marks are track-less and unaffected).
-    min_dur_us:
-        Drop spans shorter than this — useful to thin out scheduler
-        timeslices when exporting very long runs.
-    include_counters / include_marks:
-        Toggle ``ph: "C"`` / ``ph: "i"`` event emission.
+    ``min_dur_us`` drops spans shorter than this — useful to thin out
+    scheduler timeslices when exporting very long runs. Counters and
+    marks are always exported.
 
     Raises ``ValueError`` once the trace's simulator is closed: its
     device's teardown has ended the spans still open then.
     """
     if trace.sim is None:
         raise ValueError("cannot export a trace after its rig is freed")
-    tids = _track_ids(trace, tracks=tracks)
+    tids = _track_ids(trace)
     metadata = [
         {
             "name": "process_name",
@@ -140,41 +129,41 @@ def to_chrome_trace(trace, process_name="repro-soc", tracks=None,
                 "args": dict(span.meta),
             }
         )
-    if include_counters:
-        for name, samples in sorted(trace.counters.items()):
-            for timestamp, value in samples:
-                events.append(
-                    {
-                        "name": name,
-                        "ph": "C",  # counter
-                        "pid": 1,
-                        "ts": timestamp,
-                        "args": {"value": value},
-                    }
-                )
-    if include_marks:
-        for timestamp, label, meta in trace.marks:
+    for name, samples in sorted(trace.counters.items()):
+        for timestamp, value in samples:
             events.append(
                 {
-                    "name": label,
-                    "ph": "i",  # instant
-                    "s": "g",
+                    "name": name,
+                    "ph": "C",  # counter
                     "pid": 1,
                     "ts": timestamp,
-                    "args": dict(meta),
+                    "args": {"value": value},
                 }
             )
+    for timestamp, label, meta in trace.marks:
+        events.append(
+            {
+                "name": label,
+                "ph": "i",  # instant
+                "s": "g",
+                "pid": 1,
+                "ts": timestamp,
+                "args": dict(meta),
+            }
+        )
     events.sort(key=lambda event: event["ts"])  # stable: ties keep order
     return {"traceEvents": metadata + events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(trace, path, process_name="repro-soc", **kwargs):
+def write_chrome_trace(trace, path, process_name="repro-soc",
+                       min_dur_us=0.0):
     """Write the trace to ``path`` as JSON; returns the event count.
 
-    Keyword arguments are forwarded to :func:`to_chrome_trace`
-    (``tracks``, ``min_dur_us``, ...).
+    The arguments are those of :func:`to_chrome_trace`.
     """
-    payload = to_chrome_trace(trace, process_name=process_name, **kwargs)
+    payload = to_chrome_trace(
+        trace, process_name=process_name, min_dur_us=min_dur_us
+    )
     with open(path, "w") as handle:
         json.dump(payload, handle)
     return len(payload["traceEvents"])

@@ -101,9 +101,11 @@ class PostprocessPlan:
 #: at only ~1% of runtime despite the 513x513 input.
 PRE_IMPL_OVERRIDES = {"deeplab_v3": costs.IMPL_NATIVE}
 
+#: Characters of the query a language task tokenizes.
+_TEXT_CHARS = 220
 
-def build_preprocessor(card, model, context="app", source_hw=(480, 640),
-                       impl=None, text_chars=220):
+
+def build_preprocessor(card, model, context="app", source_hw=(480, 640)):
     """Build the pre-processing plan for a model card.
 
     ``context`` is ``"app"`` (camera frames, managed-code loops) or
@@ -111,11 +113,10 @@ def build_preprocessor(card, model, context="app", source_hw=(480, 640),
     """
     if context not in ("app", "benchmark"):
         raise ValueError(f"unknown context {context!r}")
-    if impl is None:
-        if context == "app":
-            impl = PRE_IMPL_OVERRIDES.get(card.key, costs.IMPL_JAVA)
-        else:
-            impl = costs.IMPL_NATIVE
+    if context == "app":
+        impl = PRE_IMPL_OVERRIDES.get(card.key, costs.IMPL_JAVA)
+    else:
+        impl = costs.IMPL_NATIVE
 
     if model.task == "language_processing":
         input_hw = (1, 1)
@@ -128,7 +129,7 @@ def build_preprocessor(card, model, context="app", source_hw=(480, 640),
     steps = plan.steps
 
     if "tokenization" in card.pre_tasks:
-        steps.append(Step("tokenization", costs.tokenize_cost_us(text_chars, impl)))
+        steps.append(Step("tokenization", costs.tokenize_cost_us(_TEXT_CHARS, impl)))
         return plan
 
     if context == "app":
@@ -160,10 +161,9 @@ def build_preprocessor(card, model, context="app", source_hw=(480, 640),
     return plan
 
 
-def build_postprocess_plan(card, model, context="app", impl=None):
+def build_postprocess_plan(card, model, context="app"):
     """Build the post-processing plan for a model card."""
-    if impl is None:
-        impl = costs.IMPL_JAVA if context == "app" else costs.IMPL_NATIVE
+    impl = costs.IMPL_JAVA if context == "app" else costs.IMPL_NATIVE
     plan = PostprocessPlan(model_key=card.key, context=context)
     steps = plan.steps
     metadata = model.metadata

@@ -5,8 +5,10 @@ The paper's methodology section (III-D) notes that mobile SoCs are
 only started once the package cooled to its ~33 °C idle temperature. This
 model reproduces that: sustained load raises die temperature along a
 first-order (exponential) trajectory; above the throttle trip point the
-big cluster's capacity is progressively reduced, and experiments can call
-:meth:`wait_until_cool` to replicate the authors' protocol.
+big cluster's capacity is progressively reduced. The harness follows the
+authors' protocol by starting every device at its idle temperature, and
+:meth:`ThermalModel.cooldown_time_us` says how long a warm die idles to
+get back there.
 """
 
 import math
@@ -82,14 +84,3 @@ class ThermalModel:
             return 0.0
         seconds = self.time_constant_s * math.log(gap / margin_celsius)
         return units.seconds(seconds)
-
-    def wait_until_cool(self, margin_celsius=1.0):
-        """Process body: idle the sim until the die is near idle temp.
-
-        Mirrors the paper's protocol of starting each benchmark run at the
-        ~33 °C idle temperature.
-        """
-        delay = self.cooldown_time_us(margin_celsius)
-        if delay > 0:
-            yield self.sim.timeout(delay)
-            self.update(0.0)

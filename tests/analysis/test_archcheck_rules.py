@@ -10,8 +10,10 @@ import json
 import pathlib
 import textwrap
 
+import pytest
+
 from repro import cli
-from repro.analysis import archcheck
+from repro.analysis import archcheck, lint
 
 CONTRACT = """
 [layers]
@@ -292,6 +294,53 @@ def test_sorted_callee_is_clean(tmp_path):
     })
     assert errors == []
     assert findings == []
+
+
+#: Helpers whose set iteration archcheck once judged differently from
+#: lint, each with whether its hash order escapes. Both checkers now
+#: share one definition (``repro.analysis.common.set_iterations``).
+SET_ITERATION_HELPERS = {
+    # key= keeps ties in iteration order.
+    "sorted-with-key": ("""\
+        def summarize(data):
+            return sorted((name for name in set(data)), key=len)
+        """, True),
+    # The slice keeps the first three in iteration order.
+    "sorted-slice": ("""\
+        def summarize(data):
+            return sorted([name for name in set(data)][:3])
+        """, True),
+    # Sorted whole, without key=: no order survives.
+    "sorted-set-display": ("""\
+        def summarize(data):
+            return sorted(name for name in {data, "x"})
+        """, False),
+    "materialized": ("""\
+        def summarize(data):
+            return list(set(data))
+        """, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SET_ITERATION_HELPERS))
+def test_set_iteration_escape_matches_lint(case, tmp_path):
+    helper, escapes = SET_ITERATION_HELPERS[case]
+    findings, errors = run_program(tmp_path, {
+        "mid/stats.py": helper,
+        "top/export.py": """\
+            from pkg.mid.stats import summarize
+
+            def export(data):
+                return {"rows": summarize(data)}
+            """,
+    })
+    assert errors == []
+    assert rules_of(findings) == (["nondet-escape"] if escapes else [])
+    lint_findings, errors = lint.lint_source(
+        textwrap.dedent(helper), "stats.py"
+    )
+    assert errors == []
+    assert rules_of(lint_findings) == (["set-iteration"] if escapes else [])
 
 
 def test_unsorted_iteration_inside_artifact_module_is_lint_turf(tmp_path):

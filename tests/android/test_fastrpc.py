@@ -42,8 +42,14 @@ def test_overhead_amortizes_over_consecutive_inferences():
     sim, soc, kernel, channel = make_channel()
     durations = run_invokes(sim, kernel, channel, count=50, dsp_us=4_000)
     total = sum(durations)
-    overhead_fraction = channel.stats.offload_overhead_us / total
-    compute_fraction = channel.stats.dsp_compute_us / total
+    stats = channel.stats
+    overhead_us = (
+        stats.session_open_us + stats.marshal_us + stats.kernel_us
+        + stats.cache_flush_us + stats.transfer_us + stats.signal_us
+        + stats.dsp_queue_us
+    )
+    overhead_fraction = overhead_us / total
+    compute_fraction = stats.dsp_compute_us / total
     assert compute_fraction > 0.7
     assert overhead_fraction < 0.3
     # But for the first call alone, overhead dominates.

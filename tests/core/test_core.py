@@ -13,9 +13,7 @@ from repro.core import (
     STAGE_INFERENCE,
     Taxonomy,
     VariabilityStats,
-    ai_tax_fraction,
     breakdown,
-    compare_contexts,
     percentile,
     percentiles,
     render_table,
@@ -62,18 +60,16 @@ def test_pipeline_run_totals_and_tax():
     assert run.total_us == 100
     assert run.tax_us == 50
     assert run.tax_fraction == 0.5
-    assert run.stage_us(STAGE_CAPTURE) == 10
-    with pytest.raises(KeyError):
-        run.stage_us("gpu")
 
 
 def test_collection_statistics():
     collection = make_collection("x", [10_000, 20_000, 30_000])
     assert collection.mean_us() == pytest.approx(20_000)
-    assert collection.percentile_us(0.0) == 10_000
-    assert collection.percentile_us(1.0) == 30_000
+    totals = [run.total_us for run in collection]
+    assert percentile(totals, 0.0) == 10_000
+    assert percentile(totals, 1.0) == 30_000
     with pytest.raises(ValueError):
-        collection.percentile_us(1.5)
+        percentile(totals, 1.5)
     assert len(collection.drop_warmup(1)) == 2
 
 
@@ -94,19 +90,6 @@ def test_breakdown_rows_sum_to_one():
     assert result.capture_plus_pre_over_inference == pytest.approx(
         (result.capture_ms + result.pre_ms) / result.inference_ms
     )
-
-
-def test_ai_tax_fraction():
-    collection = make_collection("tax", [10_000] * 3, inference_fraction=0.5)
-    assert ai_tax_fraction(collection) == pytest.approx(0.5)
-
-
-def test_compare_contexts_ratio():
-    bench = make_collection("bench", [10_000] * 3)
-    app = make_collection("app", [15_000] * 3)
-    result = compare_contexts(bench, app)
-    assert result["app_over_benchmark"] == pytest.approx(1.5)
-    assert result["app_tax_fraction"] == pytest.approx(0.5)
 
 
 def test_variability_stats():
@@ -170,13 +153,12 @@ def test_tax_fraction_bounds_property(totals, fraction):
 @settings(max_examples=40, deadline=None)
 @given(totals=st.lists(st.floats(1_000, 100_000), min_size=2, max_size=30))
 def test_percentiles_ordered_property(totals):
-    collection = make_collection("ordered", totals)
-    p10 = collection.percentile_us(0.1)
-    p50 = collection.percentile_us(0.5)
-    p90 = collection.percentile_us(0.9)
+    p10 = percentile(totals, 0.1)
+    p50 = percentile(totals, 0.5)
+    p90 = percentile(totals, 0.9)
     assert p10 <= p50 <= p90
-    assert collection.percentile_us(0.0) <= p10
-    assert p90 <= collection.percentile_us(1.0)
+    assert percentile(totals, 0.0) <= p10
+    assert p90 <= percentile(totals, 1.0)
 
 
 FRACTIONS = (0.0, 0.1, 0.5, 0.9, 0.99, 1.0)

@@ -13,7 +13,8 @@ them: a sanitizer and its simulator refer to each other.
 import cProfile
 import gc
 import inspect
-from dataclasses import replace
+import types
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -158,6 +159,20 @@ def _report_subset():
         run_experiment(name, **({"runs": 5} if "runs" in parameters else {}))
 
 
+def _function_key(code):
+    """A profiled function's key, one per code object.
+
+    ``Profile.stats`` keys by ``(file, line, name)``, so every
+    dataclass-generated ``__init__`` (compiled from ``<string>``) shares
+    one key and only the last survives. A code object outlives the
+    profiled runs, so its id tells the functions apart and stays the
+    same from run to run; builtins are keyed by their name.
+    """
+    if isinstance(code, types.CodeType):
+        return (code.co_filename, code.co_firstlineno, code.co_name, id(code))
+    return code
+
+
 def _call_counts(workload, threshold):
     """Per-function call counts of one profiled ``workload()``.
 
@@ -179,8 +194,41 @@ def _call_counts(workload, threshold):
     finally:
         gc.set_threshold(*saved)
         gc.callbacks[:] = callbacks
-    profiler.create_stats()
-    return {key: entry[1] for key, entry in profiler.stats.items()}
+    return {
+        _function_key(entry.code): entry.callcount
+        for entry in profiler.getstats()
+    }
+
+
+@dataclass
+class _Three:
+    three: int = 3
+
+
+@dataclass
+class _Five:
+    five: int = 5
+
+
+def test_call_counts_keep_each_generated_init_apart():
+    """Both dataclasses' ``__init__`` come from ``<string>``; each keeps
+    its own count."""
+
+    def construct():
+        for _ in range(3):
+            _Three()
+        for _ in range(5):
+            _Five()
+
+    counts = _call_counts(construct, 700)
+    assert counts[_function_key(_Three.__init__.__code__)] == 3
+    assert counts[_function_key(_Five.__init__.__code__)] == 5
+    generated = sorted(
+        count for key, count in counts.items()
+        if isinstance(key, tuple) and key[0] == "<string>"
+        and key[2] == "__init__"
+    )
+    assert generated == [3, 5]
 
 
 def _assert_counts_do_not_depend_on_the_collector(workload):

@@ -11,19 +11,16 @@ from repro.apps.arrivals import (
 from repro.sim import RngStreams
 
 
-def scalar_poisson_times(arrivals, duration_us=None, count=None):
+def scalar_poisson_times(arrivals, duration_us):
     """Reference: the one-draw-per-gap loop the bulk draw replaced."""
     rng = RngStreams(arrivals.seed).stream(_STREAM)
     times = []
     now_us = 0.0
-    while (
-        len(times) < count if count is not None else now_us < duration_us
-    ):
+    while True:
         now_us += rng.exponential(arrivals.mean_gap_us)
-        if duration_us is not None and now_us >= duration_us:
-            break
+        if now_us >= duration_us:
+            return tuple(times)
         times.append(now_us)
-    return tuple(times)
 
 
 def test_poisson_same_seed_replays_identically():
@@ -34,17 +31,19 @@ def test_poisson_same_seed_replays_identically():
     )
     # The process is a pure function of (params, seed): asking again on
     # the same instance replays too — no hidden stream state.
-    assert a.times_us(count=50) == a.times_us(count=50)
+    assert a.times_us(duration_us=250_000) == a.times_us(duration_us=250_000)
 
 
 def test_poisson_seed_changes_timeline():
     a = PoissonArrivals(rate_rps=200.0, seed=0)
     b = PoissonArrivals(rate_rps=200.0, seed=1)
-    assert a.times_us(count=50) != b.times_us(count=50)
+    assert a.times_us(duration_us=250_000) != b.times_us(duration_us=250_000)
 
 
 def test_poisson_rate_matches_long_run_mean():
-    times = PoissonArrivals(rate_rps=500.0, seed=3).times_us(count=4000)
+    times = PoissonArrivals(rate_rps=500.0, seed=3).times_us(
+        duration_us=8_000_000
+    )
     mean_gap_us = times[-1] / (len(times) - 1)
     assert mean_gap_us == pytest.approx(2000.0, rel=0.1)
 
@@ -65,15 +64,12 @@ def test_poisson_bulk_draw_matches_the_scalar_loop(rate_rps):
             assert all(type(time) is float for time in times)
             if len(times) > duration_us / arrivals.mean_gap_us:
                 carried += 1
-        assert arrivals.times_us(count=257) == scalar_poisson_times(
-            arrivals, count=257
-        )
     assert carried >= 20
 
 
 def test_poisson_window_shorter_than_the_first_gap_is_empty():
     arrivals = PoissonArrivals(rate_rps=1.0, seed=0)
-    first_gap_us = arrivals.times_us(count=1)[0]
+    first_gap_us = arrivals.times_us(duration_us=60_000_000)[0]
     assert arrivals.times_us(duration_us=first_gap_us) == ()
     assert arrivals.times_us(duration_us=first_gap_us / 2) == ()
     assert arrivals.times_us(duration_us=first_gap_us * 1.0001) == (
@@ -100,12 +96,12 @@ def test_diurnal_peak_clusters_arrivals():
     assert first_half > 2 * second_half
 
 
-def test_times_us_requires_exactly_one_bound():
-    arrivals = PoissonArrivals(rate_rps=100.0, seed=0)
-    with pytest.raises(ValueError):
-        arrivals.times_us()
-    with pytest.raises(ValueError):
-        arrivals.times_us(duration_us=1000, count=5)
+@pytest.mark.parametrize("duration_us", [0.0, -1000.0])
+def test_times_us_requires_a_positive_window(duration_us):
+    with pytest.raises(ValueError, match="duration_us must be > 0"):
+        PoissonArrivals(rate_rps=100.0, seed=0).times_us(duration_us)
+    with pytest.raises(ValueError, match="duration_us must be > 0"):
+        DiurnalArrivals(rate_rps=100.0, seed=0).times_us(duration_us)
 
 
 def test_make_arrivals_rejects_unknown_kind():

@@ -1,31 +1,13 @@
-"""Export tests: Chrome trace JSON and CSV/JSON results."""
+"""Export tests: Chrome trace JSON and JSON results."""
 
-import csv
-import io
 import json
 
 import pytest
 
-from repro.core.export import (
-    experiment_to_csv,
-    experiment_to_dict,
-    experiment_to_json,
-    runs_to_csv,
-    runs_to_rows,
-)
-from repro.core.measurement import PipelineRun, RunCollection
+from repro.core.export import experiment_to_dict, experiment_to_json
 from repro.experiments.base import ExperimentResult
 from repro.sim import Simulator
 from repro.observability import to_chrome_trace, write_chrome_trace
-
-
-def make_collection():
-    collection = RunCollection(name="x")
-    collection.add(PipelineRun(capture_us=1000, pre_us=500,
-                               inference_us=2000, post_us=100, other_us=400))
-    collection.add(PipelineRun(capture_us=1100, pre_us=450,
-                               inference_us=2100, post_us=90, other_us=410))
-    return collection
 
 
 def make_trace():
@@ -37,22 +19,6 @@ def make_trace():
     # Leave one span open: it must be skipped, not crash.
     sim.trace.begin("cpu1", "dangling")
     return sim.trace
-
-
-def test_runs_to_rows_units():
-    rows = runs_to_rows(make_collection())
-    assert rows[0]["total_ms"] == pytest.approx(4.0)
-    assert rows[0]["tax_fraction"] == pytest.approx(0.5)
-    assert rows[1]["index"] == 1
-
-
-def test_runs_to_csv_roundtrip(tmp_path):
-    path = tmp_path / "runs.csv"
-    text = runs_to_csv(make_collection(), path=path)
-    parsed = list(csv.DictReader(io.StringIO(text)))
-    assert len(parsed) == 2
-    assert float(parsed[0]["inference_ms"]) == pytest.approx(2.0)
-    assert path.read_bytes().decode() == text
 
 
 def make_result():
@@ -73,13 +39,6 @@ def test_experiment_to_dict_and_json(tmp_path):
     path = tmp_path / "result.json"
     text = experiment_to_json(make_result(), path=path)
     assert json.loads(path.read_text()) == json.loads(text)
-
-
-def test_experiment_to_csv():
-    text = experiment_to_csv(make_result())
-    lines = text.strip().splitlines()
-    assert lines[0] == "a,b"
-    assert lines[1] == "1,2.5"
 
 
 def test_chrome_trace_structure():
@@ -126,54 +85,10 @@ def test_chrome_trace_from_real_simulation(tmp_path):
     assert "cdsp" in categories  # DSP inference visible in the trace
 
 
-def test_runs_csv_roundtrip_through_loader(tmp_path):
-    from repro.core.export import runs_from_csv, runs_to_csv
-
-    original = make_collection()
-    path = tmp_path / "runs.csv"
-    runs_to_csv(original, path=path)
-    loaded = runs_from_csv(path, name="x")
-    assert len(loaded) == len(original)
-    assert loaded.mean_us() == pytest.approx(original.mean_us())
-    # Also accepts raw CSV text.
-    text_loaded = runs_from_csv(runs_to_csv(original))
-    assert text_loaded.mean_us() == pytest.approx(original.mean_us())
-
-
-def test_compare_experiments_flags_drift():
-    from repro.core.export import compare_experiments, experiment_to_dict
-
-    baseline = experiment_to_dict(make_result())
-    current = experiment_to_dict(make_result())
-    assert compare_experiments(baseline, current) == []
-    current["rows"][0][1] = 99.0  # drift far beyond tolerance
-    findings = compare_experiments(baseline, current)
-    assert findings == [(1, "b", 2.5, 99.0)]
-
-
-@pytest.mark.parametrize(
-    "key, value, message",
-    [
-        ("experiment_id", "figY", "^experiment mismatch: figX vs figY$"),
-        ("headers", ["a", "c"], "^headers changed between baseline and current$"),
-    ],
-    ids=["experiment_id", "headers"],
-)
-def test_compare_experiments_validates_identity(key, value, message):
-    from repro.core.export import compare_experiments, experiment_to_dict
-
-    baseline = experiment_to_dict(make_result())
-    other = experiment_to_dict(make_result())
-    other[key] = value
-    with pytest.raises(ValueError, match=message):
-        compare_experiments(baseline, other)
-
-
-def test_compare_experiments_real_runs_are_stable():
-    """Same seed, same config: zero drift findings."""
-    from repro.core.export import compare_experiments, experiment_to_dict
+def test_experiment_dicts_of_same_seed_reruns_are_equal():
+    """Same seed, same config: the exported dicts match exactly."""
     from repro.experiments import run_experiment
 
     first = experiment_to_dict(run_experiment("fig5", runs=4))
     second = experiment_to_dict(run_experiment("fig5", runs=4))
-    assert compare_experiments(first, second, rel_tolerance=0.001) == []
+    assert first == second
