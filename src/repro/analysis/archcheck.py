@@ -59,7 +59,6 @@ from repro.analysis.common import (
     set_iterations,
     unsorted_items_call,
 )
-from repro.analysis.common import render_findings as _render_findings
 from repro.analysis.flow import own_nodes, scope_names
 
 
@@ -131,10 +130,6 @@ _MUTABLE_FACTORIES = frozenset(
     {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter",
      "deque"}
 )
-
-#: Import roots the per-function alias resolver always tracks; the
-#: roots of the program's own packages are added per run.
-_TRACKED_ROOTS = ("time", "socket", "io", "functools", "concurrent")
 
 
 # ---------------------------------------------------------------------
@@ -362,12 +357,10 @@ def _import_edges(tree, module, all_modules):
 class _ModuleAnalyzer(ast.NodeVisitor):
     """Single pass over one module: summaries, globals, pool submits."""
 
-    def __init__(self, info, module_functions, program_roots=()):
+    def __init__(self, info, module_functions):
         self.info = info
         self._module_functions = module_functions
-        self._resolver = AliasResolver(
-            info.tree, _TRACKED_ROOTS + tuple(program_roots)
-        )
+        self._resolver = AliasResolver(info.tree)
         #: Stack of (FunctionSummary | None, local-callable-names set).
         self._scopes = []
         self._class_stack = []
@@ -589,7 +582,6 @@ def build_program(paths):
         )
 
     all_names = set(modules)
-    program_roots = sorted({name.split(".")[0] for name in modules})
     for info in modules.values():
         info.imports = _import_edges(info.tree, info.name, all_names)
         module_functions = {
@@ -597,7 +589,7 @@ def build_program(paths):
             for node in info.tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
-        _ModuleAnalyzer(info, module_functions, program_roots).visit(info.tree)
+        _ModuleAnalyzer(info, module_functions).visit(info.tree)
         info.fork_hazard_globals = _collect_fork_hazards(info)
     return modules, errors
 
@@ -803,8 +795,3 @@ def archcheck_paths(paths, contract=None, contract_path=None):
     ):
         unique.setdefault((finding.key(), finding.col), finding)
     return list(unique.values()), errors
-
-
-def render_findings(findings, show_hints=True):
-    """Human-readable report lines for a list of findings."""
-    return _render_findings(findings, RULES_BY_ID, show_hints=show_hints)

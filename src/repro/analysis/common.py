@@ -202,26 +202,28 @@ def apply_pragmas(findings, line_allows, file_allows):
 
 
 class AliasResolver:
-    """Resolve call targets to dotted paths through import aliases."""
+    """Resolve call targets to dotted paths through import bindings.
 
-    def __init__(self, tree, tracked_roots):
-        self._tracked = tuple(tracked_roots)
+    Every import in the module binds its name to the dotted path it
+    imports. A relative import drops its dots: ``from .x import y``
+    binds ``y`` to ``x.y``, and ``from . import y`` leaves ``y`` as
+    written.
+    """
+
+    def __init__(self, tree):
         self._aliases = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     root = alias.name.split(".")[0]
-                    if root in self._tracked:
-                        self._aliases[alias.asname or root] = (
-                            alias.name if alias.asname else root
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                module = node.module or ""
-                if module.split(".")[0] in self._tracked:
-                    for alias in node.names:
-                        self._aliases[alias.asname or alias.name] = (
-                            f"{module}.{alias.name}"
-                        )
+                    self._aliases[alias.asname or root] = (
+                        alias.name if alias.asname else root
+                    )
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                for alias in node.names:
+                    self._aliases[alias.asname or alias.name] = (
+                        f"{node.module}.{alias.name}"
+                    )
 
     def dotted(self, node):
         """Dotted path of a ``Name``/``Attribute`` chain, or ``None``."""

@@ -49,7 +49,6 @@ from repro.analysis.common import (
     set_iterations,
     unsorted_items_call,
 )
-from repro.analysis.common import render_findings as _render_findings
 
 
 RULES = (
@@ -156,9 +155,6 @@ _NUMPY_LEGACY = frozenset(
     }
 )
 
-#: Modules whose imports the analyzer resolves through aliases.
-_TRACKED_ROOTS = ("time", "datetime", "random", "itertools", "numpy")
-
 _COUNTER_NAME = re.compile(r"^_?(ids?|counters?|count|seq|sequence|next_\w+)$")
 
 
@@ -178,7 +174,7 @@ class _Analyzer(ast.NodeVisitor):
         for node in ast.walk(tree):
             for child in ast.iter_child_nodes(node):
                 self._parents[child] = node
-        self._resolver = AliasResolver(tree, _TRACKED_ROOTS)
+        self._resolver = AliasResolver(tree)
         self.visit(tree)
 
     def _dotted(self, node):
@@ -399,8 +395,3 @@ def lint_source(source, path, resolved_path=None):
 def lint_paths(paths):
     """Lint every ``*.py`` file under ``paths``; returns (findings, errors)."""
     return check_paths(paths, lint_source)
-
-
-def render_findings(findings, show_hints=True):
-    """Human-readable report lines for a list of findings."""
-    return _render_findings(findings, RULES_BY_ID, show_hints=show_hints)

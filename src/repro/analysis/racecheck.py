@@ -75,7 +75,6 @@ from repro.analysis.common import (
     display_path,
     read_sources,
 )
-from repro.analysis.common import render_findings as _render_findings
 from repro.analysis.flow import (
     FlowWalker,
     has_own_yield,
@@ -960,8 +959,3 @@ def render_lock_record(record):
         f"{record['path']}:{record['line']}: {record['function']} "
         f"yields holding [{', '.join(record['locks'])}]"
     )
-
-
-def render_findings(findings, show_hints=True):
-    """Human-readable report lines for racecheck findings."""
-    return _render_findings(findings, RULES_BY_ID, show_hints=show_hints)

@@ -53,7 +53,6 @@ from repro.analysis.common import (
     check_paths,
     matches_any,
 )
-from repro.analysis.common import render_findings as _render_findings
 from repro.analysis.flow import (
     FlowWalker,
     has_own_yield,
@@ -130,9 +129,6 @@ RULES_BY_ID = {rule.id: rule for rule in RULES}
 #: boundary itself: :mod:`repro.sim.units` mixes units *by definition*,
 #: so the whole units pass is skipped there.
 UNITS_MODULES = ("*/sim/units.py",)
-
-#: Import roots the alias resolver tracks (for ``units.*`` calls).
-_TRACKED_ROOTS = ("repro", "units")
 
 #: Comparison operators that require both sides in the same unit.
 _ORDERED_CMP = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
@@ -716,7 +712,7 @@ class _Module:
 
     def __init__(self, sink, tree):
         self.flag = sink.flag
-        self.resolver = AliasResolver(tree, _TRACKED_ROOTS)
+        self.resolver = AliasResolver(tree)
         self.module_signatures = _collect_module_signatures(tree)
 
 
@@ -749,8 +745,3 @@ def semcheck_source(source, path, resolved_path=None):
 def semcheck_paths(paths):
     """Semcheck every ``*.py`` file under ``paths``."""
     return check_paths(paths, semcheck_source)
-
-
-def render_findings(findings, show_hints=True):
-    """Human-readable report lines for semcheck findings."""
-    return _render_findings(findings, RULES_BY_ID, show_hints=show_hints)

@@ -105,15 +105,6 @@ class DiurnalArrivals:
         if self.period_s <= 0:
             raise ValueError(f"period_s must be > 0, got {self.period_s}")
 
-    def rate_at(self, time_us):
-        """Instantaneous rate (requests/second) at a simulated time."""
-        period_us = units.seconds(self.period_s)
-        phase = math.sin(2.0 * math.pi * (time_us / period_us))
-        return self.rate_rps * (1.0 + self.amplitude * phase)
-
-    def peak_rate_rps(self):
-        return self.rate_rps * (1.0 + self.amplitude)
-
     def times_us(self, duration_us):
         """Every arrival in ``[0, duration_us)``, as a tuple of microseconds.
 
@@ -121,7 +112,9 @@ class DiurnalArrivals:
         """
         _check_window(duration_us)
         rng = RngStreams(self.seed).stream(_STREAM)
-        peak_gap_us = units.seconds(1.0 / self.peak_rate_rps())
+        period_us = units.seconds(self.period_s)
+        peak_rate_rps = self.rate_rps * (1.0 + self.amplitude)
+        peak_gap_us = units.seconds(1.0 / peak_rate_rps)
         times = []
         now_us = 0.0
         while True:
@@ -129,7 +122,9 @@ class DiurnalArrivals:
             accept = rng.random()
             if now_us >= duration_us:
                 return tuple(times)
-            if accept < self.rate_at(now_us) / self.peak_rate_rps():
+            phase = math.sin(2.0 * math.pi * (now_us / period_us))
+            rate_rps = self.rate_rps * (1.0 + self.amplitude * phase)
+            if accept < rate_rps / peak_rate_rps:
                 times.append(now_us)
 
 

@@ -31,14 +31,14 @@ SNPE_CLAIMS = (
 
 
 @experiment("ablation_snpe", claims=SNPE_CLAIMS, bench={"runs": 6})
-def run_snpe(runs=10, seed=0, model_key="efficientnet_lite0", dtype="int8"):
+def run_snpe(runs=10, seed=0):
     """SNPE DSP vs NNAPI vs tuned CPU for a quantized model."""
     headers = ("Runtime", "inference ms", "vs snpe-dsp")
     targets = ("snpe-dsp", "nnapi", "cpu", "hexagon")
     latencies = {}
     for target in targets:
         config = PipelineConfig(
-            model_key=model_key, dtype=dtype, context="cli",
+            model_key="efficientnet_lite0", dtype="int8", context="cli",
             target=target, runs=runs, seed=seed,
         )
         latencies[target] = breakdown(run_pipeline(config)).inference_ms
@@ -50,7 +50,7 @@ def run_snpe(runs=10, seed=0, model_key="efficientnet_lite0", dtype="int8"):
     ]
     return ExperimentResult(
         experiment_id="ablation_snpe",
-        title=f"{model_key} [{dtype}]: vendor runtime vs NNAPI vs CPU",
+        title="efficientnet_lite0 [int8]: vendor runtime vs NNAPI vs CPU",
         headers=headers,
         rows=rows,
         notes=["paper §IV-B: under SNPE the DSP outperforms the CPU"],
@@ -68,7 +68,7 @@ PROBE_CLAIMS = (
 
 
 @experiment("ablation_probe", claims=PROBE_CLAIMS, bench={"runs": 6})
-def run_probe(runs=10, seed=0, model_key="mobilenet_v1"):
+def run_probe(runs=10, seed=0):
     """Instrumentation overhead: accelerated runs slow 4-7%, CPU runs 0%."""
     probe = ProbeEffect()
     headers = (
@@ -80,7 +80,7 @@ def run_probe(runs=10, seed=0, model_key="mobilenet_v1"):
         ("cpu", "fp32", False),
     ):
         config = PipelineConfig(
-            model_key=model_key, dtype=dtype, context="cli",
+            model_key="mobilenet_v1", dtype=dtype, context="cli",
             target=target, runs=runs, seed=seed,
         )
         raw_ms = breakdown(run_pipeline(config)).inference_ms
@@ -118,8 +118,12 @@ COUPLING_CLAIMS = (
 )
 
 
+#: Offloads per coupling; the first (cold) one is left out of the mean.
+COUPLING_INVOKES = 20
+
+
 @experiment("ablation_coupling", claims=COUPLING_CLAIMS)
-def run_coupling(seed=0, model_key="mobilenet_v1", invokes=20):
+def run_coupling(seed=0):
     """Loosely vs tightly coupled accelerator integration (§II-D)."""
     headers = ("Coupling", "mean invoke ms", "flush+transfer us/call")
     rows = []
@@ -128,12 +132,12 @@ def run_coupling(seed=0, model_key="mobilenet_v1", invokes=20):
             seed=seed, governor="performance", dsp_coupling=coupling
         ) as (sim, soc, kernel):
             channel = FastRpcChannel(kernel, process_id=7)
-            model = load_model(model_key, "int8")
+            model = load_model("mobilenet_v1", "int8")
             compute_us = soc.dsp.graph_time_us(model.ops, "int8")
             durations = []
 
             def body():
-                for _ in range(invokes):
+                for _ in range(COUPLING_INVOKES):
                     duration = yield from channel.invoke(
                         model.input_spec.numel, model.output_bytes, compute_us
                     )
@@ -143,9 +147,10 @@ def run_coupling(seed=0, model_key="mobilenet_v1", invokes=20):
             sim.run(until=thread.done)
             per_call = (
                 channel.stats.cache_flush_us + channel.stats.transfer_us
-            ) / invokes
+            ) / COUPLING_INVOKES
         rows.append(
-            (coupling, units.to_ms(sum(durations[1:]) / (invokes - 1)), per_call)
+            (coupling, units.to_ms(sum(durations[1:]) / (COUPLING_INVOKES - 1)),
+             per_call)
         )
     return ExperimentResult(
         experiment_id="ablation_coupling",
@@ -170,9 +175,9 @@ STDLIB_CLAIMS = (
 
 
 @experiment("ablation_stdlib", claims=STDLIB_CLAIMS)
-def run_stdlib(model_key="mobilenet_v1"):
+def run_stdlib():
     """Random-input generation cost: libc++ vs libstdc++ (§IV-A)."""
-    model_fp32 = load_model(model_key)
+    model_fp32 = load_model("mobilenet_v1")
     elements = model_fp32.input_spec.numel
     headers = ("stdlib", "fp32 gen ms", "int8 gen ms", "int8/fp32")
     rows = []

@@ -112,7 +112,3 @@ def render_chart(result):
     if renderer is None:
         return None
     return renderer(result)
-
-
-def chartable_experiments():
-    return sorted(_RENDERERS)

@@ -44,7 +44,7 @@ ENERGY_CLAIMS = (
 
 
 @experiment("energy", claims=ENERGY_CLAIMS, bench={"invokes": 10})
-def run_energy(seed=0, model_key="mobilenet_v1", invokes=20):
+def run_energy(seed=0, invokes=20):
     """Joules per inference across placements.
 
     The DSP should beat the CPU by roughly an order of magnitude on
@@ -65,7 +65,7 @@ def run_energy(seed=0, model_key="mobilenet_v1", invokes=20):
     rows = []
     for label, dtype, target in configurations:
         with rig(seed=seed) as (_sim, soc, kernel):
-            model = load_model(model_key, dtype)
+            model = load_model("mobilenet_v1", dtype)
             session = make_session(kernel, model, target=target)
             drive(kernel, session, 2)  # warm up + settle
             snapshot = soc.energy.snapshot()
@@ -86,7 +86,7 @@ def run_energy(seed=0, model_key="mobilenet_v1", invokes=20):
         )
     return ExperimentResult(
         experiment_id="energy",
-        title=f"{model_key}: energy per inference by placement",
+        title="mobilenet_v1: energy per inference by placement",
         headers=headers,
         rows=rows,
         notes=[
@@ -113,8 +113,7 @@ PREFERENCES_CLAIMS = (
 
 
 @experiment("preferences", claims=PREFERENCES_CLAIMS, bench={"invokes": 5})
-def run_preferences(seed=0, model_key="inception_v3", dtype="fp32",
-                    invokes=8):
+def run_preferences(seed=0, invokes=8):
     """NNAPI execution preference: latency vs energy.
 
     Uses a partially-offloaded model so the CPU partitions (whose
@@ -124,7 +123,7 @@ def run_preferences(seed=0, model_key="inception_v3", dtype="fp32",
     rows = []
     for preference in (FAST_SINGLE_ANSWER, SUSTAINED_SPEED, LOW_POWER):
         with rig(seed=seed) as (_sim, soc, kernel):
-            model = load_model(model_key, dtype)
+            model = load_model("inception_v3", "fp32")
             session = make_session(
                 kernel, model, target="nnapi", preference=preference
             )
@@ -141,7 +140,7 @@ def run_preferences(seed=0, model_key="inception_v3", dtype="fp32",
         )
     return ExperimentResult(
         experiment_id="preferences",
-        title=f"{model_key} [{dtype}] via NNAPI: execution preferences",
+        title="inception_v3 [fp32] via NNAPI: execution preferences",
         headers=headers,
         rows=rows,
         notes=["LOW_POWER runs CPU partitions on the little cluster: "
@@ -174,16 +173,15 @@ THERMAL_CLAIMS = (
 
 
 @experiment("thermal", claims=THERMAL_CLAIMS, bench={"invokes": 80})
-def run_thermal(seed=0, model_key="inception_v3", dtype="fp32",
-                invokes=120, time_constant_s=6.0):
+def run_thermal(seed=0, invokes=120):
     """Sustained load without the paper's cooldown protocol.
 
     A shortened thermal time constant compresses minutes of sustained
     load into a tractable simulation; the dynamics are unchanged.
     """
     with rig(seed=seed, enable_thermal=True) as (_sim, soc, kernel):
-        soc.thermal.time_constant_s = time_constant_s
-        model = load_model(model_key, dtype)
+        soc.thermal.time_constant_s = 6.0
+        model = load_model("inception_v3", "fp32")
         session = make_session(kernel, model, target="cpu")
         durations = drive(kernel, session, invokes)
         warm = durations[1:]
@@ -205,7 +203,7 @@ def run_thermal(seed=0, model_key="inception_v3", dtype="fp32",
         ]
     return ExperimentResult(
         experiment_id="thermal",
-        title=f"{model_key} [{dtype}] sustained CPU load: thermal drift",
+        title="inception_v3 [fp32] sustained CPU load: thermal drift",
         headers=headers,
         rows=rows,
         series={"latency_ms": [units.to_ms(d) for d in warm]},
@@ -238,7 +236,7 @@ SOC_SWEEP_CLAIMS = (
 
 
 @experiment("soc_sweep", claims=SOC_SWEEP_CLAIMS, bench={"runs": 6})
-def run_soc_sweep(runs=8, seed=0, model_key="mobilenet_v1", dtype="int8"):
+def run_soc_sweep(runs=8, seed=0):
     """The Fig.-4 app breakdown across all four Table-II platforms."""
     headers = (
         "SoC", "capture ms", "pre ms", "inference ms", "total ms",
@@ -248,7 +246,7 @@ def run_soc_sweep(runs=8, seed=0, model_key="mobilenet_v1", dtype="int8"):
     series = {}
     for soc_key in SOCS:
         config = PipelineConfig(
-            model_key=model_key, dtype=dtype, context="app",
+            model_key="mobilenet_v1", dtype="int8", context="app",
             target="nnapi", runs=runs, seed=seed, soc=soc_key,
         )
         b = breakdown(run_pipeline(config))
@@ -261,7 +259,7 @@ def run_soc_sweep(runs=8, seed=0, model_key="mobilenet_v1", dtype="int8"):
         series[soc_key] = [b.capture_ms, b.pre_ms, b.inference_ms]
     return ExperimentResult(
         experiment_id="soc_sweep",
-        title=f"{model_key} [{dtype}] app breakdown across platforms",
+        title="mobilenet_v1 [int8] app breakdown across platforms",
         headers=headers,
         rows=rows,
         series=series,
@@ -362,7 +360,7 @@ SCALING_CLAIMS = (
 
 
 @experiment("model_scaling", claims=SCALING_CLAIMS)
-def run_model_scaling(runs=6, seed=0, resolutions=(128, 160, 192, 224)):
+def run_model_scaling(runs=6, seed=0):
     """Input resolution vs inference and pre-processing cost (§II-B).
 
     "A model is trained on images of fixed dimensions, and the input
@@ -377,7 +375,7 @@ def run_model_scaling(runs=6, seed=0, resolutions=(128, 160, 192, 224)):
         "input", "GFLOPs", "inference ms (cpu x4)", "resize cost ms",
     )
     rows = []
-    for resolution in resolutions:
+    for resolution in (128, 160, 192, 224):
         graph = build_mobilenet_v1(resolution=resolution)
         with rig(seed=seed, governor="performance") as (_sim, _soc, kernel):
             session = TfliteInterpreter(kernel, graph, threads=4)
@@ -418,8 +416,7 @@ RESOLUTION_CLAIMS = (
 
 
 @experiment("resolution_sweep", claims=RESOLUTION_CLAIMS, bench={"runs": 6})
-def run_resolution_sweep(runs=8, seed=0, model_key="mobilenet_v1",
-                         dtype="int8"):
+def run_resolution_sweep(runs=8, seed=0):
     """Capture resolution vs pipeline cost (paper §II-A).
 
     "An incorrect choice of image resolution can cause non-linear
@@ -438,7 +435,7 @@ def run_resolution_sweep(runs=8, seed=0, model_key="mobilenet_v1",
         ("1920x1080", (1080, 1920)),
     ):
         config = PipelineConfig(
-            model_key=model_key, dtype=dtype, context="app",
+            model_key="mobilenet_v1", dtype="int8", context="app",
             target="nnapi", runs=runs, seed=seed, source_hw=source_hw,
         )
         b = breakdown(run_pipeline(config))
@@ -449,7 +446,7 @@ def run_resolution_sweep(runs=8, seed=0, model_key="mobilenet_v1",
         )
     return ExperimentResult(
         experiment_id="resolution_sweep",
-        title=f"{model_key} [{dtype}]: capture resolution vs pipeline cost",
+        title="mobilenet_v1 [int8]: capture resolution vs pipeline cost",
         headers=headers,
         rows=rows,
         notes=[
@@ -486,8 +483,7 @@ WHATIF_CLAIMS = (
 
 
 @experiment("whatif", claims=WHATIF_CLAIMS, bench={"runs": 8})
-def run_whatif(runs=12, seed=0, model_key="mobilenet_v1", dtype="int8",
-               factor=2.0):
+def run_whatif(runs=12, seed=0):
     """Optimization priorities from the measured breakdown.
 
     Answers the question the paper poses to each audience: where does a
@@ -500,22 +496,22 @@ def run_whatif(runs=12, seed=0, model_key="mobilenet_v1", dtype="int8",
     )
 
     config = PipelineConfig(
-        model_key=model_key, dtype=dtype, context="app",
+        model_key="mobilenet_v1", dtype="int8", context="app",
         target="nnapi", runs=runs, seed=seed,
     )
     b = breakdown(run_pipeline(config))
     headers = (
-        "stage", "stage ms", "share", f"{factor}x speedup -> e2e gain",
+        "stage", "stage ms", "share", "2.0x speedup -> e2e gain",
     )
     rows = [
         (impact.stage, impact.stage_ms, impact.stage_share,
          impact.end_to_end_speedup)
-        for impact in optimization_priorities(b, factor=factor)
+        for impact in optimization_priorities(b, factor=2.0)
     ]
     ceiling = accelerator_upgrade_ceiling(b)
     return ExperimentResult(
         experiment_id="whatif",
-        title=f"{model_key} [{dtype}] app: optimization priorities",
+        title="mobilenet_v1 [int8] app: optimization priorities",
         headers=headers,
         rows=rows,
         series={"accelerator_ceiling": [ceiling]},
@@ -535,8 +531,12 @@ INIT_TIME_CLAIMS = (
 )
 
 
+#: Model switches each half of the switching comparison makes.
+SWITCHES = 5
+
+
 @experiment("init_time", claims=INIT_TIME_CLAIMS)
-def run_init_time(seed=0, switches=5):
+def run_init_time(seed=0):
     """Model initialization and switching cost (§IV-C).
 
     "The TFlite benchmark tool breaks down model initialization time,
@@ -589,10 +589,10 @@ def run_init_time(seed=0, switches=5):
                     ]
                     for session in sessions:
                         yield from session.prepare()
-                    for index in range(2 * switches):
+                    for index in range(2 * SWITCHES):
                         yield from sessions[index % 2].invoke()
                 else:
-                    for index in range(2 * switches):
+                    for index in range(2 * SWITCHES):
                         session = make_session(
                             kernel, models[index % 2], target="hexagon"
                         )
@@ -606,7 +606,7 @@ def run_init_time(seed=0, switches=5):
 
     reload_ms = _switching(resident=False)
     resident_ms = _switching(resident=True)
-    rows.append(("switching 2 models x" + str(switches), "reload each time",
+    rows.append((f"switching 2 models x{SWITCHES}", "reload each time",
                  reload_ms, resident_ms, reload_ms / resident_ms))
     return ExperimentResult(
         experiment_id="init_time",

@@ -6,9 +6,9 @@ contention) while capture and pre-processing — CPU work — stretch with
 the added load.
 """
 
-from repro.experiments.base import ExperimentResult, experiment
+from repro.experiments.base import experiment
 from repro.experiments.claims import Claim, ratio
-from repro.experiments.fig9 import BACKGROUND_COUNTS, _cpu_side, _measure
+from repro.experiments.fig9 import _background_sweep, _cpu_side
 
 
 def _cpu_side_growth(result):
@@ -26,33 +26,10 @@ CLAIMS = (
 
 
 @experiment("fig10", claims=CLAIMS, bench={"runs": 8})
-def run(runs=10, seed=0, model_key="mobilenet_v1", dtype="int8",
-        counts=BACKGROUND_COUNTS):
-    headers = (
-        "background jobs", "capture ms", "pre ms", "inference ms",
-        "post ms", "total ms",
-    )
-    rows = []
-    inference_series = []
-    cpu_side_series = []
-    for count in counts:
-        b = _measure(count, "cpu", runs, seed, model_key, dtype)
-        rows.append(
-            (count, b.capture_ms, b.pre_ms, b.inference_ms, b.post_ms,
-             b.total_ms)
-        )
-        inference_series.append(b.inference_ms)
-        cpu_side_series.append(b.capture_ms + b.pre_ms)
-    return ExperimentResult(
-        experiment_id="fig10",
+def run(runs=10, seed=0):
+    return _background_sweep(
+        "fig10", "cpu", runs, seed,
         title="App latency vs background inferences on the CPU",
-        headers=headers,
-        rows=rows,
-        series={
-            "counts": list(counts),
-            "inference_ms": inference_series,
-            "capture_plus_pre_ms": cpu_side_series,
-        },
         notes=[
             "capture + pre-processing grow with CPU contention",
             "inference stays ~constant (the DSP is uncontended)",

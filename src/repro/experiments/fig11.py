@@ -33,8 +33,7 @@ CLAIMS = (
 
 
 @experiment("fig11", claims=CLAIMS, bench={"runs": 120})
-def run(runs=150, seed=0, model_key="mobilenet_v1", dtype="fp32",
-        target="cpu"):
+def run(runs=150, seed=0):
     headers = (
         "context", "n", "mean ms", "median ms", "std ms",
         "p5 ms", "p95 ms", "max |dev| from median", "CV",
@@ -43,10 +42,10 @@ def run(runs=150, seed=0, model_key="mobilenet_v1", dtype="fp32",
     series = {}
     for context in ("cli", "app"):
         config = PipelineConfig(
-            model_key=model_key,
-            dtype=dtype,
+            model_key="mobilenet_v1",
+            dtype="fp32",
             context=context,
-            target=target,
+            target="cpu",
             runs=runs,
             seed=seed,
         )
@@ -72,7 +71,7 @@ def run(runs=150, seed=0, model_key="mobilenet_v1", dtype="fp32",
         ]
     return ExperimentResult(
         experiment_id="fig11",
-        title=f"{model_key} [{dtype}] on {target}: latency distributions",
+        title="mobilenet_v1 [fp32] on cpu: latency distributions",
         headers=headers,
         rows=rows,
         series=series,

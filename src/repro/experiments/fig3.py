@@ -48,14 +48,14 @@ CLAIMS = (
 
 
 @experiment("fig3", claims=CLAIMS, bench={"runs": 8})
-def run(runs=10, seed=0, models=MODELS):
+def run(runs=10, seed=0):
     """End-to-end CPU latency per model across the three packagings."""
     headers = (
         "Model", "dtype", "cli ms", "bench_app ms", "app ms", "app/cli",
     )
     rows = []
     series = {}
-    for model_key, dtype in models:
+    for model_key, dtype in MODELS:
         totals = {}
         for context in CONTEXTS:
             config = PipelineConfig(

@@ -49,7 +49,7 @@ CLAIMS = (
 
 
 @experiment("fig4", claims=CLAIMS, bench={"runs": 8})
-def run(runs=10, seed=0, models=MODELS):
+def run(runs=10, seed=0):
     headers = (
         "Model", "dtype", "context",
         "capture ms", "pre ms", "inference ms",
@@ -57,7 +57,7 @@ def run(runs=10, seed=0, models=MODELS):
     )
     rows = []
     series = {}
-    for model_key, dtype in models:
+    for model_key, dtype in MODELS:
         for context in ("cli", "app"):
             config = PipelineConfig(
                 model_key=model_key,

@@ -28,13 +28,13 @@ CLAIMS = (
 
 
 @experiment("fig5", claims=CLAIMS, bench={"runs": 8})
-def run(runs=10, seed=0, model_key="efficientnet_lite0", dtype="int8"):
+def run(runs=10, seed=0):
     headers = ("Target", "inference ms", "slowdown vs cpu1")
     latencies = {}
     for target in TARGETS:
         config = PipelineConfig(
-            model_key=model_key,
-            dtype=dtype,
+            model_key="efficientnet_lite0",
+            dtype="int8",
             context="cli",
             target=target,
             runs=runs,
@@ -47,7 +47,7 @@ def run(runs=10, seed=0, model_key="efficientnet_lite0", dtype="int8"):
     ]
     return ExperimentResult(
         experiment_id="fig5",
-        title=f"{model_key} [{dtype}]: TFLite target comparison",
+        title="efficientnet_lite0 [int8]: TFLite target comparison",
         headers=headers,
         rows=rows,
         series={"latency_ms": [latencies[t] for t in TARGETS]},

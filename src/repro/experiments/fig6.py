@@ -15,12 +15,14 @@ from repro.experiments.claims import Claim, cell, ratio
 from repro.sim import units
 
 TARGETS = ("cpu", "hexagon", "nnapi")
+#: Width of each utilization-timeline bucket.
+BUCKET_MS = 10.0
 
 
-def _profile(target, runs, seed, model_key, dtype, bucket_ms):
+def _profile(target, runs, seed):
     config = PipelineConfig(
-        model_key=model_key,
-        dtype=dtype,
+        model_key="efficientnet_lite0",
+        dtype="int8",
         context="cli",
         target=target,
         runs=runs,
@@ -44,7 +46,7 @@ def _profile(target, runs, seed, model_key, dtype, bucket_ms):
             "axi_mb": trace.counter_total("axi_bytes") / 1e6,
             "wall_ms": units.to_ms(sim.now),
             "timelines": {
-                track: trace.timeline(track, units.ms(bucket_ms))
+                track: trace.timeline(track, units.ms(BUCKET_MS))
                 for track in big_tracks + ["cdsp"]
             },
         }
@@ -98,8 +100,7 @@ CLAIMS = (
 
 
 @experiment("fig6", claims=CLAIMS, bench={"runs": 6})
-def run(runs=8, seed=0, model_key="efficientnet_lite0", dtype="int8",
-        bucket_ms=10.0):
+def run(runs=8, seed=0):
     headers = (
         "Target", "big CPU util", "busiest core util", "cDSP util",
         "cDSP spans", "migrations", "ctx switches", "AXI MB", "wall ms",
@@ -107,7 +108,7 @@ def run(runs=8, seed=0, model_key="efficientnet_lite0", dtype="int8",
     rows = []
     series = {}
     for target in TARGETS:
-        profile = _profile(target, runs, seed, model_key, dtype, bucket_ms)
+        profile = _profile(target, runs, seed)
         rows.append(
             (
                 target,

@@ -26,13 +26,13 @@ CLAIMS = (
 
 
 @experiment("fig7", claims=CLAIMS)
-def run(seed=0, model_key="mobilenet_v1", payload_frames=1):
+def run(seed=0):
     with rig(seed=seed, governor="performance", trace=True) as (
         sim, soc, kernel,
     ):
         channel = FastRpcChannel(kernel, process_id=42)
-        model = load_model(model_key, "int8")
-        input_bytes = model.input_spec.numel * payload_frames
+        model = load_model("mobilenet_v1", "int8")
+        input_bytes = model.input_spec.numel
         compute_us = soc.dsp.graph_time_us(model.ops, "int8")
         durations = []
 

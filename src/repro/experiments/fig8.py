@@ -16,10 +16,10 @@ from repro.sim import units
 COUNTS = (1, 2, 5, 10, 20, 50, 100, 200, 500)
 
 
-def _measure(count, seed, model_key, dtype, target):
+def _measure(count, seed):
     with rig(seed=seed, governor="performance") as (sim, soc, kernel):
-        model = load_model(model_key, dtype)
-        session = make_session(kernel, model, target=target)
+        model = load_model("mobilenet_v1", "int8")
+        session = make_session(kernel, model, target="nnapi")
         compute_us = soc.dsp.graph_time_us(model.ops, "int8")
         drive(kernel, session, count, name="offload")
         return sim.now, compute_us * count
@@ -57,8 +57,7 @@ CLAIMS = (
 
 
 @experiment("fig8", claims=CLAIMS)
-def run(seed=0, model_key="mobilenet_v1", dtype="int8", target="nnapi",
-        counts=COUNTS):
+def run(seed=0, counts=COUNTS):
     headers = (
         "inferences", "total ms", "mean ms/inf",
         "offload+setup ms", "offload share",
@@ -67,7 +66,7 @@ def run(seed=0, model_key="mobilenet_v1", dtype="int8", target="nnapi",
     mean_series = []
     share_series = []
     for count in counts:
-        total_us, compute_us = _measure(count, seed, model_key, dtype, target)
+        total_us, compute_us = _measure(count, seed)
         overhead_us = total_us - compute_us
         share = overhead_us / total_us if total_us else 0.0
         rows.append(
@@ -83,7 +82,7 @@ def run(seed=0, model_key="mobilenet_v1", dtype="int8", target="nnapi",
         share_series.append(share)
     return ExperimentResult(
         experiment_id="fig8",
-        title=f"{model_key} [{dtype}] via {target}: cold-start amortization",
+        title="mobilenet_v1 [int8] via nnapi: cold-start amortization",
         headers=headers,
         rows=rows,
         series={"mean_ms": mean_series, "offload_share": share_series,

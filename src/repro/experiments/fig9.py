@@ -15,13 +15,12 @@ from repro.experiments.claims import Claim, ratio
 BACKGROUND_COUNTS = (0, 1, 2, 3, 4)
 
 
-def _measure(background_count, background_target, runs, seed,
-             model_key, dtype):
+def _measure(background_count, background_target, runs, seed):
     # Background CPU jobs use TFLite's default 4 threads (as the paper's
     # benchmark utility does); DSP jobs serialize on the device anyway.
     config = PipelineConfig(
-        model_key=model_key,
-        dtype=dtype,
+        model_key="mobilenet_v1",
+        dtype="int8",
         context="app",
         target="nnapi",
         runs=runs,
@@ -59,18 +58,14 @@ CLAIMS = (
 )
 
 
-@experiment("fig9", claims=CLAIMS, bench={"runs": 8})
-def run(runs=10, seed=0, model_key="mobilenet_v1", dtype="int8",
-        counts=BACKGROUND_COUNTS, background_target="nnapi"):
-    headers = (
-        "background jobs", "capture ms", "pre ms", "inference ms",
-        "post ms", "total ms",
-    )
+def _background_sweep(experiment_id, background_target, runs, seed, title,
+                      notes):
+    """The app's breakdown at each background job count (Figs. 9, 10)."""
     rows = []
     inference_series = []
     cpu_side_series = []
-    for count in counts:
-        b = _measure(count, background_target, runs, seed, model_key, dtype)
+    for count in BACKGROUND_COUNTS:
+        b = _measure(count, background_target, runs, seed)
         rows.append(
             (count, b.capture_ms, b.pre_ms, b.inference_ms, b.post_ms,
              b.total_ms)
@@ -78,15 +73,27 @@ def run(runs=10, seed=0, model_key="mobilenet_v1", dtype="int8",
         inference_series.append(b.inference_ms)
         cpu_side_series.append(b.capture_ms + b.pre_ms)
     return ExperimentResult(
-        experiment_id="fig9",
-        title="App latency vs background inferences on the DSP",
-        headers=headers,
+        experiment_id=experiment_id,
+        title=title,
+        headers=(
+            "background jobs", "capture ms", "pre ms", "inference ms",
+            "post ms", "total ms",
+        ),
         rows=rows,
         series={
-            "counts": list(counts),
+            "counts": list(BACKGROUND_COUNTS),
             "inference_ms": inference_series,
             "capture_plus_pre_ms": cpu_side_series,
         },
+        notes=notes,
+    )
+
+
+@experiment("fig9", claims=CLAIMS, bench={"runs": 8})
+def run(runs=10, seed=0):
+    return _background_sweep(
+        "fig9", "nnapi", runs, seed,
+        title="App latency vs background inferences on the DSP",
         notes=[
             "inference grows ~linearly with background jobs (single DSP)",
             "capture + pre-processing stay ~constant (CPU unaffected)",

@@ -40,20 +40,21 @@ PIPELINING_CLAIMS = (
 
 
 @experiment("pipelining", claims=PIPELINING_CLAIMS, bench={"frames": 15})
-def run_pipelining(frames=20, seed=0, model_key="efficientnet_lite0",
-                   dtype="fp32", target="gpu"):
+def run_pipelining(frames=20, seed=0):
     """Sequential vs pipelined app: latency and throughput."""
     sequential = run_pipeline(
         PipelineConfig(
-            model_key=model_key, dtype=dtype, context="app",
-            target=target, runs=frames, seed=seed,
+            model_key="efficientnet_lite0", dtype="fp32", context="app",
+            target="gpu", runs=frames, seed=seed,
         )
     )
     seq = breakdown(sequential)
     seq_fps = units.fps_from_ms(seq.total_ms) if seq.total_ms else 0.0
 
     with rig(seed=seed) as (_sim, _soc, kernel):
-        app = PipelinedApp(kernel, model_key, dtype=dtype, target=target)
+        app = PipelinedApp(
+            kernel, "efficientnet_lite0", dtype="fp32", target="gpu"
+        )
         piped_records = app.execute(frames=frames)
         piped = breakdown(piped_records)
         piped_fps = piped_records.runs[-1].meta["throughput_fps"]
@@ -70,7 +71,7 @@ def run_pipelining(frames=20, seed=0, model_key="efficientnet_lite0",
     ]
     return ExperimentResult(
         experiment_id="pipelining",
-        title=f"{model_key} [{dtype}] on {target}: sequential vs pipelined",
+        title="efficientnet_lite0 [fp32] on gpu: sequential vs pipelined",
         headers=headers,
         rows=rows,
         notes=[
@@ -208,8 +209,7 @@ MLPERF_CLAIMS = (
 @experiment(
     "mlperf_gap", claims=MLPERF_CLAIMS, bench={"queries": 20, "runs": 10},
 )
-def run_mlperf_gap(queries=40, runs=15, seed=0, model_key="mobilenet_v1",
-                   dtype="int8", target="nnapi"):
+def run_mlperf_gap(queries=40, runs=15, seed=0):
     """MLPerf scores vs app-experienced latency — the paper's thesis.
 
     A single-stream p90 score measures inference alone; the same model
@@ -219,19 +219,21 @@ def run_mlperf_gap(queries=40, runs=15, seed=0, model_key="mobilenet_v1",
     from repro.apps.loadgen import MlperfLoadgen, OFFLINE, SINGLE_STREAM
 
     with rig(seed=seed) as (_sim, _soc, kernel):
-        loadgen = MlperfLoadgen(kernel, model_key, dtype=dtype, target=target)
+        loadgen = MlperfLoadgen(
+            kernel, "mobilenet_v1", dtype="int8", target="nnapi"
+        )
         single = loadgen.run(SINGLE_STREAM, queries=queries)
 
     with rig(seed=seed) as (_sim, _soc, kernel):
         offline = MlperfLoadgen(
-            kernel, model_key, dtype=dtype, target=target
+            kernel, "mobilenet_v1", dtype="int8", target="nnapi"
         ).run(OFFLINE, queries=queries)
 
     app = breakdown(
         run_pipeline(
             PipelineConfig(
-                model_key=model_key, dtype=dtype, context="app",
-                target=target, runs=runs, seed=seed,
+                model_key="mobilenet_v1", dtype="int8", context="app",
+                target="nnapi", runs=runs, seed=seed,
             )
         )
     )
@@ -248,7 +250,7 @@ def run_mlperf_gap(queries=40, runs=15, seed=0, model_key="mobilenet_v1",
     ]
     return ExperimentResult(
         experiment_id="mlperf_gap",
-        title=f"{model_key} [{dtype}]: MLPerf-style scores vs app reality",
+        title="mobilenet_v1 [int8]: MLPerf-style scores vs app reality",
         headers=headers,
         rows=rows,
         notes=[
@@ -278,8 +280,7 @@ DRIVER_CLAIMS = (
 
 
 @experiment("driver_versions", claims=DRIVER_CLAIMS, bench={"invokes": 6})
-def run_driver_versions(invokes=8, seed=0, model_key="efficientnet_lite0",
-                        dtype="int8"):
+def run_driver_versions(invokes=8, seed=0):
     """The Fig.-5 pathology across NNAPI driver feature levels.
 
     The paper predicts "future iterations may likely fix this
@@ -296,7 +297,7 @@ def run_driver_versions(invokes=8, seed=0, model_key="efficientnet_lite0",
     rows = []
     for level in (1.1, 1.2, 1.3):
         with rig(seed=seed, governor="performance") as (_sim, _soc, kernel):
-            model = load_model(model_key, dtype)
+            model = load_model("efficientnet_lite0", "int8")
             session = NnapiSession(kernel, model, feature_level=level)
             warm = drive(kernel, session, invokes, name="drv")[1:]
             rows.append(
@@ -309,7 +310,7 @@ def run_driver_versions(invokes=8, seed=0, model_key="efficientnet_lite0",
             )
     return ExperimentResult(
         experiment_id="driver_versions",
-        title=f"{model_key} [{dtype}] via NNAPI: driver feature levels",
+        title="efficientnet_lite0 [int8] via NNAPI: driver feature levels",
         headers=headers,
         rows=rows,
         notes=[
@@ -319,12 +320,11 @@ def run_driver_versions(invokes=8, seed=0, model_key="efficientnet_lite0",
     )
 
 
-def _fastcv_app_run(sim, kernel, runs, model_key, dtype, pre_on_dsp,
-                    inference_target):
+def _fastcv_app_run(sim, kernel, runs, pre_on_dsp, inference_target):
     """One app loop with pre-processing optionally offloaded to the DSP."""
     soc = kernel.soc
-    card = model_card(model_key)
-    model = load_model(model_key, dtype)
+    card = model_card("mobilenet_v1")
+    model = load_model("mobilenet_v1", "int8")
     session = make_session(kernel, model, target=inference_target)
     plan = build_preprocessor(card, model, context="app")
     camera = CameraHal(kernel)
@@ -389,7 +389,7 @@ FASTCV_CLAIMS = (
 
 
 @experiment("ablation_fastcv", claims=FASTCV_CLAIMS, bench={"runs": 8})
-def run_fastcv(runs=10, seed=0, model_key="mobilenet_v1", dtype="int8"):
+def run_fastcv(runs=10, seed=0):
     """Pre-processing on CPU vs on the DSP, with inference on DSP or CPU."""
     headers = (
         "pre-processing", "inference on", "pre ms", "inference ms",
@@ -400,8 +400,7 @@ def run_fastcv(runs=10, seed=0, model_key="mobilenet_v1", dtype="int8"):
         for inference_target in ("hexagon", "cpu"):
             with rig(seed=seed) as (sim, _soc, kernel):
                 pre_ms, inference_ms = _fastcv_app_run(
-                    sim, kernel, runs, model_key, dtype, pre_on_dsp,
-                    inference_target,
+                    sim, kernel, runs, pre_on_dsp, inference_target,
                 )
             rows.append(
                 (
@@ -414,7 +413,7 @@ def run_fastcv(runs=10, seed=0, model_key="mobilenet_v1", dtype="int8"):
             )
     return ExperimentResult(
         experiment_id="ablation_fastcv",
-        title=f"{model_key} [{dtype}]: offloading pre-processing to the DSP",
+        title="mobilenet_v1 [int8]: offloading pre-processing to the DSP",
         headers=headers,
         rows=rows,
         notes=[

@@ -25,6 +25,8 @@ results — so the goodput deltas are attributable to the health
 machinery alone.
 """
 
+from dataclasses import replace
+
 from repro.experiments.base import ExperimentResult, experiment
 from repro.experiments.claims import Claim, cell, ratio
 
@@ -34,7 +36,7 @@ STORM_LOAD = 0.6
 STORM_AT_MS = 300.0
 STORM_RECOVERY_MS = 400.0
 #: Steady per-batch fault rates swept with breakers on vs off.
-DEFAULT_FAULT_RATES = (0.1, 0.2)
+FAULT_RATES = (0.1, 0.2)
 
 
 def _row(sweep, knob, result):
@@ -64,10 +66,7 @@ CLAIMS = (
 
 
 @experiment("resilience", claims=CLAIMS)
-def run(devices=2, duration_s=1.2, seed=3, slo_ms=100.0,
-        fault_rates=DEFAULT_FAULT_RATES, max_batch=4, max_delay_ms=5.0,
-        queue_capacity=128, policy="reject", calibration_runs=3,
-        brownout_high=16, brownout_low=6):
+def run(seed=3):
     from repro.service import (
         ServiceConfig,
         build_pool,
@@ -75,26 +74,18 @@ def run(devices=2, duration_s=1.2, seed=3, slo_ms=100.0,
         run_service,
     )
 
-    profiles, _failures = build_pool(
-        devices=devices, seed=seed, runs=calibration_runs
+    base = ServiceConfig(
+        duration_s=1.2, slo_ms=100.0, queue_capacity=128, devices=2,
+        seed=seed,
     )
-    capacity_rps = pool_capacity_rps(profiles, max_batch)
-    rate_rps = STORM_LOAD * capacity_rps
+    profiles, _failures = build_pool(
+        devices=base.devices, seed=seed, runs=base.calibration_runs
+    )
+    rate_rps = STORM_LOAD * pool_capacity_rps(profiles, base.max_batch)
 
     def serve(**health_knobs):
         return run_service(
-            ServiceConfig(
-                rate_rps=rate_rps,
-                duration_s=duration_s,
-                slo_ms=slo_ms,
-                queue_capacity=queue_capacity,
-                policy=policy,
-                max_batch=max_batch,
-                max_delay_ms=max_delay_ms,
-                devices=devices,
-                seed=seed,
-                **health_knobs,
-            ),
+            replace(base, rate_rps=rate_rps, **health_knobs),
             profiles=profiles,
         )
 
@@ -107,9 +98,7 @@ def run(devices=2, duration_s=1.2, seed=3, slo_ms=100.0,
     modes = (
         ("off", dict(storm, breakers=False)),
         ("breakers", dict(storm)),
-        ("breakers+brownout", dict(
-            storm, brownout_high=brownout_high, brownout_low=brownout_low,
-        )),
+        ("breakers+brownout", dict(storm, brownout_high=16, brownout_low=6)),
     )
 
     rows = []
@@ -127,7 +116,7 @@ def run(devices=2, duration_s=1.2, seed=3, slo_ms=100.0,
         series["storm_p99_ms"].append(result.p99_ms)
         series["storm_failed"].append(result.failed)
 
-    for rate in fault_rates:
+    for rate in FAULT_RATES:
         off = serve(backend_fault_rate=rate, breakers=False)
         on = serve(backend_fault_rate=rate)
         rows.append(_row("fault-rate", f"{rate:.2f} off", off))
@@ -161,7 +150,7 @@ def run(devices=2, duration_s=1.2, seed=3, slo_ms=100.0,
         experiment_id="resilience",
         title=(
             f"service resilience: SSR storm and backend faults over "
-            f"{len(profiles)} backends (seed {seed}), {slo_ms:g} ms SLO"
+            f"{len(profiles)} backends (seed {seed}), {base.slo_ms:g} ms SLO"
         ),
         headers=(
             "sweep", "mode", "offered", "throughput rps", "goodput rps",

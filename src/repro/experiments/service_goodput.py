@@ -23,17 +23,22 @@ Two registered experiments exercise :mod:`repro.service` end to end:
     fault-free baseline.
 """
 
+from dataclasses import replace
+
 from repro.experiments.base import ExperimentResult, experiment
 from repro.experiments.claims import Claim, ratio
 
 #: Batch sizes swept at fixed offered load.
-DEFAULT_BATCH_SIZES = (1, 2, 4, 8)
+BATCH_SIZES = (1, 2, 4, 8)
 #: Offered load factors swept at fixed batching, x pool capacity.
-DEFAULT_LOAD_FACTORS = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
+LOAD_FACTORS = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
 #: Fraction of pool capacity offered during the batch sweep.
 BATCH_SWEEP_LOAD = 0.7
-#: Fault rates swept by the chaos variant (0.0 forced in as baseline).
-DEFAULT_FAULT_RATES = (0.0, 0.2, 0.4)
+#: Fault rates swept by the chaos variant; the first is the fault-free
+#: baseline.
+FAULT_RATES = (0.0, 0.2, 0.4)
+#: Fraction of the fault-free pool's capacity the chaos variant offers.
+CHAOS_LOAD = 0.5
 
 
 def _service_row(kind, knob, result):
@@ -88,10 +93,7 @@ GOODPUT_CLAIMS = (
 
 
 @experiment("service_goodput", claims=GOODPUT_CLAIMS)
-def run(devices=4, duration_s=1.0, seed=0, slo_ms=50.0,
-        batch_sizes=DEFAULT_BATCH_SIZES, load_factors=DEFAULT_LOAD_FACTORS,
-        max_batch=4, max_delay_ms=5.0, queue_capacity=128,
-        policy="reject", calibration_runs=3):
+def run(seed=0):
     from repro.service import (
         ServiceConfig,
         build_pool,
@@ -99,10 +101,11 @@ def run(devices=4, duration_s=1.0, seed=0, slo_ms=50.0,
         run_service,
     )
 
+    base = ServiceConfig(queue_capacity=128, seed=seed)
     profiles, _failures = build_pool(
-        devices=devices, seed=seed, runs=calibration_runs
+        devices=base.devices, seed=seed, runs=base.calibration_runs
     )
-    capacity_rps = pool_capacity_rps(profiles, max_batch)
+    capacity_rps = pool_capacity_rps(profiles, base.max_batch)
 
     rows = []
     series = {
@@ -112,18 +115,11 @@ def run(devices=4, duration_s=1.0, seed=0, slo_ms=50.0,
         "load_goodput_rps": [], "load_p99_ms": [],
     }
 
-    for batch in batch_sizes:
+    for batch in BATCH_SIZES:
         result = run_service(
-            ServiceConfig(
-                rate_rps=BATCH_SWEEP_LOAD * capacity_rps,
-                duration_s=duration_s,
-                slo_ms=slo_ms,
-                queue_capacity=queue_capacity,
-                policy=policy,
+            replace(
+                base, rate_rps=BATCH_SWEEP_LOAD * capacity_rps,
                 max_batch=batch,
-                max_delay_ms=max_delay_ms,
-                devices=devices,
-                seed=seed,
             ),
             profiles=profiles,
         )
@@ -133,20 +129,9 @@ def run(devices=4, duration_s=1.0, seed=0, slo_ms=50.0,
         series["batch_goodput_rps"].append(result.goodput_rps)
         series["batch_p99_ms"].append(result.p99_ms)
 
-    for factor in load_factors:
+    for factor in LOAD_FACTORS:
         result = run_service(
-            ServiceConfig(
-                rate_rps=factor * capacity_rps,
-                duration_s=duration_s,
-                slo_ms=slo_ms,
-                queue_capacity=queue_capacity,
-                policy=policy,
-                max_batch=max_batch,
-                max_delay_ms=max_delay_ms,
-                devices=devices,
-                seed=seed,
-            ),
-            profiles=profiles,
+            replace(base, rate_rps=factor * capacity_rps), profiles=profiles
         )
         rows.append(_service_row("load", f"{factor:.2f}x", result))
         series["load_factor"].append(factor)
@@ -156,15 +141,15 @@ def run(devices=4, duration_s=1.0, seed=0, slo_ms=50.0,
 
     goodputs = series["load_goodput_rps"]
     throughputs = series["load_throughput_rps"]
-    peak_goodput_factor = load_factors[goodputs.index(max(goodputs))]
-    peak_throughput_factor = load_factors[
+    peak_goodput_factor = LOAD_FACTORS[goodputs.index(max(goodputs))]
+    peak_throughput_factor = LOAD_FACTORS[
         throughputs.index(max(throughputs))
     ]
     notes = [
-        f"pool capacity at max_batch={max_batch}: "
+        f"pool capacity at max_batch={base.max_batch}: "
         f"{capacity_rps:.1f} rps over {len(profiles)} backends",
         f"batch sweep offered {BATCH_SWEEP_LOAD:.0%} of capacity; "
-        f"load sweep used max_batch={max_batch}",
+        f"load sweep used max_batch={base.max_batch}",
         f"goodput peaks at {peak_goodput_factor:.2f}x offered load; "
         f"throughput saturates at {peak_throughput_factor:.2f}x — "
         "past the peak, every extra offered request only adds queueing "
@@ -175,7 +160,7 @@ def run(devices=4, duration_s=1.0, seed=0, slo_ms=50.0,
         title=(
             f"inference service over {len(profiles)} fleet backends "
             f"(seed {seed}): batching tradeoff and overload sweep, "
-            f"{slo_ms:g} ms SLO"
+            f"{base.slo_ms:g} ms SLO"
         ),
         headers=(
             "sweep", "knob", "offered",
@@ -189,13 +174,10 @@ def run(devices=4, duration_s=1.0, seed=0, slo_ms=50.0,
 
 
 @experiment("service_chaos")
-# The default seed/devices pair must expand to a pool containing
-# snpe-dsp sessions — the slice with no fault recovery — or injected
-# faults cannot kill any backend (seed 5 x 12 devices includes four).
-def run_chaos(devices=12, duration_s=1.0, seed=5, slo_ms=50.0,
-              fault_rates=DEFAULT_FAULT_RATES, max_batch=4,
-              max_delay_ms=5.0, queue_capacity=128, policy="reject",
-              calibration_runs=3, load_factor=0.5):
+# The seed/devices pair must expand to a pool containing snpe-dsp
+# sessions — the slice with no fault recovery — or injected faults
+# cannot kill any backend (seed 5 x 12 devices includes four).
+def run_chaos(seed=5):
     from repro.fleet import chaos_population
     from repro.service import (
         ServiceConfig,
@@ -204,7 +186,7 @@ def run_chaos(devices=12, duration_s=1.0, seed=5, slo_ms=50.0,
         run_service,
     )
 
-    rates = sorted({0.0} | {float(rate) for rate in fault_rates})
+    base = ServiceConfig(queue_capacity=128, devices=12, seed=seed)
     population = chaos_population()
     rows = []
     series = {
@@ -214,30 +196,19 @@ def run_chaos(devices=12, duration_s=1.0, seed=5, slo_ms=50.0,
     notes = []
     baseline_goodput = None
     offered_rps = None
-    for rate in rates:
+    for rate in FAULT_RATES:
         profiles, failures = build_pool(
-            population=population, devices=devices, seed=seed,
-            runs=calibration_runs, fault_rate=rate,
+            population=population, devices=base.devices, seed=seed,
+            runs=base.calibration_runs, fault_rate=rate,
         )
         if offered_rps is None:
             # The offered load is fixed by the *fault-free* pool: users
             # do not slow down because the fleet is having a bad day.
-            offered_rps = load_factor * pool_capacity_rps(
-                profiles, max_batch
+            offered_rps = CHAOS_LOAD * pool_capacity_rps(
+                profiles, base.max_batch
             )
         result = run_service(
-            ServiceConfig(
-                rate_rps=offered_rps,
-                duration_s=duration_s,
-                slo_ms=slo_ms,
-                queue_capacity=queue_capacity,
-                policy=policy,
-                max_batch=max_batch,
-                max_delay_ms=max_delay_ms,
-                devices=devices,
-                seed=seed,
-                fault_rate=rate,
-            ),
+            replace(base, rate_rps=offered_rps, fault_rate=rate),
             profiles=profiles,
         )
         if baseline_goodput is None:
@@ -265,14 +236,14 @@ def run_chaos(devices=12, duration_s=1.0, seed=5, slo_ms=50.0,
             )
     notes.append(
         "offered load is fixed at the fault-free pool's "
-        f"{load_factor:.0%}-capacity point; goodput x is relative to "
+        f"{CHAOS_LOAD:.0%}-capacity point; goodput x is relative to "
         "the 0.00 baseline row"
     )
     return ExperimentResult(
         experiment_id="service_chaos",
         title=(
             f"service goodput under DSP-offload fault injection "
-            f"({devices} chaos-population devices, seed {seed})"
+            f"({base.devices} chaos-population devices, seed {seed})"
         ),
         headers=(
             "fault rate", "backends", "dead", "offered",

@@ -298,7 +298,8 @@ def test_sorted_callee_is_clean(tmp_path):
 
 #: Helpers whose set iteration archcheck once judged differently from
 #: lint, each with whether its hash order escapes. Both checkers now
-#: share one definition (``repro.analysis.common.set_iterations``).
+#: share one definition (``repro.analysis.common.set_iterations``) and
+#: one import resolver (``repro.analysis.common.AliasResolver``).
 SET_ITERATION_HELPERS = {
     # key= keeps ties in iteration order.
     "sorted-with-key": ("""\
@@ -319,6 +320,13 @@ SET_ITERATION_HELPERS = {
         def summarize(data):
             return list(set(data))
         """, True),
+    # A `set` bound by an import is not the builtin.
+    "imported-set": ("""\
+        from itertools import chain as set
+
+        def summarize(data):
+            return [name for name in set(data, data)]
+        """, False),
 }
 
 

@@ -16,7 +16,7 @@ import pytest
 
 from repro import cli
 from repro.analysis import racecheck
-from repro.analysis.common import LintError
+from repro.analysis.common import LintError, render_findings
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "racecheck"
 PLAIN_PATH = "repo/src/repro/sim/fixture.py"
@@ -98,7 +98,7 @@ def test_every_rule_id_has_a_hint_and_renders():
                  "lock_order_inversion_bad"):
         findings.extend(check_fixture(stem))
     assert {f.rule for f in findings} == set(racecheck.RULES_BY_ID)
-    rendered = "\n".join(racecheck.render_findings(findings))
+    rendered = "\n".join(render_findings(findings, racecheck.RULES_BY_ID))
     for rule in racecheck.RULES_BY_ID.values():
         assert rule.hint  # each rule states its fix
     for finding in findings:

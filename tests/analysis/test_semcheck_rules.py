@@ -14,6 +14,7 @@ import pytest
 
 from repro import cli
 from repro.analysis import lint, semcheck
+from repro.analysis.common import render_findings
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -47,7 +48,7 @@ def test_ok_fixture_is_clean(rule):
 @pytest.mark.parametrize("rule", sorted(semcheck.RULES_BY_ID))
 def test_every_rule_has_a_fix_it_hint(rule):
     findings = check_fixture(rule, "bad")
-    rendered = "\n".join(semcheck.render_findings(findings))
+    rendered = "\n".join(render_findings(findings, semcheck.RULES_BY_ID))
     assert "fix:" in rendered
     assert semcheck.RULES_BY_ID[rule].hint in rendered
 

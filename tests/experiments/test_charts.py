@@ -2,13 +2,12 @@
 
 from repro.experiments import run_experiment
 from repro.experiments.base import ExperimentResult
-from repro.experiments.charts import chartable_experiments, render_chart
+from repro.experiments.charts import render_chart
 
 
 def test_unchartable_returns_none():
     result = ExperimentResult("table1", "t", ("a",), [(1,)])
     assert render_chart(result) is None
-    assert "fig5" in chartable_experiments()
 
 
 def test_fig5_chart_is_bar_chart():
@@ -18,11 +17,8 @@ def test_fig5_chart_is_bar_chart():
     assert "█" in chart
 
 
-def test_fig4_chart_stacks_stages():
-    result = run_experiment(
-        "fig4", runs=4, models=(("mobilenet_v1", "int8"),)
-    )
-    chart = render_chart(result)
+def test_fig4_chart_stacks_stages(bench_result):
+    chart = render_chart(bench_result("fig4"))
     assert "capture" in chart and "inference" in chart
     assert "mobilenet_v1:int8:app" in chart
 
@@ -50,18 +46,14 @@ def test_fig11_chart_has_both_histograms():
     assert "app latency distribution" in chart
 
 
-def test_fig9_and_fig10_charts():
+def test_fig9_and_fig10_charts(bench_result):
     for experiment_id in ("fig9", "fig10"):
-        result = run_experiment(experiment_id, runs=4, counts=(0, 2))
-        chart = render_chart(result)
+        chart = render_chart(bench_result(experiment_id))
         assert "jobs" in chart
 
 
-def test_fig3_chart_pairs_contexts():
-    result = run_experiment(
-        "fig3", runs=4, models=(("mobilenet_v1", "fp32"),)
-    )
-    chart = render_chart(result)
+def test_fig3_chart_pairs_contexts(bench_result):
+    chart = render_chart(bench_result("fig3"))
     assert "cli" in chart and "app" in chart
 
 

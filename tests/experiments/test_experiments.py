@@ -4,6 +4,8 @@ The paper's claims are checked in test_claims.py, against the bands
 declared beside each experiment.
 """
 
+import inspect
+
 import pytest
 
 from repro.android import Kernel
@@ -21,6 +23,35 @@ def test_registry_covers_every_table_and_figure():
         "ablation_stdlib",
     }
     assert expected <= set(REGISTRY)
+
+
+def _taking(parameter):
+    """The ids of the experiments whose signature has ``parameter``."""
+    return {
+        experiment_id
+        for experiment_id in REGISTRY
+        if parameter in inspect.signature(REGISTRY[experiment_id]).parameters
+    }
+
+
+def test_experiments_taking_runs():
+    # `repro report --fast` and the benchmark's report workload pass
+    # runs=5 to exactly these; adding or removing one changes its work.
+    assert _taking("runs") == {
+        "ablation_fastcv", "ablation_probe", "ablation_snpe", "chaos",
+        "fig3", "fig4", "fig5", "fig6", "fig9", "fig10", "fig11",
+        "fleet_percentiles", "mlperf_gap", "model_scaling",
+        "resolution_sweep", "soc_sweep", "streaming", "takeaways", "whatif",
+    }
+
+
+def test_experiments_taking_seed():
+    # Every experiment that simulates takes a seed, so each claim can be
+    # re-checked across seeds; the four that do not only read tables.
+    assert set(REGISTRY) - _taking("seed") == {
+        "ablation_stdlib", "memory_footprint", "table1", "table2",
+    }
+    assert len(_taking("seed")) == 32
 
 
 def test_unknown_experiment_raises():
